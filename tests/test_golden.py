@@ -1,0 +1,226 @@
+"""Byte-exact goldens: the sha256 of every diagram text the renderers print.
+
+The digests pin the output of ``render_flow`` for every registered machine
+and for two hand-built trees, and of ``render_base`` for every registered
+leaf and for leaves with awkward labels. Any change to diagram text, down
+to one byte, fails here; a deliberate change must update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from crem import (
+    Alternative,
+    Basic,
+    BaseMachine,
+    Feedback,
+    Kleisli,
+    MachineState,
+    Parallel,
+    Sequential,
+    StepResult,
+    Topology,
+    render_base,
+    render_flow,
+    stateless,
+)
+from crem.cli import default_registry
+
+REGISTRY = default_registry()
+
+
+def _leaf(name: str, edges, initial: str) -> Basic:
+    def stay(state, value):
+        return StepResult([value], state)
+
+    return Basic(BaseMachine(name, Topology(edges), MachineState(initial), stay))
+
+
+def _plain(name: str) -> Basic:
+    return Basic(stateless(name, lambda value: [value]))
+
+
+def all_kinds_tree():
+    """All six node kinds, with an Alternative bracket inside a Parallel one
+    and a composite second child, so representatives are not adjacent."""
+    return Kleisli(
+        Feedback(_leaf("fwd", (("A", ("B",)), ("B", ("A",))), "A"), _plain("bwd")),
+        Sequential(
+            Sequential(
+                Parallel(Alternative(_plain("left"), _plain("right")), _plain("pair")),
+                Alternative(_plain("x"), _leaf("y", (("Y0", ("Y1",)),), "Y1")),
+            ),
+            _plain("tail"),
+        ),
+    )
+
+
+def awkward_tree():
+    """Labels that need quoting, escaping, Mermaid id repair and a marker
+    that has to step aside. The vertex ``-q`` of leaf ``sg`` repairs to the
+    same Mermaid id as the cluster of leaf ``--q``, which comes later."""
+    return Sequential(
+        Parallel(
+            _leaf('say "hi" \\ there', (('q"1', ("back\\slash",)),), 'q"1'),
+            _leaf("a-b", (("x-y", ("x_y",)),), "x_y"),
+        ),
+        Kleisli(
+            _leaf("a_b", (("1st", ("2nd",)), ("2nd", ("initial",))), "1st"),
+            Alternative(
+                _leaf("m", (("initial", ("__initial",)),), "initial"),
+                Sequential(_leaf("sg", (("-q", ()),), "-q"), _plain("--q")),
+            ),
+        ),
+    )
+
+
+def _registered_leaves():
+    for name in sorted(REGISTRY):
+        for leaf in REGISTRY[name].factory().leaves():
+            yield f"{name}/{leaf.name}", leaf
+
+
+def _cases():
+    cases = {}
+    for name in sorted(REGISTRY):
+        cases[f"flow/{name}"] = lambda fmt, name=name: render_flow(REGISTRY[name].factory(), fmt)
+    cases["flow/all-kinds"] = lambda fmt: render_flow(all_kinds_tree(), fmt)
+    cases["flow/awkward"] = lambda fmt: render_flow(awkward_tree(), fmt)
+    for key, leaf in _registered_leaves():
+        cases[f"base/{key}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
+    for index, leaf in enumerate(awkward_tree().leaves()):
+        cases[f"base/awkward/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
+    return {
+        f"{key}.{fmt}": (lambda render=render, fmt=fmt: render(fmt))
+        for key, render in cases.items()
+        for fmt in ("dot", "mermaid")
+    }
+
+
+CASES = _cases()
+
+GOLDEN = {
+    "base/awkward/0.dot":
+        "8cfb078ca502ab89c6633449937133e342b8561fffa5247bfee2d8284641b45c",
+    "base/awkward/0.mermaid":
+        "a7ba6235a3896b52e48da0bd627190b6f44465167104db1c1646e44ccfda3c74",
+    "base/awkward/1.dot":
+        "84108e5d0f59b454a85711c053a5a6184693cd86d4321d55e03d6c845e35f64f",
+    "base/awkward/1.mermaid":
+        "c7957e460e6cb5618bf173482faa616d59cb738df86413cbfd294766cead8850",
+    "base/awkward/2.dot":
+        "027f5ec28d488461c33513c4985d88dd112a7b9d2afb35b21c84b3f491211b6d",
+    "base/awkward/2.mermaid":
+        "0fecdd66b659db21a23c6c8804749acf7fcb48fe2a40d7988cc786a86df85de5",
+    "base/awkward/3.dot":
+        "f73c72fde7ca11aea449764f2c7abf3378ca18b4179a1555eeef34261013ef09",
+    "base/awkward/3.mermaid":
+        "a0d393d3fb3dc814a23d96f5e156bd747b5d3af98a4cb3169fd4edd6d8e3eac7",
+    "base/awkward/4.dot":
+        "11fb6cf106e07501ad5846eb50e573b8701249ac145d2ef5f15497c994aec411",
+    "base/awkward/4.mermaid":
+        "8859a7ca713ff298b7f28f583f9948e1e06a81f050ba11312a32588de96f6cfd",
+    "base/awkward/5.dot":
+        "0a832f108f31d52aac07ac27827c517d5dd639342b6e32f974b2c9c17e8ab2bf",
+    "base/awkward/5.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/cart.dot":
+        "b41dd500907140b27a4acd6e9c2d6aa5e9456dcd96ccbc947cdecc46b440d408",
+    "base/cart-and-shipping/cart.mermaid":
+        "55d594146eac810da4181d6eb57970a4360937fa03cc0962bad968a6e2103e41",
+    "base/cart-and-shipping/ignoreShippingEvents.dot":
+        "c44703d87dea008f2833ea4a620f3d49206e457421742515086fb31b1859bdf8",
+    "base/cart-and-shipping/ignoreShippingEvents.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/mergePolicyOutput.dot":
+        "53c5e14752f8114ef19990ae95862e3985e9d6c1f3ab9e2cf5df9ff2500c442f",
+    "base/cart-and-shipping/mergePolicyOutput.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/mergeViews.dot":
+        "6ee141310f471f9c3b7035543c21d795a4ff7e827ff0e2764740b5ebd0738640",
+    "base/cart-and-shipping/mergeViews.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/mergeWriteEvents.dot":
+        "ebe021ff6e535a5b68bb935714baf90240759bc0cffc67682642dea58ff6aa37",
+    "base/cart-and-shipping/mergeWriteEvents.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/paymentCompletePolicy.dot":
+        "1cfece1a979bbfd3efab9c82757c0c861ab2db33b04756cf0e17b2e1b4507538",
+    "base/cart-and-shipping/paymentCompletePolicy.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/paymentGateway.dot":
+        "8b5305f5f252f30dacd8b13e1d7d38a746009fd0e31e1eb555423648360a3584",
+    "base/cart-and-shipping/paymentGateway.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/paymentStatus.dot":
+        "b7c3623762d2783609878b55a338f90fb168a9f1fcff2e826f98f9a714fb01bd",
+    "base/cart-and-shipping/paymentStatus.mermaid":
+        "43fefb0d3316a491d4f1fb72892123616678b2da36410eff90ea4a1998abae41",
+    "base/cart-and-shipping/routeShippingCommands.dot":
+        "1f7fc3e91a7f3bc42a503dcd850e996ec3e0948db1f60cb81fa2012c0bde3f1a",
+    "base/cart-and-shipping/routeShippingCommands.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/cart-and-shipping/shipping.dot":
+        "60ee42c27f92d1c1005d19cef2f9d75ca856d065f3ca1a5bac4d6deb60df0dfb",
+    "base/cart-and-shipping/shipping.mermaid":
+        "6cff8e1073f495be0a0843e4f3c68b340895090d97042f58e160a730f9de582d",
+    "base/cart-and-shipping/shippingInfo.dot":
+        "d13f859596ef3ffc6a75ca36a8ccef6734ad768f375c66606a45149f8a14285b",
+    "base/cart-and-shipping/shippingInfo.mermaid":
+        "47be1d3b9aa2c875c193a39f41468b8a99a1781ec200fafc9505edf982271fd7",
+    "base/cart/cart.dot":
+        "b41dd500907140b27a4acd6e9c2d6aa5e9456dcd96ccbc947cdecc46b440d408",
+    "base/cart/cart.mermaid":
+        "55d594146eac810da4181d6eb57970a4360937fa03cc0962bad968a6e2103e41",
+    "base/shipping/shipping.dot":
+        "60ee42c27f92d1c1005d19cef2f9d75ca856d065f3ca1a5bac4d6deb60df0dfb",
+    "base/shipping/shipping.mermaid":
+        "6cff8e1073f495be0a0843e4f3c68b340895090d97042f58e160a730f9de582d",
+    "base/whole-cart-domain/cart.dot":
+        "b41dd500907140b27a4acd6e9c2d6aa5e9456dcd96ccbc947cdecc46b440d408",
+    "base/whole-cart-domain/cart.mermaid":
+        "55d594146eac810da4181d6eb57970a4360937fa03cc0962bad968a6e2103e41",
+    "base/whole-cart-domain/paymentGateway.dot":
+        "8b5305f5f252f30dacd8b13e1d7d38a746009fd0e31e1eb555423648360a3584",
+    "base/whole-cart-domain/paymentGateway.mermaid":
+        "709829d8f28d8a3e4d27178571ff9d4479853b5704a921a16123b225c1f721a4",
+    "base/whole-cart-domain/paymentStatus.dot":
+        "b7c3623762d2783609878b55a338f90fb168a9f1fcff2e826f98f9a714fb01bd",
+    "base/whole-cart-domain/paymentStatus.mermaid":
+        "43fefb0d3316a491d4f1fb72892123616678b2da36410eff90ea4a1998abae41",
+    "flow/all-kinds.dot":
+        "c4f05bd5e99472193e0705d63a25d391c2ec19a3bcdf387c014a1e514bc4b2c4",
+    "flow/all-kinds.mermaid":
+        "206154160fa4c72846937f211494e8cf30254c5b24bc7b0118e99bb9faf5b13a",
+    "flow/awkward.dot":
+        "804c98f51354ce319017285539ae75dc0510f846e99e567c4773b55580d8d397",
+    "flow/awkward.mermaid":
+        "34fb01767f77f5317f73762071eeefa9a1f8a361d71d39614188f7f3082a7ab8",
+    "flow/cart-and-shipping.dot":
+        "4236f3514ac1d1f545f9209dc05f68fa3f74b1ab57f90bf2429ea061c45e5220",
+    "flow/cart-and-shipping.mermaid":
+        "98b5dfa793b73bc5e6cd87f8fdb7948f5313f3ee06aa3a833b1b2401b792ecd5",
+    "flow/cart.dot":
+        "e3833fca66debe8fd70312f5a619bbea4852c321096462b3fa97eabf884d88c4",
+    "flow/cart.mermaid":
+        "719b0a14d113aef4eaf092e50db4b5a0ac2d9a7b0c7ae68b61748a043cdfde2e",
+    "flow/shipping.dot":
+        "da80af735eda0d4c1dcb5628ab9fe1be2b60c3892d795a212c9ee2ea79808475",
+    "flow/shipping.mermaid":
+        "a3bf01942843b143b58dc0b446474929c0a3f7854e70527bf25bf134b0bb90f0",
+    "flow/whole-cart-domain.dot":
+        "ea1776b26436c433fa87c3d50dc46a51bd7688fe6d83634c0e7aaafacc413041",
+    "flow/whole-cart-domain.mermaid":
+        "ac612ad239ffb8e38583388907e612532df01dfcf287cec8364aaf18496d9ef8",
+}
+
+
+def test_every_case_has_a_golden():
+    assert sorted(CASES) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_diagram_matches_golden(case):
+    text = CASES[case]().text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[case]
