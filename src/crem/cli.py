@@ -4,10 +4,12 @@ Input files carry one encoded command per line; blank lines and ``#``
 comments are skipped. With ``--log``, each processed input appends one
 record to a JSONL event log, which ``replay`` later re-runs against a
 fresh machine to verify that every logged output regenerates exactly.
+A ``run`` on an existing log resumes it the same way: every logged record
+is re-run and checked before anything new is appended.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
-6 replay divergence.
+6 log divergence (on ``replay``, or when ``run`` resumes a log).
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ class MalformedLog(ValueError):
 
 class _UsageError(ValueError):
     pass
+
+
+class _Diverged(Exception):
+    """A logged record's outputs did not regenerate exactly."""
 
 
 @dataclass(frozen=True)
@@ -226,14 +232,23 @@ def _cmd_render(args, registry) -> int:
     return EXIT_OK
 
 
-def _restore_from_log(machine: StateMachine, records, entry, config) -> StateMachine:
-    """Re-run logged inputs so new records continue where the log left off."""
+def _replay(machine: StateMachine, records, entry, config) -> StateMachine:
+    """Re-run logged inputs, checking that each record's outputs regenerate.
+
+    Returns the machine after the last record, where new records continue.
+    """
     for record in records:
         try:
             value = entry.decode_input(record["input"])
         except CodecError as error:
             raise MalformedLog(f"seq {record['seq']}: {error}") from error
-        _, machine = machine.step(value, config)
+        outputs, machine = machine.step(value, config)
+        encoded = [entry.encode_output(item) for item in outputs]
+        if encoded != record["outputs"]:
+            raise _Diverged(
+                f"replay diverged at seq {record['seq']}: "
+                f"logged {record['outputs']}, regenerated {encoded}"
+            )
     return machine
 
 
@@ -247,7 +262,7 @@ def _cmd_run(args, registry) -> int:
     log_path = Path(args.log) if args.log else None
     if log_path is not None and log_path.exists() and log_path.stat().st_size > 0:
         previous = _load_log(log_path)
-        machine = _restore_from_log(machine, previous, entry, config)
+        machine = _replay(machine, previous, entry, config)
         seq = len(previous)
 
     log_handle = log_path.open("a", encoding="utf-8") if log_path else None
@@ -279,20 +294,7 @@ def _cmd_replay(args, registry) -> int:
     entry = _lookup(registry, args.machine)
     config = RunConfig(feedback_cap=_resolve_feedback_cap(None))
     records = _load_log(Path(args.log))
-    machine = entry.factory()
-    for record in records:
-        try:
-            value = entry.decode_input(record["input"])
-        except CodecError as error:
-            raise MalformedLog(f"seq {record['seq']}: {error}") from error
-        outputs, machine = machine.step(value, config)
-        encoded = [entry.encode_output(item) for item in outputs]
-        if encoded != record["outputs"]:
-            print(
-                f"replay diverged at seq {record['seq']}: "
-                f"logged {record['outputs']}, regenerated {encoded}"
-            )
-            return EXIT_DIVERGED
+    _replay(entry.factory(), records, entry, config)
     return EXIT_OK
 
 
@@ -356,6 +358,9 @@ def main(
     except FeedbackOverflow as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_FEEDBACK
+    except _Diverged as error:
+        print(error)
+        return EXIT_DIVERGED
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE

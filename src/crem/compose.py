@@ -111,51 +111,11 @@ class Basic(StateMachine):
 
 
 @dataclass(frozen=True)
-class Sequential(StateMachine):
-    """Feed each input through ``first``, then its output through ``second``."""
+class _Binary(StateMachine):
+    """A node over two subtrees, ``first`` and ``second``.
 
-    first: StateMachine
-    second: StateMachine
-
-    def __post_init__(self):
-        _check_leaf_names(self)
-
-    def step(self, value, config=DEFAULT_CONFIG):
-        intermediate, first = self.first.step(value, config)
-        output, second = self.second.step(intermediate, config)
-        return output, Sequential(first, second)
-
-    def leaves(self):
-        yield from self.first.leaves()
-        yield from self.second.leaves()
-
-
-@dataclass(frozen=True)
-class Parallel(StateMachine):
-    """Step both children on the two halves of a pair; first steps first."""
-
-    first: StateMachine
-    second: StateMachine
-
-    def __post_init__(self):
-        _check_leaf_names(self)
-
-    def step(self, value, config=DEFAULT_CONFIG):
-        a, c = value
-        b, first = self.first.step(a, config)
-        d, second = self.second.step(c, config)
-        return (b, d), Parallel(first, second)
-
-    def leaves(self):
-        yield from self.first.leaves()
-        yield from self.second.leaves()
-
-
-@dataclass(frozen=True)
-class Alternative(StateMachine):
-    """Route Left inputs to ``first`` and Right inputs to ``second``.
-
-    The child that was not addressed is returned untouched.
+    Subclasses add only ``step``; the generated ``__init__``, ``repr`` and
+    equality come from here and use the subclass's own name and type.
     """
 
     first: StateMachine
@@ -163,6 +123,36 @@ class Alternative(StateMachine):
 
     def __post_init__(self):
         _check_leaf_names(self)
+
+    def leaves(self):
+        yield from self.first.leaves()
+        yield from self.second.leaves()
+
+
+class Sequential(_Binary):
+    """Feed each input through ``first``, then its output through ``second``."""
+
+    def step(self, value, config=DEFAULT_CONFIG):
+        intermediate, first = self.first.step(value, config)
+        output, second = self.second.step(intermediate, config)
+        return output, Sequential(first, second)
+
+
+class Parallel(_Binary):
+    """Step both children on the two halves of a pair; first steps first."""
+
+    def step(self, value, config=DEFAULT_CONFIG):
+        a, c = value
+        b, first = self.first.step(a, config)
+        d, second = self.second.step(c, config)
+        return (b, d), Parallel(first, second)
+
+
+class Alternative(_Binary):
+    """Route Left inputs to ``first`` and Right inputs to ``second``.
+
+    The child that was not addressed is returned untouched.
+    """
 
     def step(self, value, config=DEFAULT_CONFIG):
         if isinstance(value, Left):
@@ -172,10 +162,6 @@ class Alternative(StateMachine):
             output, second = self.second.step(value.value, config)
             return Right(output), Alternative(self.first, second)
         raise TypeError(f"Alternative expects Left or Right, got {value!r}")
-
-    def leaves(self):
-        yield from self.first.leaves()
-        yield from self.second.leaves()
 
 
 @dataclass(frozen=True)
@@ -232,19 +218,12 @@ class Feedback(StateMachine):
         yield from self.backward.leaves()
 
 
-@dataclass(frozen=True)
-class Kleisli(StateMachine):
+class Kleisli(_Binary):
     """Flat-map ``first``'s outputs through ``second``.
 
     The second machine's state threads across all elements of one batch:
     it folds over the whole event stream, it is not reset per element.
     """
-
-    first: StateMachine
-    second: StateMachine
-
-    def __post_init__(self):
-        _check_leaf_names(self)
 
     def step(self, value, config=DEFAULT_CONFIG):
         produced, first = self.first.step(value, config)
@@ -256,10 +235,6 @@ class Kleisli(StateMachine):
             _require_list(outputs, "the second machine of Kleisli")
             collected.extend(outputs)
         return collected, Kleisli(first, second)
-
-    def leaves(self):
-        yield from self.first.leaves()
-        yield from self.second.leaves()
 
 
 def run_trace(

@@ -11,17 +11,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable
+from typing import Any, Iterable
 
 from .compose import (
     Alternative,
     Basic,
-    DuplicateLeafName,
     Feedback,
     Kleisli,
     Parallel,
     Sequential,
     StateMachine,
+    _check_leaf_names,
 )
 from .machine import BaseMachine
 
@@ -125,83 +125,91 @@ def render_flow(machine: StateMachine, format: str) -> Diagram:
     in a labeled bracketing cluster. Clusters appear depth-first,
     left to right.
     """
-    names: set[str] = set()
-    for leaf in machine.leaves():
-        if leaf.name in names:
-            raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
-        names.add(leaf.name)
+    _check_leaf_names(machine)
     if format == "dot":
-        return Diagram("dot", _flow_dot(machine))
+        return Diagram("dot", _flow_dot(*_layout(machine)))
     if format == "mermaid":
-        return Diagram("mermaid", _flow_mermaid(machine))
+        return Diagram("mermaid", _flow_mermaid(*_layout(machine)))
     raise ValueError(f"unknown diagram format {format!r}")
-
-
-def _representative(node: StateMachine) -> BaseMachine:
-    return next(iter(node.leaves()))
 
 
 _COMBINATOR_EDGES = {Sequential: "seq", Kleisli: "kleisli"}
 _BRACKET_LABELS = {Parallel: "parallel", Alternative: "alternative"}
 
+# A layout item is ("leaf", depth, machine), ("open", depth, (label, number))
+# or ("close", depth, None); an edge is (source leaf, target leaf, label).
+_Item = tuple[str, int, Any]
+_Edge = tuple[BaseMachine, BaseMachine, str]
 
-def _flow_dot(machine: StateMachine) -> str:
+
+def _layout(tree: StateMachine) -> tuple[list[_Item], list[_Edge]]:
+    """Walk the tree once into the clusters and edges that both formats print.
+
+    Clusters and brackets come in pre-order, so brackets are numbered in
+    pre-order; edges come in post-order. An edge joins the representatives
+    (first leaves) of two subtrees, which the walk returns bottom-up.
+    """
+    items: list[_Item] = []
+    edges: list[_Edge] = []
+    brackets = count(1)
+
+    def walk(node: StateMachine, depth: int) -> BaseMachine:
+        if isinstance(node, Basic):
+            items.append(("leaf", depth, node.machine))
+            return node.machine
+        if isinstance(node, (Parallel, Alternative)):
+            items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
+            first = walk(node.first, depth + 1)
+            walk(node.second, depth + 1)
+            items.append(("close", depth, None))
+            return first
+        if isinstance(node, (Sequential, Kleisli)):
+            first, second = walk(node.first, depth), walk(node.second, depth)
+            edges.append((first, second, _COMBINATOR_EDGES[type(node)]))
+            return first
+        if isinstance(node, Feedback):
+            forward, backward = walk(node.forward, depth), walk(node.backward, depth)
+            edges.append((forward, backward, "feedback"))
+            edges.append((backward, forward, "feedback"))
+            return forward
+        raise TypeError(f"not a composition tree node: {node!r}")
+
+    walk(tree, 0)
+    return items, edges
+
+
+def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
     lines = [
         'digraph "architecture" {',
         "  compound=true;",
         "  rankdir=LR;",
         "  node [shape=box, style=rounded];",
     ]
-    edges: list[tuple[BaseMachine, BaseMachine, str]] = []
-    brackets = count(1)
-
-    def emit(node: StateMachine, indent: str) -> None:
-        if isinstance(node, Basic):
-            leaf = node.machine
-            lines.append(f"{indent}subgraph {_quote('cluster_' + leaf.name)} {{")
-            lines.append(f"{indent}  label={_quote(leaf.name)};")
-            initial = _initial_marker(
-                (f"{leaf.name}__{vertex}" for vertex in leaf.topology.vertices()),
-                f"{leaf.name}__initial",
-            )
-            lines.append(f"{indent}  {_quote(initial)} [shape=point, label=\"\"];")
-            for vertex in leaf.topology.vertices():
-                lines.append(
-                    f"{indent}  {_quote(leaf.name + '__' + vertex)} [label={_quote(vertex)}];"
-                )
-            lines.append(
-                f"{indent}  {_quote(initial)} -> {_quote(leaf.name + '__' + leaf.state.vertex)};"
-            )
-            for source, target in leaf.topology.transitions():
-                lines.append(
-                    f"{indent}  {_quote(leaf.name + '__' + source)} -> "
-                    f"{_quote(leaf.name + '__' + target)};"
-                )
-            lines.append(f"{indent}}}")
-        elif isinstance(node, (Sequential, Kleisli)):
-            emit(node.first, indent)
-            emit(node.second, indent)
-            edges.append(
-                (_representative(node.first), _representative(node.second),
-                 _COMBINATOR_EDGES[type(node)])
-            )
-        elif isinstance(node, Feedback):
-            emit(node.forward, indent)
-            emit(node.backward, indent)
-            forward, backward = _representative(node.forward), _representative(node.backward)
-            edges.append((forward, backward, "feedback"))
-            edges.append((backward, forward, "feedback"))
-        elif isinstance(node, (Parallel, Alternative)):
-            label = _BRACKET_LABELS[type(node)]
-            lines.append(f"{indent}subgraph {_quote(f'cluster_{label}_{next(brackets)}')} {{")
+    for kind, depth, value in items:
+        indent = "  " * (depth + 1)
+        if kind == "open":
+            label, number = value
+            lines.append(f"{indent}subgraph {_quote(f'cluster_{label}_{number}')} {{")
             lines.append(f"{indent}  label={_quote(label)};")
-            emit(node.first, indent + "  ")
-            emit(node.second, indent + "  ")
+        elif kind == "close":
             lines.append(f"{indent}}}")
         else:
-            raise TypeError(f"not a composition tree node: {node!r}")
-
-    emit(machine, "  ")
+            leaf, prefix = value, value.name + "__"
+            vertices = leaf.topology.vertices()
+            initial = _quote(
+                _initial_marker((prefix + vertex for vertex in vertices), prefix + "initial")
+            )
+            lines += [
+                f"{indent}subgraph {_quote('cluster_' + leaf.name)} {{",
+                f"{indent}  label={_quote(leaf.name)};",
+                f'{indent}  {initial} [shape=point, label=""];',
+                *(f"{indent}  {_quote(prefix + vertex)} [label={_quote(vertex)}];"
+                  for vertex in vertices),
+                f"{indent}  {initial} -> {_quote(prefix + leaf.state.vertex)};",
+                *(f"{indent}  {_quote(prefix + source)} -> {_quote(prefix + target)};"
+                  for source, target in leaf.topology.transitions()),
+                f"{indent}}}",
+            ]
     for source, target, label in edges:
         source_node = f"{source.name}__{source.state.vertex}"
         target_node = f"{target.name}__{target.state.vertex}"
@@ -214,83 +222,39 @@ def _flow_dot(machine: StateMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flow_mermaid(machine: StateMachine) -> str:
-    leaves = list(machine.leaves())
+def _flow_mermaid(items: list[_Item], edges: list[_Edge]) -> str:
+    leaves = [value for kind, _, value in items if kind == "leaf"]
     used: set[str] = set()
-    cluster_ids = dict(
-        zip(
-            (leaf.name for leaf in leaves),
-            _mermaid_id_list((f"sg_{leaf.name}" for leaf in leaves), used),
-        )
-    )
-    # node keys are (leaf name, vertex) pairs; None marks the initial marker
-    node_keys = [
-        (leaf.name, vertex)
-        for leaf in leaves
-        for vertex in (None, *leaf.topology.vertices())
-    ]
-    node_ids = dict(
-        zip(
-            node_keys,
-            _mermaid_id_list(
-                (
-                    f"{name}__initial" if vertex is None else f"{name}__{vertex}"
-                    for name, vertex in node_keys
-                ),
-                used,
-            ),
-        )
-    )
+    # every cluster id is taken before any node id
+    names = [leaf.name for leaf in leaves]
+    cluster_ids = dict(zip(names, _mermaid_id_list((f"sg_{name}" for name in names), used)))
+    # per leaf, vertex -> node id; None marks the initial marker
+    node_ids: dict[str, dict[str | None, str]] = {}
+    for leaf in leaves:
+        vertices = (None, *leaf.topology.vertices())
+        labels = (f"{leaf.name}__{'initial' if vertex is None else vertex}" for vertex in vertices)
+        node_ids[leaf.name] = dict(zip(vertices, _mermaid_id_list(labels, used)))
 
     lines = ["flowchart TD"]
-    edges: list[tuple[BaseMachine, BaseMachine, str]] = []
-    brackets = count(1)
-
-    def emit(node: StateMachine, indent: str) -> None:
-        if isinstance(node, Basic):
-            leaf = node.machine
-            lines.append(
-                f'{indent}subgraph {cluster_ids[leaf.name]}["{_mermaid_text(leaf.name)}"]'
-            )
-            initial = node_ids[(leaf.name, None)]
-            lines.append(f'{indent}    {initial}((" "))')
-            for vertex in leaf.topology.vertices():
-                lines.append(
-                    f'{indent}    {node_ids[(leaf.name, vertex)]}'
-                    f'["{_mermaid_text(vertex)}"]'
-                )
-            lines.append(
-                f"{indent}    {initial} --> {node_ids[(leaf.name, leaf.state.vertex)]}"
-            )
-            for source, target in leaf.topology.transitions():
-                lines.append(
-                    f"{indent}    {node_ids[(leaf.name, source)]} --> "
-                    f"{node_ids[(leaf.name, target)]}"
-                )
-            lines.append(f"{indent}end")
-        elif isinstance(node, (Sequential, Kleisli)):
-            emit(node.first, indent)
-            emit(node.second, indent)
-            edges.append(
-                (_representative(node.first), _representative(node.second),
-                 _COMBINATOR_EDGES[type(node)])
-            )
-        elif isinstance(node, Feedback):
-            emit(node.forward, indent)
-            emit(node.backward, indent)
-            forward, backward = _representative(node.forward), _representative(node.backward)
-            edges.append((forward, backward, "feedback"))
-            edges.append((backward, forward, "feedback"))
-        elif isinstance(node, (Parallel, Alternative)):
-            label = _BRACKET_LABELS[type(node)]
-            lines.append(f'{indent}subgraph bracket_{next(brackets)}["{label}"]')
-            emit(node.first, indent + "    ")
-            emit(node.second, indent + "    ")
+    for kind, depth, value in items:
+        indent = "    " * (depth + 1)
+        if kind == "open":
+            label, number = value
+            lines.append(f'{indent}subgraph bracket_{number}["{label}"]')
+        elif kind == "close":
             lines.append(f"{indent}end")
         else:
-            raise TypeError(f"not a composition tree node: {node!r}")
-
-    emit(machine, "    ")
+            leaf, ids = value, node_ids[value.name]
+            lines += [
+                f'{indent}subgraph {cluster_ids[leaf.name]}["{_mermaid_text(leaf.name)}"]',
+                f'{indent}    {ids[None]}((" "))',
+                *(f'{indent}    {ids[vertex]}["{_mermaid_text(vertex)}"]'
+                  for vertex in leaf.topology.vertices()),
+                f"{indent}    {ids[None]} --> {ids[leaf.state.vertex]}",
+                *(f"{indent}    {ids[source]} --> {ids[target]}"
+                  for source, target in leaf.topology.transitions()),
+                f"{indent}end",
+            ]
     for source, target, label in edges:
         lines.append(
             f"    {cluster_ids[source.name]} -->|{label}| {cluster_ids[target.name]}"

@@ -175,6 +175,23 @@ def test_replay_detects_corruption(tmp_path, capsys):
     assert "[]" in out  # regenerated list
 
 
+def test_run_refuses_to_resume_a_tampered_log(tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "PayCart", "MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    records[1]["outputs"] = ["CartPaymentCompleted"]
+    log.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
+    )
+    tampered = log.read_bytes()
+    more = write_lines(tmp_path / "more.txt", ["PayCart"])
+    capsys.readouterr()
+    assert cli.main(["run", "cart", "--input", more, "--log", str(log)]) == 6
+    assert capsys.readouterr().out.startswith("replay diverged at seq 1")
+    assert log.read_bytes() == tampered
+
+
 def test_replay_rejects_bad_json(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text("not json\n", encoding="utf-8")
