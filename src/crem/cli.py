@@ -368,3 +368,7 @@ def main(
 
 def script_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    script_main()

@@ -5,6 +5,10 @@ node kinds are Basic, Sequential, Parallel, Alternative, Feedback and
 Kleisli. Feedback and Kleisli require list-shaped outputs from their
 children because they route individual elements onward.
 
+Leaf names are checked once, when a node is built through its public
+constructor. Stepping moves the already validated nodes forward through a
+private copy, so a step costs only the leaf steps it makes.
+
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
 machine, whose outputs are fed back into the forward machine immediately,
@@ -19,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .machine import BaseMachine, stateless
+from .machine import BaseMachine, _evolve, stateless
 
 
 class DuplicateLeafName(ValueError):
@@ -85,9 +89,26 @@ class StateMachine:
         raise NotImplementedError
 
 
+def _iter_leaves(node: StateMachine) -> Iterator[BaseMachine]:
+    """Leaves left to right, walked with an explicit stack, not recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Basic):
+            yield node.machine
+        elif isinstance(node, _Binary):
+            stack.append(node.second)
+            stack.append(node.first)
+        elif isinstance(node, Feedback):
+            stack.append(node.backward)
+            stack.append(node.forward)
+        else:
+            yield from node.leaves()
+
+
 def _check_leaf_names(node: StateMachine) -> None:
     seen: set[str] = set()
-    for leaf in node.leaves():
+    for leaf in _iter_leaves(node):
         if leaf.name in seen:
             raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
         seen.add(leaf.name)
@@ -104,7 +125,7 @@ class Basic(StateMachine):
 
     def step(self, value, config=DEFAULT_CONFIG):
         output, machine = self.machine.step(value)
-        return output, Basic(machine)
+        return output, _evolve(self, machine=machine)
 
     def leaves(self):
         yield self.machine
@@ -125,8 +146,7 @@ class _Binary(StateMachine):
         _check_leaf_names(self)
 
     def leaves(self):
-        yield from self.first.leaves()
-        yield from self.second.leaves()
+        return _iter_leaves(self)
 
 
 class Sequential(_Binary):
@@ -135,7 +155,7 @@ class Sequential(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         intermediate, first = self.first.step(value, config)
         output, second = self.second.step(intermediate, config)
-        return output, Sequential(first, second)
+        return output, _evolve(self, first=first, second=second)
 
 
 class Parallel(_Binary):
@@ -145,7 +165,7 @@ class Parallel(_Binary):
         a, c = value
         b, first = self.first.step(a, config)
         d, second = self.second.step(c, config)
-        return (b, d), Parallel(first, second)
+        return (b, d), _evolve(self, first=first, second=second)
 
 
 class Alternative(_Binary):
@@ -157,10 +177,10 @@ class Alternative(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         if isinstance(value, Left):
             output, first = self.first.step(value.value, config)
-            return Left(output), Alternative(first, self.second)
+            return Left(output), _evolve(self, first=first)
         if isinstance(value, Right):
             output, second = self.second.step(value.value, config)
-            return Right(output), Alternative(self.first, second)
+            return Right(output), _evolve(self, second=second)
         raise TypeError(f"Alternative expects Left or Right, got {value!r}")
 
 
@@ -211,11 +231,10 @@ class Feedback(StateMachine):
             _require_list(reinjected, "the backward machine of Feedback")
             for item in reinjected:
                 run_forward(item)
-        return collected, Feedback(forward, backward)
+        return collected, _evolve(self, forward=forward, backward=backward)
 
     def leaves(self):
-        yield from self.forward.leaves()
-        yield from self.backward.leaves()
+        return _iter_leaves(self)
 
 
 class Kleisli(_Binary):
@@ -234,7 +253,7 @@ class Kleisli(_Binary):
             outputs, second = second.step(item, config)
             _require_list(outputs, "the second machine of Kleisli")
             collected.extend(outputs)
-        return collected, Kleisli(first, second)
+        return collected, _evolve(self, first=first, second=second)
 
 
 def run_trace(

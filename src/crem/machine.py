@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .topology import Topology, trivial_topology
@@ -53,6 +53,10 @@ class BaseMachine:
 
     ``action`` maps ``(state, input)`` to a :class:`StepResult` and must be
     pure. Stepping returns a new machine value; nothing is mutated.
+
+    Construction checks the invariants once: a non-empty name, a normalized
+    topology with non-empty labels, and a state on one of its vertices. A
+    step then checks only the move it makes against the topology.
     """
 
     name: str
@@ -74,7 +78,19 @@ class BaseMachine:
         output, next_state = self.action(self.state, value)
         if not self.topology.allows(self.state.vertex, next_state.vertex):
             raise DisallowedTransition(self.name, self.state.vertex, next_state.vertex)
-        return output, replace(self, state=next_state)
+        # an allowed move lands on a vertex of the topology: nothing to recheck
+        return output, _evolve(self, state=next_state)
+
+
+def _evolve(value, **changes):
+    """Copy of an already validated frozen dataclass with ``changes`` applied.
+
+    Unlike :func:`dataclasses.replace` it skips ``__init__`` and
+    ``__post_init__``, so the caller must keep the invariants itself.
+    """
+    copy = object.__new__(type(value))
+    copy.__dict__.update(value.__dict__, **changes)
+    return copy
 
 
 def stateless(name: str, func: Callable[[Any], Any]) -> BaseMachine:

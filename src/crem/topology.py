@@ -8,6 +8,7 @@ between distinct vertices need an explicit edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class EmptyVertexLabel(ValueError):
@@ -19,7 +20,9 @@ class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
     The order in which sources and targets first appear is preserved; it is
-    part of the value because it drives rendering.
+    part of the value because it drives rendering. Labels are checked once,
+    by :meth:`normalize`; :meth:`allows` is then a single lookup in a
+    per-source index built on first use.
     """
 
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -49,12 +52,15 @@ class Topology:
 
         Identity moves are always allowed, listed or not.
         """
-        if source == target:
-            return True
-        return any(
-            group_source == source and target in targets
-            for group_source, targets in self.edges
-        )
+        return source == target or target in self._targets.get(source, ())
+
+    @cached_property
+    def _targets(self) -> dict[str, tuple[str, ...]]:
+        """Targets per source; duplicate source groups are merged."""
+        index: dict[str, tuple[str, ...]] = {}
+        for source, targets in self.edges:
+            index[source] = index.get(source, ()) + targets
+        return index
 
     def vertices(self) -> tuple[str, ...]:
         """All vertices (sources and targets) in first-appearance order."""

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,19 @@ def test_list_prints_sorted_registry(capsys):
     assert names == sorted(names)
     for required in ("cart", "whole-cart-domain", "cart-and-shipping"):
         assert required in names
+
+
+@pytest.mark.parametrize("module", ["crem", "crem.cli"])
+def test_module_entry_points_list_the_registry(module, capsys):
+    assert cli.main(["list"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "list"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_list_on_empty_registry(capsys):

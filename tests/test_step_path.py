@@ -1,0 +1,296 @@
+"""Invariants are checked once, at construction; a step checks only its move.
+
+These tests pin that down without timings: counting wrappers prove that a
+step reaches no validating code, an oracle proves that the privately copied
+trees equal the ones the public constructors build, and deep trees prove
+that the leaf walk needs no recursion.
+"""
+
+import re
+import sys
+from collections import Counter
+from itertools import count
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crem import (
+    Alternative,
+    Basic,
+    BaseMachine,
+    DisallowedTransition,
+    DuplicateLeafName,
+    Feedback,
+    Kleisli,
+    Left,
+    MachineState,
+    Parallel,
+    Right,
+    Sequential,
+    StateMachine,
+    StepResult,
+    Topology,
+    identity_machine,
+    stateless,
+    unrestricted_mealy,
+)
+from crem import compose
+from crem.cart import PAYMENT_COMPLETE, CartCommand, CartView, whole_cart_domain
+
+NODE_KINDS = (Basic, Sequential, Parallel, Alternative, Feedback, Kleisli)
+RING = Topology((("r0", ("r1",)), ("r1", ("r2",)), ("r2", ("r0",))))
+
+
+def ring(name, log):
+    """Leaf that moves around RING once per step and counts its steps."""
+
+    def act(state, value):
+        log.append(name)
+        steps = state.payload + 1
+        return StepResult(value + steps, MachineState(f"r{steps % 3}", steps))
+
+    return Basic(BaseMachine(name, RING, MachineState("r0", 0), act))
+
+
+def emit(name, func):
+    return Basic(stateless(name, func))
+
+
+def left_chain(size, leaf=lambda i: identity_machine(f"leaf{i}")):
+    tree = leaf(0)
+    for i in range(1, size):
+        tree = Sequential(tree, leaf(i))
+    return tree
+
+
+def right_chain(size):
+    tree = identity_machine(f"leaf{size - 1}")
+    for i in reversed(range(size - 1)):
+        tree = Sequential(identity_machine(f"leaf{i}"), tree)
+    return tree
+
+
+# -- no validation on the step path --------------------------------------------
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """Install counting wrappers on every validating entry point; return the counts."""
+    counts = Counter()
+
+    def wrap(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    def install():
+        wrap(Topology, "normalize", "Topology.normalize")
+        wrap(BaseMachine, "__init__", "BaseMachine.__init__")
+        wrap(BaseMachine, "__post_init__", "BaseMachine.__post_init__")
+        for cls in NODE_KINDS:
+            wrap(cls, "__init__", f"{cls.__name__}.__init__")
+            if hasattr(cls, "__post_init__"):
+                wrap(cls, "__post_init__", f"{cls.__name__}.__post_init__")
+        wrap(compose, "_check_leaf_names", "_check_leaf_names")
+        return counts
+
+    return install
+
+
+def test_chain_step_validates_nothing(validation_calls):
+    log = []
+    tree = left_chain(128, lambda i: ring(f"ring{i}", log))
+    counts = validation_calls()
+    for value in range(3):
+        output, tree = tree.step(value)
+    assert dict(counts) == {}
+    assert len(log) == 3 * 128
+    assert all(leaf.state == MachineState("r0", 3) for leaf in tree.leaves())
+
+
+def test_cart_domain_step_validates_nothing(validation_calls):
+    domain = whole_cart_domain()
+    counts = validation_calls()
+    outputs = []
+    for command in (CartCommand.PayCart, CartCommand.MarkCartAsPaid, CartCommand.PayCart):
+        output, domain = domain.step(command)
+        outputs.append(output)
+    assert dict(counts) == {}
+    assert outputs == [[CartView.PaymentInProgress, CartView.PaymentDone], [], []]
+    assert [leaf.state.vertex for leaf in domain.leaves()] == [PAYMENT_COMPLETE, "Unit", "Done"]
+
+
+def test_public_constructors_still_validate(validation_calls):
+    counts = validation_calls()
+    left_chain(4)
+    assert counts["BaseMachine.__post_init__"] == 4
+    assert counts["Topology.normalize"] >= 4
+    assert counts["_check_leaf_names"] == 3
+
+
+# -- the stepped tree equals the one the public constructors build ------------
+
+shapes = st.recursive(
+    st.just("leaf"),
+    lambda children: st.tuples(
+        st.sampled_from(("sequential", "parallel", "alternative", "feedback", "kleisli")),
+        children,
+        children,
+    ),
+    max_leaves=8,
+)
+
+
+def build(shape, log, names=None):
+    """An int -> int tree of ``shape``; every kind is adapted with stateless leaves."""
+    names = count() if names is None else names
+
+    def leaf(func):
+        return emit(f"glue{next(names)}", func)
+
+    if shape == "leaf":
+        return ring(f"ring{next(names)}", log)
+    kind, first_shape, second_shape = shape
+    first = build(first_shape, log, names)
+    second = build(second_shape, log, names)
+    if kind == "sequential":
+        return Sequential(first, second)
+    if kind == "parallel":
+        body = Parallel(first, second)
+        return Sequential(leaf(lambda x: (x, x + 1)), Sequential(body, leaf(sum)))
+    if kind == "alternative":
+        body = Alternative(first, second)
+        route = leaf(lambda x: Right(x) if x % 2 else Left(x))
+        return Sequential(route, Sequential(body, leaf(lambda either: either.value)))
+    if kind == "kleisli":
+        body = Kleisli(
+            Sequential(first, leaf(lambda x: [x, x + 1])),
+            Sequential(second, leaf(lambda x: [x])),
+        )
+        return Sequential(body, leaf(sum))
+    # feedback: every second backward output is bounced into forward again
+    bounce = Basic(
+        unrestricted_mealy(f"bounce{next(names)}", False, lambda on, y: ([] if on else [y], not on))
+    )
+    body = Feedback(Sequential(first, leaf(lambda x: [x])), Sequential(second, bounce))
+    return Sequential(body, leaf(sum))
+
+
+def rebuild(node, leaves):
+    """``node``'s shape rebuilt through the public constructors around ``leaves``."""
+    if isinstance(node, Basic):
+        leaf = next(leaves)
+        return Basic(BaseMachine(leaf.name, leaf.topology, leaf.state, leaf.action))
+    if isinstance(node, Feedback):
+        forward = rebuild(node.forward, leaves)
+        return Feedback(forward, rebuild(node.backward, leaves))
+    first = rebuild(node.first, leaves)
+    return type(node)(first, rebuild(node.second, leaves))
+
+
+def public_copy(tree):
+    return rebuild(tree, iter(list(tree.leaves())))
+
+
+traces = st.lists(st.integers(min_value=0, max_value=99), max_size=6)
+
+
+@settings(deadline=None)
+@given(shapes, traces)
+def test_stepped_tree_equals_publicly_built_tree(shape, trace):
+    log = []
+    tree = build(shape, log)
+    for value in trace:
+        _, tree = tree.step(value)
+    expected = public_copy(tree)
+    assert tree == expected
+    assert hash(tree) == hash(expected)
+    assert repr(tree) == repr(expected)
+    steps = Counter(log)
+    for leaf in tree.leaves():
+        if leaf.topology == RING:
+            assert leaf.state == MachineState(f"r{steps[leaf.name] % 3}", steps[leaf.name])
+
+
+def trap():
+    """Leaf whose second step tries the forbidden move ``end -> start``."""
+
+    def act(state, value):
+        return StepResult(value, MachineState("end" if state.vertex == "start" else "start"))
+
+    return Basic(BaseMachine("trap", Topology((("start", ("end",)),)), MachineState("start"), act))
+
+
+@settings(deadline=None)
+@given(shapes, st.booleans(), st.integers(min_value=0, max_value=99))
+def test_forbidden_move_raises_and_leaves_tree_unchanged(shape, trap_first, value):
+    body = build(shape, [])
+    tree = Sequential(trap(), body) if trap_first else Sequential(body, trap())
+    _, tree = tree.step(value)
+    before, text = public_copy(tree), repr(tree)
+    with pytest.raises(DisallowedTransition) as raised:
+        tree.step(value)
+    assert (raised.value.machine, raised.value.source, raised.value.target) == (
+        "trap",
+        "end",
+        "start",
+    )
+    assert tree == before
+    assert repr(tree) == text
+
+
+# -- the leaf walk -------------------------------------------------------------
+
+
+@pytest.fixture
+def default_recursion_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+@pytest.mark.parametrize("chain", [left_chain, right_chain])
+def test_thousand_leaf_chain_builds_and_lists_its_leaves(chain, default_recursion_limit):
+    tree = chain(1000)
+    names = [leaf.name for leaf in tree.leaves()]
+    assert names == [f"leaf{i}" for i in range(1000)]
+
+
+class Wrapped(StateMachine):
+    """A node outside the six kinds: it wraps one subtree and forwards to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, value, config=compose.DEFAULT_CONFIG):
+        output, inner = self.inner.step(value, config)
+        return output, Wrapped(inner)
+
+    def leaves(self):
+        return self.inner.leaves()
+
+
+def test_duplicate_name_under_hand_rolled_child_is_rejected():
+    message = re.escape("machine name 'dup' appears more than once")
+    with pytest.raises(DuplicateLeafName, match=message):
+        Sequential(Wrapped(identity_machine("dup")), Basic(stateless("dup", lambda x: x)))
+    with pytest.raises(DuplicateLeafName, match=message):
+        Feedback(
+            emit("dup", lambda x: [x]),
+            Wrapped(Sequential(identity_machine("a"), emit("dup", lambda x: [x]))),
+        )
+
+
+def test_hand_rolled_child_leaves_keep_their_order():
+    inner = Sequential(identity_machine("b"), identity_machine("c"))
+    tree = Sequential(identity_machine("a"), Wrapped(inner))
+    assert [leaf.name for leaf in tree.leaves()] == ["a", "b", "c"]
+    output, tree = tree.step(5)
+    assert output == 5
+    assert [leaf.name for leaf in tree.leaves()] == ["a", "b", "c"]

@@ -112,3 +112,24 @@ def test_normalized_sources_are_distinct_and_targets_deduped(raw):
     assert len(sources) == len(set(sources))
     for _, targets in topo.edges:
         assert len(targets) == len(set(targets))
+
+
+def test_raw_allows_merges_duplicate_sources():
+    raw = Topology((("A", ("B",)), ("C", ("A",)), ("A", ("C",))))
+    assert raw.allows("A", "B") and raw.allows("A", "C") and raw.allows("C", "A")
+    assert not raw.allows("B", "A")
+
+
+@given(raw_topologies, labels, labels)
+def test_raw_allows_matches_membership(raw, a, b):
+    member = a == b or any(source == a and b in targets for source, targets in raw.edges)
+    assert raw.allows(a, b) == member
+
+
+@given(raw_topologies, labels, labels)
+def test_allows_leaves_the_value_unchanged(raw, a, b):
+    fresh = Topology(raw.edges)
+    raw.allows(a, b)
+    assert raw == fresh
+    assert hash(raw) == hash(fresh)
+    assert repr(raw) == repr(fresh)
