@@ -5,7 +5,9 @@ comments are skipped. With ``--log``, each processed input appends one
 record to a JSONL event log, which ``replay`` later re-runs against a
 fresh machine to verify that every logged output regenerates exactly.
 A ``run`` on an existing log resumes it the same way: every logged record
-is re-run and checked before anything new is appended.
+is re-run and checked before anything new is appended. A log is checked in
+one pass, record by record, so its first fault in file order decides the
+exit code.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
@@ -24,9 +26,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import cart as cart_domain
 from .cart import CartCommand, ShippingCommand
-from .compose import Basic, FeedbackOverflow, Left, Right, RunConfig, StateMachine
+from .compose import DEFAULT_CONFIG, Basic, FeedbackOverflow, Left, Right, RunConfig, StateMachine
 from .machine import DisallowedTransition
-from .render import render_base, render_flow
+from .render import FORMATS, render_base, render_flow
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,7 +38,6 @@ EXIT_FEEDBACK = 5
 EXIT_DIVERGED = 6
 
 ENV_FEEDBACK_CAP = "CREM_FEEDBACK_CAP"
-DEFAULT_FEEDBACK_CAP = 1000
 
 
 class CodecError(ValueError):
@@ -146,65 +147,36 @@ def _lookup(registry: Mapping[str, RegistryEntry], name: str) -> RegistryEntry:
         raise _UsageError(f"unknown machine {name!r}") from None
 
 
-def _resolve_feedback_cap(flag: int | None) -> int:
+def _run_config(flag: int | None) -> RunConfig:
+    """``--feedback-cap``, else the environment, else the default; RunConfig checks it."""
     if flag is not None:
         cap = flag
     else:
         raw = os.environ.get(ENV_FEEDBACK_CAP)
         if raw is None:
-            cap = DEFAULT_FEEDBACK_CAP
-        else:
-            try:
-                cap = int(raw)
-            except ValueError:
-                raise _UsageError(
-                    f"{ENV_FEEDBACK_CAP} must be an integer, got {raw!r}"
-                ) from None
-    if cap < 1:
-        raise _UsageError("feedback cap must be at least 1")
-    return cap
+            return DEFAULT_CONFIG
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise _UsageError(f"{ENV_FEEDBACK_CAP} must be an integer, got {raw!r}") from None
+    try:
+        return RunConfig(feedback_cap=cap)
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
 
 
 def _read_command_lines(source: str) -> list[tuple[int, str]]:
-    if source == "-":
-        raw = sys.stdin.read().splitlines()
-    else:
-        raw = Path(source).read_text(encoding="utf-8").splitlines()
+    try:
+        raw = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise CodecError(f"input is not valid UTF-8: {error}") from None
     lines = []
-    for number, text in enumerate(raw, start=1):
+    for number, text in enumerate(raw.splitlines(), start=1):
         stripped = text.strip()
         if not stripped or stripped.startswith("#"):
             continue
         lines.append((number, text))
     return lines
-
-
-def _load_log(path: Path) -> list[dict]:
-    records = []
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise MalformedLog(f"cannot read log {path}: {error}") from error
-    for number, text in enumerate(raw.splitlines(), start=1):
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise MalformedLog(f"line {number}: not valid JSON: {error}") from None
-        if (
-            not isinstance(record, dict)
-            or set(record) != {"seq", "input", "outputs"}
-            or not isinstance(record["seq"], int)
-            or not isinstance(record["input"], str)
-            or not isinstance(record["outputs"], list)
-            or not all(isinstance(item, str) for item in record["outputs"])
-        ):
-            raise MalformedLog(f"line {number}: not a valid event record")
-        if record["seq"] != len(records):
-            raise MalformedLog(
-                f"line {number}: expected seq {len(records)}, found {record['seq']}"
-            )
-        records.append(record)
-    return records
 
 
 def _cmd_list(args, registry) -> int:
@@ -232,41 +204,70 @@ def _cmd_render(args, registry) -> int:
     return EXIT_OK
 
 
-def _replay(machine: StateMachine, records, entry, config) -> StateMachine:
-    """Re-run logged inputs, checking that each record's outputs regenerate.
+def _replay(machine: StateMachine, path: Path, entry, config) -> tuple[StateMachine, int]:
+    """Check and re-run the log at ``path`` in one pass, record by record.
 
-    Returns the machine after the last record, where new records continue.
+    Each line is parsed, checked, stepped and compared before the next, so
+    the first fault in file order is the one raised. Returns the machine
+    after the last record, where new records continue, and the record count.
     """
-    for record in records:
+    try:
+        # a byte that is not UTF-8 becomes a lone surrogate, caught on its line
+        raw = path.read_text(encoding="utf-8", errors="surrogateescape")
+    except OSError as error:
+        raise MalformedLog(f"cannot read log {path}: {error}") from error
+    seq = 0
+    for number, text in enumerate(raw.splitlines(), start=1):
+        try:
+            text.encode("utf-8")
+            record = json.loads(text)
+        except UnicodeEncodeError:
+            raise MalformedLog(f"line {number}: not valid UTF-8") from None
+        except json.JSONDecodeError as error:
+            raise MalformedLog(f"line {number}: not valid JSON: {error}") from None
+        if (
+            not isinstance(record, dict)
+            or set(record) != {"seq", "input", "outputs"}
+            or type(record["seq"]) is not int
+            or not isinstance(record["input"], str)
+            or not isinstance(record["outputs"], list)
+            or not all(isinstance(item, str) for item in record["outputs"])
+        ):
+            raise MalformedLog(f"line {number}: not a valid event record")
+        if record["seq"] != seq:
+            raise MalformedLog(f"line {number}: expected seq {seq}, found {record['seq']}")
         try:
             value = entry.decode_input(record["input"])
         except CodecError as error:
-            raise MalformedLog(f"seq {record['seq']}: {error}") from error
+            raise MalformedLog(f"seq {seq}: {error}") from error
         outputs, machine = machine.step(value, config)
         encoded = [entry.encode_output(item) for item in outputs]
         if encoded != record["outputs"]:
             raise _Diverged(
-                f"replay diverged at seq {record['seq']}: "
+                f"replay diverged at seq {seq}: "
                 f"logged {record['outputs']}, regenerated {encoded}"
             )
-    return machine
+        seq += 1
+    return machine, seq
 
 
 def _cmd_run(args, registry) -> int:
     entry = _lookup(registry, args.machine)
-    config = RunConfig(feedback_cap=_resolve_feedback_cap(args.feedback_cap))
+    config = _run_config(args.feedback_cap)
     machine = entry.factory()
     lines = _read_command_lines(args.input)
 
     seq = 0
     log_path = Path(args.log) if args.log else None
-    if log_path is not None and log_path.exists() and log_path.stat().st_size > 0:
-        previous = _load_log(log_path)
-        machine = _replay(machine, previous, entry, config)
-        seq = len(previous)
+    if log_path is not None and log_path.exists():
+        machine, seq = _replay(machine, log_path, entry, config)
 
-    log_handle = log_path.open("a", encoding="utf-8") if log_path else None
+    log_handle = log_path.open("a+b") if log_path else None
     try:
+        if seq:  # never glue a record onto an unterminated last line
+            log_handle.seek(-1, os.SEEK_END)
+            if log_handle.read(1) != b"\n":
+                log_handle.write(b"\n")
         for number, text in lines:
             try:
                 value = entry.decode_input(text)
@@ -281,7 +282,7 @@ def _cmd_run(args, registry) -> int:
                     "input": entry.encode_input(value),
                     "outputs": encoded,
                 }
-                log_handle.write(json.dumps(record, sort_keys=True) + "\n")
+                log_handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
                 log_handle.flush()
                 seq += 1
     finally:
@@ -292,9 +293,7 @@ def _cmd_run(args, registry) -> int:
 
 def _cmd_replay(args, registry) -> int:
     entry = _lookup(registry, args.machine)
-    config = RunConfig(feedback_cap=_resolve_feedback_cap(None))
-    records = _load_log(Path(args.log))
-    _replay(entry.factory(), records, entry, config)
+    _replay(entry.factory(), Path(args.log), entry, _run_config(None))
     return EXIT_OK
 
 
@@ -310,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     render_parser = commands.add_parser("render", help="emit a diagram")
     render_parser.add_argument("machine")
-    render_parser.add_argument("--format", choices=["dot", "mermaid"], default="dot")
+    render_parser.add_argument("--format", choices=FORMATS, default="dot")
     render_parser.add_argument("--mode", choices=["base", "flow"], default="flow")
     render_parser.add_argument("--out", default=None, help="output path (default stdout)")
     render_parser.set_defaults(handler=_cmd_render)

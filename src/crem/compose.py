@@ -193,6 +193,9 @@ class Feedback(StateMachine):
     the backward outputs is immediately run through the forward machine,
     whose new outputs are appended to both the result and the queue. One
     external input yields the forward outputs in production order.
+
+    Each step of either machine spends one unit of ``config.feedback_cap``;
+    work still queued once the cap is spent raises :class:`FeedbackOverflow`.
     """
 
     forward: StateMachine
@@ -202,35 +205,25 @@ class Feedback(StateMachine):
         _check_leaf_names(self)
 
     def step(self, value, config=DEFAULT_CONFIG):
-        cap = config.feedback_cap
-        spent = 0
         forward = self.forward
         backward = self.backward
         collected: list[Any] = []
-        pending: deque[Any] = deque()
-
-        def spend() -> None:
-            nonlocal spent
-            if spent >= cap:
-                raise FeedbackOverflow(cap)
-            spent += 1
-
-        def run_forward(item) -> None:
-            nonlocal forward
-            spend()
-            outputs, forward = forward.step(item, config)
-            _require_list(outputs, "the forward machine of Feedback")
-            collected.extend(outputs)
-            pending.extend(outputs)
-
-        run_forward(value)
-        while pending:
-            produced = pending.popleft()
-            spend()
-            reinjected, backward = backward.step(produced, config)
-            _require_list(reinjected, "the backward machine of Feedback")
-            for item in reinjected:
-                run_forward(item)
+        inputs: deque[Any] = deque([value])  # waiting for the forward machine
+        outputs: deque[Any] = deque()  # forward outputs waiting for the backward one
+        for _ in range(config.feedback_cap):
+            if inputs:
+                produced, forward = forward.step(inputs.popleft(), config)
+                _require_list(produced, "the forward machine of Feedback")
+                collected.extend(produced)
+                outputs.extend(produced)
+            elif outputs:
+                reinjected, backward = backward.step(outputs.popleft(), config)
+                _require_list(reinjected, "the backward machine of Feedback")
+                inputs.extend(reinjected)
+            else:
+                break
+        if inputs or outputs:
+            raise FeedbackOverflow(config.feedback_cap)
         return collected, _evolve(self, forward=forward, backward=backward)
 
     def leaves(self):

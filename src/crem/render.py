@@ -147,34 +147,39 @@ def _layout(tree: StateMachine) -> tuple[list[_Item], list[_Edge]]:
 
     Clusters and brackets come in pre-order, so brackets are numbered in
     pre-order; edges come in post-order. An edge joins the representatives
-    (first leaves) of two subtrees, which the walk returns bottom-up.
+    (first leaves) of two subtrees. The walk uses an explicit stack, not
+    recursion: a composite node is pushed again, marked done, under its two
+    children, and ``reps`` holds each finished subtree's representative.
     """
     items: list[_Item] = []
     edges: list[_Edge] = []
     brackets = count(1)
-
-    def walk(node: StateMachine, depth: int) -> BaseMachine:
+    reps: list[BaseMachine] = []
+    stack: list[tuple[StateMachine, int, bool]] = [(tree, 0, False)]
+    while stack:
+        node, depth, done = stack.pop()
         if isinstance(node, Basic):
             items.append(("leaf", depth, node.machine))
-            return node.machine
-        if isinstance(node, (Parallel, Alternative)):
+            reps.append(node.machine)
+        elif done:
+            second = reps.pop()  # the first child's representative stays, as the node's
+            if isinstance(node, (Parallel, Alternative)):
+                items.append(("close", depth, None))
+            elif isinstance(node, Feedback):
+                edges += [(reps[-1], second, "feedback"), (second, reps[-1], "feedback")]
+            else:
+                edges.append((reps[-1], second, _COMBINATOR_EDGES[type(node)]))
+        elif isinstance(node, (Parallel, Alternative)):
             items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
-            first = walk(node.first, depth + 1)
-            walk(node.second, depth + 1)
-            items.append(("close", depth, None))
-            return first
-        if isinstance(node, (Sequential, Kleisli)):
-            first, second = walk(node.first, depth), walk(node.second, depth)
-            edges.append((first, second, _COMBINATOR_EDGES[type(node)]))
-            return first
-        if isinstance(node, Feedback):
-            forward, backward = walk(node.forward, depth), walk(node.backward, depth)
-            edges.append((forward, backward, "feedback"))
-            edges.append((backward, forward, "feedback"))
-            return forward
-        raise TypeError(f"not a composition tree node: {node!r}")
-
-    walk(tree, 0)
+            stack += [(node, depth, True), (node.second, depth + 1, False),
+                      (node.first, depth + 1, False)]
+        elif isinstance(node, (Sequential, Kleisli)):
+            stack += [(node, depth, True), (node.second, depth, False), (node.first, depth, False)]
+        elif isinstance(node, Feedback):
+            stack += [(node, depth, True), (node.backward, depth, False),
+                      (node.forward, depth, False)]
+        else:
+            raise TypeError(f"not a composition tree node: {node!r}")
     return items, edges
 
 

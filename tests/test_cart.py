@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crem import Feedback, Kleisli, Left, MachineState, Right, run_trace
+from crem import (
+    Feedback,
+    FeedbackOverflow,
+    Kleisli,
+    Left,
+    MachineState,
+    Right,
+    RunConfig,
+    run_trace,
+)
 from crem.cart import (
     DELIVERED,
     DELIVERED_INFO,
@@ -96,6 +105,16 @@ def test_whole_cart_domain_happy_path():
     assert run_trace(whole_cart_domain(), [PAY]) == [
         [CartView.PaymentInProgress, CartView.PaymentDone]
     ]
+
+
+def test_whole_cart_domain_pay_spends_exactly_four_feedback_iterations():
+    # cart on PayCart, gateway on CartPaymentInitiated, cart on
+    # MarkCartAsPaid, gateway on CartPaymentCompleted: four steps in all
+    output, _ = whole_cart_domain().step(PAY, RunConfig(feedback_cap=4))
+    assert output == [CartView.PaymentInProgress, CartView.PaymentDone]
+    with pytest.raises(FeedbackOverflow) as err:
+        whole_cart_domain().step(PAY, RunConfig(feedback_cap=3))
+    assert err.value.cap == 3
 
 
 def test_whole_cart_domain_ignores_unexpected_mark():

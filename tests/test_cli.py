@@ -157,6 +157,13 @@ def test_run_rejects_invalid_env_cap(tmp_path, monkeypatch, capsys):
     assert cli.ENV_FEEDBACK_CAP in capsys.readouterr().err
 
 
+def test_run_rejects_env_cap_below_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_FEEDBACK_CAP, "0")
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    assert cli.main(["run", "cart", "--input", commands]) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_run_feedback_overflow_exit_code(tmp_path, capsys):
     commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
     assert (
@@ -207,6 +214,67 @@ def test_run_refuses_to_resume_a_tampered_log(tmp_path, capsys):
     assert cli.main(["run", "cart", "--input", more, "--log", str(log)]) == 6
     assert capsys.readouterr().out.startswith("replay diverged at seq 1")
     assert log.read_bytes() == tampered
+
+
+def test_resume_ends_an_unterminated_last_line_before_appending(tmp_path, capsys):
+    first = write_lines(tmp_path / "first.txt", ["PayCart"])
+    second = write_lines(tmp_path / "second.txt", ["MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+    assert cli.main(["run", "cart", "--input", second, "--log", str(log)]) == 0
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [r["seq"] for r in records] == [0, 1]
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+    assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
+    capsys.readouterr()
+
+
+def test_resume_on_an_empty_log_appends_from_seq_0(tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    log = tmp_path / "log.jsonl"
+    log.write_text("", encoding="utf-8")
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
+    assert capsys.readouterr().out == "[CartPaymentInitiated]\n"
+    assert log.read_text(encoding="utf-8") == (
+        '{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
+    )
+
+
+def test_run_input_that_is_not_utf8_exits_3(tmp_path, capsys):
+    commands = tmp_path / "cmds.txt"
+    commands.write_bytes(b"PayCart\n\xff\n")
+    assert cli.main(["run", "cart", "--input", str(commands)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not valid UTF-8")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_replay_log_that_is_not_utf8_exits_3(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    record = {"seq": 0, "input": "PayCart", "outputs": ["CartPaymentInitiated"]}
+    log.write_bytes(json.dumps(record).encode() + b"\n\xff\n")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: malformed log: line 2: not valid UTF-8\n"
+
+
+def test_replay_rejects_boolean_seq(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    record = {"seq": False, "input": "PayCart", "outputs": ["CartPaymentInitiated"]}
+    log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert "line 1: not a valid event record" in capsys.readouterr().err
+
+
+def test_first_fault_in_file_order_decides_the_exit_code(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    diverged = {"seq": 0, "input": "PayCart", "outputs": ["CartPaymentCompleted"]}
+    log.write_text(json.dumps(diverged) + "\nnot json\n", encoding="utf-8")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 6
+    assert capsys.readouterr().out.startswith("replay diverged at seq 0")
 
 
 def test_replay_rejects_bad_json(tmp_path, capsys):

@@ -2,14 +2,21 @@
 
 The digests pin the output of ``render_flow`` for every registered machine
 and for two hand-built trees, and of ``render_base`` for every registered
-leaf and for leaves with awkward labels. Any change to diagram text, down
-to one byte, fails here; a deliberate change must update the digest.
+leaf and for leaves with awkward labels. The benchmark's seeded random
+trees are checked against the digests the benchmark itself keeps. Any
+change to diagram text, down to one byte, fails here; a deliberate change
+must update the digest.
 """
 
 import hashlib
+import importlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import crem
 from crem import (
     Alternative,
     Basic,
@@ -224,3 +231,32 @@ def test_every_case_has_a_golden():
 def test_diagram_matches_golden(case):
     text = CASES[case]().text
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[case]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _import_bench(*names):
+    """Import benchmark modules without writing anything under ``bench/``."""
+    saved = sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(BENCH))
+
+
+treegen, wl_diagrams = _import_bench("treegen", "wl_diagrams")
+BENCH_DIGESTS = json.loads(wl_diagrams.DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("k", range(len(wl_diagrams.SPECS)))
+def test_seeded_tree_matches_bench_digest(k):
+    tree = wl_diagrams.corpus_tree(k, 0)
+    machine = treegen.build(tree, treegen.crem_parts(tree, crem), crem)
+    for fmt in wl_diagrams.FORMATS:
+        text = render_flow(machine, fmt).text
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == BENCH_DIGESTS[f"tree{k}.v0.{fmt}"], fmt

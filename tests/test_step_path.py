@@ -3,7 +3,7 @@
 These tests pin that down without timings: counting wrappers prove that a
 step reaches no validating code, an oracle proves that the privately copied
 trees equal the ones the public constructors build, and deep trees prove
-that the leaf walk needs no recursion.
+that neither the leaf walk nor the diagram layout walk needs recursion.
 """
 
 import re
@@ -32,6 +32,7 @@ from crem import (
     StepResult,
     Topology,
     identity_machine,
+    render_flow,
     stateless,
     unrestricted_mealy,
 )
@@ -260,6 +261,15 @@ def test_thousand_leaf_chain_builds_and_lists_its_leaves(chain, default_recursio
     tree = chain(1000)
     names = [leaf.name for leaf in tree.leaves()]
     assert names == [f"leaf{i}" for i in range(1000)]
+
+
+@pytest.mark.parametrize("chain", [left_chain, right_chain])
+def test_thousand_leaf_chain_renders(chain, default_recursion_limit):
+    tree = chain(1000)
+    for format in ("dot", "mermaid"):
+        text = render_flow(tree, format).text
+        assert text.count("seq") == 999
+        assert "leaf999" in text
 
 
 class Wrapped(StateMachine):
