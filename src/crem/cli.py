@@ -293,7 +293,7 @@ def _cmd_run(args, registry) -> int:
 
 def _cmd_replay(args, registry) -> int:
     entry = _lookup(registry, args.machine)
-    _replay(entry.factory(), Path(args.log), entry, _run_config(None))
+    _replay(entry.factory(), Path(args.log), entry, _run_config(args.feedback_cap))
     return EXIT_OK
 
 
@@ -324,6 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_parser = commands.add_parser("replay", help="verify a log regenerates exactly")
     replay_parser.add_argument("machine")
     replay_parser.add_argument("--log", required=True)
+    replay_parser.add_argument("--feedback-cap", type=int, default=None)
     replay_parser.set_defaults(handler=_cmd_replay)
 
     return parser

@@ -6,8 +6,16 @@ Kleisli. Feedback and Kleisli require list-shaped outputs from their
 children because they route individual elements onward.
 
 Leaf names are checked once, when a node is built through its public
-constructor. Stepping moves the already validated nodes forward through a
-private copy, so a step costs only the leaf steps it makes.
+constructor, and the check costs only the work that node adds: a new
+composite takes over the frozenset of leaf names its children were built
+with (a ``Basic`` child contributes its one name), tests that the two sets
+are disjoint and keeps their union, so only the root of a tree holds a set
+and a chain builds without re-walking its subtrees. A child whose set is
+gone (a subtree reused in a second parent, or a hand-rolled node) sends
+the check back to a walk over the new node's leaves, as does any clash,
+so the error always names the first duplicate in walk order. Stepping
+moves the already validated nodes forward through a private copy, which
+keeps the root's set, so a step costs only the leaf steps it makes.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -106,12 +114,46 @@ def _iter_leaves(node: StateMachine) -> Iterator[BaseMachine]:
             yield from node.leaves()
 
 
-def _check_leaf_names(node: StateMachine) -> None:
+def _check_leaf_names(node: StateMachine) -> frozenset[str]:
+    """The leaf names of ``node``; raises on the first duplicate in walk order."""
     seen: set[str] = set()
     for leaf in _iter_leaves(node):
         if leaf.name in seen:
             raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
         seen.add(leaf.name)
+    return frozenset(seen)
+
+
+# key of the leaf-name set in a composite's instance __dict__; not a field,
+# so ==, hash and repr never see it
+_LEAF_NAMES = "_leaf_names"
+
+
+def _handed_up_names(child: StateMachine) -> frozenset[str] | None:
+    """The leaf names ``child`` hands to a new parent, or None if unknown.
+
+    A composite gives its set up (pops it), so a subtree's set lives only
+    on its current root and memory stays linear in the tree's size.
+    """
+    if isinstance(child, Basic):
+        return frozenset((child.machine.name,))
+    if isinstance(child, (_Binary, Feedback)):
+        return child.__dict__.pop(_LEAF_NAMES, None)
+    return None
+
+
+def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
+    """Check that ``node``'s children share no leaf name; store their union."""
+    first_names = _handed_up_names(first)
+    second_names = _handed_up_names(second)
+    if first_names is None or second_names is None or not first_names.isdisjoint(second_names):
+        # a set is missing or the sets clash: the walk names the first duplicate
+        names = _check_leaf_names(node)
+    elif len(first_names) >= len(second_names):  # copy the larger set, insert the smaller
+        names = first_names | second_names
+    else:
+        names = second_names | first_names
+    node.__dict__[_LEAF_NAMES] = names
 
 
 def _require_list(value: Any, where: str) -> None:
@@ -143,7 +185,7 @@ class _Binary(StateMachine):
     second: StateMachine
 
     def __post_init__(self):
-        _check_leaf_names(self)
+        _adopt_leaf_names(self, self.first, self.second)
 
     def leaves(self):
         return _iter_leaves(self)
@@ -202,7 +244,7 @@ class Feedback(StateMachine):
     backward: StateMachine
 
     def __post_init__(self):
-        _check_leaf_names(self)
+        _adopt_leaf_names(self, self.forward, self.backward)
 
     def step(self, value, config=DEFAULT_CONFIG):
         forward = self.forward

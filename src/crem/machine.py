@@ -68,10 +68,10 @@ class BaseMachine:
         if not self.name:
             raise EmptyName("machine name must be non-empty")
         object.__setattr__(self, "topology", self.topology.normalize())
-        if self.state.vertex not in self.topology.vertices():
-            raise UnknownVertex(
-                f"vertex {self.state.vertex!r} is not in the topology of {self.name!r}"
-            )
+        vertex = self.state.vertex
+        edges = self.topology.edges
+        if not any(vertex == source or vertex in targets for source, targets in edges):
+            raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:
         """Run the action once, enforcing the topology on the implied move."""

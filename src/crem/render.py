@@ -21,6 +21,7 @@ from .compose import (
     Parallel,
     Sequential,
     StateMachine,
+    _Binary,
     _check_leaf_names,
 )
 from .machine import BaseMachine
@@ -125,7 +126,8 @@ def render_flow(machine: StateMachine, format: str) -> Diagram:
     in a labeled bracketing cluster. Clusters appear depth-first,
     left to right.
     """
-    _check_leaf_names(machine)
+    if not isinstance(machine, (Basic, _Binary, Feedback)):
+        _check_leaf_names(machine)  # the six kinds checked their names when built
     if format == "dot":
         return Diagram("dot", _flow_dot(*_layout(machine)))
     if format == "mermaid":

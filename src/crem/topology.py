@@ -35,17 +35,22 @@ class Topology:
         """Merge duplicate source groups and drop duplicate targets.
 
         First-appearance order wins for both sources and targets, so the
-        result is stable and normalizing twice changes nothing.
+        result is stable and normalizing twice changes nothing. A topology
+        with nothing to merge or drop is returned as it is.
         """
-        merged: dict[str, list[str]] = {}
+        merged: dict[str, tuple[str, ...]] = {}
+        changed = False
         for source, targets in self.edges:
-            _check_label(source)
-            bucket = merged.setdefault(source, [])
-            for target in targets:
-                _check_label(target)
-                if target not in bucket:
-                    bucket.append(target)
-        return Topology(tuple((source, tuple(targets)) for source, targets in merged.items()))
+            if not source or not all(targets):
+                raise EmptyVertexLabel("vertex labels must be non-empty")
+            if source in merged:
+                targets = merged[source] + targets
+            elif len(set(targets)) == len(targets):
+                merged[source] = targets
+                continue
+            merged[source] = tuple(dict.fromkeys(targets))
+            changed = True
+        return Topology(tuple(merged.items())) if changed else self
 
     def allows(self, source: str, target: str) -> bool:
         """True if the move ``source -> target`` is permitted.
@@ -81,8 +86,3 @@ class Topology:
 def trivial_topology(vertex: str) -> Topology:
     """Topology with a single vertex and no explicit edges."""
     return Topology(((vertex, ()),)).normalize()
-
-
-def _check_label(label: str) -> None:
-    if not label:
-        raise EmptyVertexLabel("vertex labels must be non-empty")

@@ -172,6 +172,19 @@ def test_run_feedback_overflow_exit_code(tmp_path, capsys):
     )
 
 
+def test_replay_takes_the_feedback_cap(tmp_path, capsys):
+    # one PayCart spends exactly four feedback iterations
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["run", "whole-cart-domain", "--input", commands, "--log", str(log)]) == 0
+    capsys.readouterr()
+    replay = ["replay", "whole-cart-domain", "--log", str(log), "--feedback-cap"]
+    assert cli.main([*replay, "3"]) == 5
+    assert "exceeded 3 iterations" in capsys.readouterr().err
+    assert cli.main([*replay, "4"]) == 0
+    assert cli.main([*replay, "0"]) == 2
+
+
 def test_run_missing_input_file(tmp_path, capsys):
     assert cli.main(["run", "cart", "--input", str(tmp_path / "absent.txt")]) == 2
 

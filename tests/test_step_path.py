@@ -1,14 +1,16 @@
 """Invariants are checked once, at construction; a step checks only its move.
 
 These tests pin that down without timings: counting wrappers prove that a
-step reaches no validating code, an oracle proves that the privately copied
-trees equal the ones the public constructors build, and deep trees prove
-that neither the leaf walk nor the diagram layout walk needs recursion.
+step reaches no validating code and that building a chain walks no leaves,
+an oracle proves that the privately copied trees equal the ones the public
+constructors build, and deep trees prove that neither the leaf walk nor the
+diagram layout walk needs recursion.
 """
 
 import re
 import sys
 from collections import Counter
+from dataclasses import fields, replace
 from itertools import count
 
 import pytest
@@ -97,6 +99,7 @@ def validation_calls(monkeypatch):
             wrap(cls, "__init__", f"{cls.__name__}.__init__")
             if hasattr(cls, "__post_init__"):
                 wrap(cls, "__post_init__", f"{cls.__name__}.__post_init__")
+        wrap(compose, "_adopt_leaf_names", "_adopt_leaf_names")
         wrap(compose, "_check_leaf_names", "_check_leaf_names")
         return counts
 
@@ -131,7 +134,8 @@ def test_public_constructors_still_validate(validation_calls):
     left_chain(4)
     assert counts["BaseMachine.__post_init__"] == 4
     assert counts["Topology.normalize"] >= 4
-    assert counts["_check_leaf_names"] == 3
+    assert counts["_adopt_leaf_names"] == 3
+    assert counts["_check_leaf_names"] == 0  # the children handed their names up
 
 
 # -- the stepped tree equals the one the public constructors build ------------
@@ -272,6 +276,28 @@ def test_thousand_leaf_chain_renders(chain, default_recursion_limit):
         assert "leaf999" in text
 
 
+@pytest.fixture
+def leaves_walked(monkeypatch):
+    """Count the leaves ``compose._iter_leaves`` yields from now on."""
+    walked = Counter()
+    original = compose._iter_leaves
+
+    def counting(node):
+        for leaf in original(node):
+            walked["leaves"] += 1
+            yield leaf
+
+    monkeypatch.setattr(compose, "_iter_leaves", counting)
+    return walked
+
+
+@pytest.mark.parametrize("chain", [left_chain, right_chain])
+def test_thousand_leaf_chain_builds_without_walking_leaves(chain, leaves_walked):
+    tree = chain(1000)
+    assert leaves_walked["leaves"] == 0
+    assert len(list(tree.leaves())) == 1000
+
+
 class Wrapped(StateMachine):
     """A node outside the six kinds: it wraps one subtree and forwards to it."""
 
@@ -304,3 +330,94 @@ def test_hand_rolled_child_leaves_keep_their_order():
     output, tree = tree.step(5)
     assert output == 5
     assert [leaf.name for leaf in tree.leaves()] == ["a", "b", "c"]
+
+
+# -- leaf-name sets handed up to the parent ------------------------------------
+
+
+class Bag(StateMachine):
+    """A hand-rolled node that lists the leaves it is given, duplicates too."""
+
+    def __init__(self, *names):
+        self.machines = [stateless(name, lambda x: x) for name in names]
+
+    def leaves(self):
+        return iter(self.machines)
+
+
+def duplicate(name):
+    """Expect the exact message naming ``name`` as the first duplicate in walk order."""
+    message = f"machine name {name!r} appears more than once"
+    return pytest.raises(DuplicateLeafName, match=f"^{re.escape(message)}$")
+
+
+def test_reused_subtree_is_walked():
+    shared = Sequential(identity_machine("x"), identity_machine("y"))
+    Parallel(shared, identity_machine("z"))  # takes shared's name set
+    with duplicate("x"):
+        Sequential(Sequential(identity_machine("y"), identity_machine("x")), shared)
+    again = Sequential(shared, identity_machine("w"))
+    assert [leaf.name for leaf in again.leaves()] == ["x", "y", "w"]
+    with duplicate("w"):
+        Alternative(again, identity_machine("w"))
+
+
+def test_stepped_copy_is_checked():
+    root = Sequential(identity_machine("a"), identity_machine("b"))
+    _, stepped = root.step(1)
+    with duplicate("b"):  # both sets known and clashing on a and b: walk order decides
+        Sequential(stepped, Sequential(identity_machine("b"), identity_machine("a")))
+    with duplicate("a"):
+        Kleisli(root, stepped)
+    with duplicate("a"):  # neither side has a name set left
+        Feedback(stepped, root)
+    _, stepped_again = root.step(2)
+    with duplicate("b"):
+        Sequential(identity_machine("b"), stepped_again)
+
+
+def test_replaced_tree_is_checked():
+    pair = Sequential(identity_machine("a"), identity_machine("b"))
+    tree = Sequential(pair, identity_machine("c"))
+    with duplicate("b"):
+        replace(tree, second=identity_machine("b"))
+    with duplicate("a"):
+        replace(tree.first, second=identity_machine("a"))
+    renamed = replace(tree, second=identity_machine("d"))
+    assert [leaf.name for leaf in renamed.leaves()] == ["a", "b", "d"]
+    with duplicate("d"):
+        Sequential(renamed, identity_machine("d"))
+
+
+def test_hand_rolled_child_duplicates_are_named_in_walk_order():
+    with duplicate("b"):  # inside the hand-rolled child, before the cross clash on a
+        Sequential(identity_machine("a"), Bag("b", "c", "b", "a"))
+    with duplicate("q"):
+        Feedback(Bag("p", "q"), Sequential(identity_machine("r"), identity_machine("q")))
+    with duplicate("s"):
+        Parallel(Wrapped(Bag("s", "t")), Sequential(identity_machine("u"), identity_machine("s")))
+    tree = Sequential(identity_machine("a"), Bag("b", "c"))
+    with duplicate("c"):
+        Sequential(tree, identity_machine("c"))
+
+
+def test_leaf_name_sets_never_show_in_the_value():
+    a, b, c = (identity_machine(name).machine for name in "abc")
+
+    def build_tree():
+        return Sequential(Parallel(Basic(a), Basic(b)), Basic(c))
+
+    root, inner = build_tree(), build_tree()
+    parent = Sequential(inner, identity_machine("d"))
+    assert compose._LEAF_NAMES in vars(root)
+    # only a root keeps a set, so memory stays linear in the tree's size
+    assert compose._LEAF_NAMES in vars(parent)
+    assert all(compose._LEAF_NAMES not in vars(node) for node in (inner, inner.first))
+    assert root == inner
+    assert hash(root) == hash(inner)
+    assert repr(root) == repr(inner)
+    assert "_leaf_names" not in repr(root)
+    assert [field.name for field in fields(root)] == ["first", "second"]
+    _, stepped = root.step((1, 2))
+    assert stepped == root and repr(stepped) == repr(root)
+    assert vars(stepped)[compose._LEAF_NAMES] == frozenset("abc")

@@ -1,8 +1,18 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crem import EmptyVertexLabel, Topology, trivial_topology
+from crem import (
+    BaseMachine,
+    EmptyVertexLabel,
+    MachineState,
+    StepResult,
+    Topology,
+    UnknownVertex,
+    trivial_topology,
+)
 from crem.cart import (
     CART_TOPOLOGY,
     INITIATING_PAYMENT,
@@ -133,3 +143,82 @@ def test_allows_leaves_the_value_unchanged(raw, a, b):
     assert raw == fresh
     assert hash(raw) == hash(fresh)
     assert repr(raw) == repr(fresh)
+
+
+# -- the one-pass normalize against the loop it replaced -----------------------
+
+
+def reference_normalize(topology):
+    """The label-by-label loop ``normalize`` used to be; returns the edges."""
+    merged = {}
+    for source, targets in topology.edges:
+        if not source:
+            raise EmptyVertexLabel("vertex labels must be non-empty")
+        bucket = merged.setdefault(source, [])
+        for target in targets:
+            if not target:
+                raise EmptyVertexLabel("vertex labels must be non-empty")
+            if target not in bucket:
+                bucket.append(target)
+    return tuple((source, tuple(targets)) for source, targets in merged.items())
+
+
+# few labels, so sources and targets repeat; "" is an empty label
+clashing_labels = st.sampled_from(["", "A", "B", "C"]) | st.text(max_size=2)
+
+
+def list_or_tuple(elements, max_size):
+    return st.lists(elements, max_size=max_size).flatmap(
+        lambda items: st.sampled_from([items, tuple(items)])
+    )
+
+
+edge_lists = list_or_tuple(
+    st.tuples(clashing_labels, list_or_tuple(clashing_labels, 5)).flatmap(
+        lambda group: st.sampled_from([group, list(group)])
+    ),
+    6,
+)
+
+
+@given(edge_lists)
+def test_normalize_matches_the_reference(edges):
+    raw = Topology(edges)
+    try:
+        expected = reference_normalize(raw)
+    except EmptyVertexLabel as error:
+        with pytest.raises(EmptyVertexLabel, match=f"^{re.escape(str(error))}$"):
+            raw.normalize()
+        return
+    once = raw.normalize()
+    assert once.edges == expected
+    assert once.normalize() == once
+    assert once.normalize().edges == expected
+    assert raw == Topology(edges)
+
+
+def stay(state, value):
+    return StepResult(value, state)
+
+
+@given(edge_lists, clashing_labels.filter(bool))
+def test_initial_vertex_is_any_source_or_target(edges, vertex):
+    topology = Topology(edges)
+    try:
+        groups = reference_normalize(topology)
+    except EmptyVertexLabel:
+        return
+    vertices = {v for source, targets in groups for v in (source, *targets)}
+    if vertex in vertices:
+        assert BaseMachine("m", topology, MachineState(vertex), stay).state.vertex == vertex
+    else:
+        message = f"vertex {vertex!r} is not in the topology of 'm'"
+        with pytest.raises(UnknownVertex, match=f"^{re.escape(message)}$"):
+            BaseMachine("m", topology, MachineState(vertex), stay)
+
+
+def test_initial_vertex_may_be_a_target_only():
+    topology = Topology((("A", ("B",)),))
+    assert BaseMachine("m", topology, MachineState("B"), stay).state == MachineState("B")
+    with pytest.raises(UnknownVertex, match="^vertex 'C' is not in the topology of 'm'$"):
+        BaseMachine("m", topology, MachineState("C"), stay)
