@@ -3,7 +3,9 @@
 The write side validates commands and emits events, policies react to
 events with new commands, and projections fold events into the views a
 user would query. Everything is a machine, so the whole domain is one
-composed machine from commands to views.
+composed machine from commands to views. Aggregates and projections are
+written down as a topology plus a transition table, policies as a dict
+from event to commands.
 """
 
 from __future__ import annotations
@@ -57,17 +59,38 @@ class ShippingInfo(Enum):
     Delivered = "Delivered"
 
 
+def _chain(*vertices: str) -> Topology:
+    """Topology ``a -> b -> ... -> z``: each vertex moves only to the next."""
+    steps = tuple((source, (target,)) for source, target in zip(vertices, vertices[1:]))
+    return Topology(steps + ((vertices[-1], ()),))
+
+
+def _table_machine(name: str, topology: Topology, initial: str, table: dict) -> StateMachine:
+    """Leaf whose action looks ``(vertex, input)`` up as ``(outputs, next vertex)``.
+
+    A pair the table does not list outputs ``[]`` and stays put. A stay
+    returns the same state object, so staying costs no allocation.
+    """
+
+    def act(state: MachineState, value) -> StepResult:
+        outputs, vertex = table.get((state.vertex, value), ((), state.vertex))
+        if vertex != state.vertex:
+            state = MachineState(vertex)
+        return StepResult(list(outputs), state)
+
+    return Basic(BaseMachine(name, topology, MachineState(initial), act))
+
+
+def _policy(name: str, replies: dict) -> StateMachine:
+    """Stateless leaf that answers each event from ``replies``, others with ``[]``."""
+    return Basic(stateless(name, lambda event: list(replies.get(event, ()))))
+
+
 WAITING_FOR_PAYMENT = "WaitingForPaymentVertex"
 INITIATING_PAYMENT = "InitiatingPaymentVertex"
 PAYMENT_COMPLETE = "PaymentCompleteVertex"
 
-CART_TOPOLOGY = Topology(
-    (
-        (WAITING_FOR_PAYMENT, (INITIATING_PAYMENT,)),
-        (INITIATING_PAYMENT, (PAYMENT_COMPLETE,)),
-        (PAYMENT_COMPLETE, ()),
-    )
-)
+CART_TOPOLOGY = _chain(WAITING_FOR_PAYMENT, INITIATING_PAYMENT, PAYMENT_COMPLETE)
 
 _CART_TABLE: dict[tuple[str, CartCommand], tuple[tuple[CartEvent, ...], str]] = {
     (WAITING_FOR_PAYMENT, CartCommand.PayCart): (
@@ -85,16 +108,9 @@ _CART_TABLE: dict[tuple[str, CartCommand], tuple[tuple[CartEvent, ...], str]] = 
 }
 
 
-def _cart_action(state: MachineState, command: CartCommand) -> StepResult:
-    events, vertex = _CART_TABLE[(state.vertex, command)]
-    return StepResult(list(events), MachineState(vertex))
-
-
 def cart() -> StateMachine:
     """The cart aggregate: validates payment commands, emits cart events."""
-    return Basic(
-        BaseMachine("cart", CART_TOPOLOGY, MachineState(WAITING_FOR_PAYMENT), _cart_action)
-    )
+    return _table_machine("cart", CART_TOPOLOGY, WAITING_FOR_PAYMENT, _CART_TABLE)
 
 
 def payment_gateway(always_fail: bool = False) -> StateMachine:
@@ -102,45 +118,33 @@ def payment_gateway(always_fail: bool = False) -> StateMachine:
 
     ``always_fail`` models an outage where the gateway never confirms.
     """
-
-    def react(event: CartEvent) -> list[CartCommand]:
-        if event is CartEvent.CartPaymentInitiated and not always_fail:
-            return [CartCommand.MarkCartAsPaid]
-        return []
-
-    return Basic(stateless("paymentGateway", react))
+    replies = {CartEvent.CartPaymentInitiated: (CartCommand.MarkCartAsPaid,)}
+    return _policy("paymentGateway", {} if always_fail else replies)
 
 
 PAYMENT_PENDING = "Pending"
 PAYMENT_IN_PROGRESS = "InProgress"
 PAYMENT_DONE = "Done"
 
-PAYMENT_STATUS_TOPOLOGY = Topology(
-    (
-        (PAYMENT_PENDING, (PAYMENT_IN_PROGRESS,)),
-        (PAYMENT_IN_PROGRESS, (PAYMENT_DONE,)),
-        (PAYMENT_DONE, ()),
-    )
-)
+PAYMENT_STATUS_TOPOLOGY = _chain(PAYMENT_PENDING, PAYMENT_IN_PROGRESS, PAYMENT_DONE)
 
-
-def _payment_status_action(state: MachineState, event: CartEvent) -> StepResult:
-    if state.vertex == PAYMENT_PENDING and event is CartEvent.CartPaymentInitiated:
-        return StepResult([CartView.PaymentInProgress], MachineState(PAYMENT_IN_PROGRESS))
-    if state.vertex == PAYMENT_IN_PROGRESS and event is CartEvent.CartPaymentCompleted:
-        return StepResult([CartView.PaymentDone], MachineState(PAYMENT_DONE))
-    return StepResult([], state)  # out-of-order events are ignored
+# out-of-order events are not listed, so they are ignored
+_PAYMENT_STATUS_TABLE = {
+    (PAYMENT_PENDING, CartEvent.CartPaymentInitiated): (
+        (CartView.PaymentInProgress,),
+        PAYMENT_IN_PROGRESS,
+    ),
+    (PAYMENT_IN_PROGRESS, CartEvent.CartPaymentCompleted): (
+        (CartView.PaymentDone,),
+        PAYMENT_DONE,
+    ),
+}
 
 
 def payment_status() -> StateMachine:
     """Projection folding cart events into the payment progress view."""
-    return Basic(
-        BaseMachine(
-            "paymentStatus",
-            PAYMENT_STATUS_TOPOLOGY,
-            MachineState(PAYMENT_PENDING),
-            _payment_status_action,
-        )
+    return _table_machine(
+        "paymentStatus", PAYMENT_STATUS_TOPOLOGY, PAYMENT_PENDING, _PAYMENT_STATUS_TABLE
     )
 
 
@@ -153,71 +157,55 @@ NOT_SHIPPED = "NotShippedV"
 SHIPPING = "ShippingV"
 DELIVERED = "DeliveredV"
 
-SHIPPING_TOPOLOGY = Topology(
-    (
-        (NOT_SHIPPED, (SHIPPING,)),
-        (SHIPPING, (DELIVERED,)),
-        (DELIVERED, ()),
-    )
-)
+SHIPPING_TOPOLOGY = _chain(NOT_SHIPPED, SHIPPING, DELIVERED)
 
-
-def _shipping_action(state: MachineState, command: ShippingCommand) -> StepResult:
-    if state.vertex == NOT_SHIPPED and command is ShippingCommand.StartShipping:
-        return StepResult([ShippingEvent.ShippingStarted], MachineState(SHIPPING))
-    if state.vertex == SHIPPING and command is ShippingCommand.MarkAsDelivered:
-        return StepResult([ShippingEvent.ShippingDelivered], MachineState(DELIVERED))
-    return StepResult([], state)
+_SHIPPING_TABLE = {
+    (NOT_SHIPPED, ShippingCommand.StartShipping): (
+        (ShippingEvent.ShippingStarted,),
+        SHIPPING,
+    ),
+    (SHIPPING, ShippingCommand.MarkAsDelivered): (
+        (ShippingEvent.ShippingDelivered,),
+        DELIVERED,
+    ),
+}
 
 
 def shipping() -> StateMachine:
     """The shipping aggregate: start and deliver a shipment."""
-    return Basic(
-        BaseMachine("shipping", SHIPPING_TOPOLOGY, MachineState(NOT_SHIPPED), _shipping_action)
-    )
+    return _table_machine("shipping", SHIPPING_TOPOLOGY, NOT_SHIPPED, _SHIPPING_TABLE)
 
 
 def payment_complete_policy() -> StateMachine:
     """Policy that starts shipping whenever a payment completes."""
-
-    def react(event: CartEvent) -> list[ShippingCommand]:
-        if event is CartEvent.CartPaymentCompleted:
-            return [ShippingCommand.StartShipping]
-        return []
-
-    return Basic(stateless("paymentCompletePolicy", react))
+    return _policy(
+        "paymentCompletePolicy",
+        {CartEvent.CartPaymentCompleted: (ShippingCommand.StartShipping,)},
+    )
 
 
 NOT_SHIPPED_INFO = "NotShippedI"
 IN_TRANSIT_INFO = "InTransitI"
 DELIVERED_INFO = "DeliveredI"
 
-SHIPPING_INFO_TOPOLOGY = Topology(
-    (
-        (NOT_SHIPPED_INFO, (IN_TRANSIT_INFO,)),
-        (IN_TRANSIT_INFO, (DELIVERED_INFO,)),
-        (DELIVERED_INFO, ()),
-    )
-)
+SHIPPING_INFO_TOPOLOGY = _chain(NOT_SHIPPED_INFO, IN_TRANSIT_INFO, DELIVERED_INFO)
 
-
-def _shipping_info_action(state: MachineState, event: ShippingEvent) -> StepResult:
-    if state.vertex == NOT_SHIPPED_INFO and event is ShippingEvent.ShippingStarted:
-        return StepResult([ShippingInfo.InTransit], MachineState(IN_TRANSIT_INFO))
-    if state.vertex == IN_TRANSIT_INFO and event is ShippingEvent.ShippingDelivered:
-        return StepResult([ShippingInfo.Delivered], MachineState(DELIVERED_INFO))
-    return StepResult([], state)
+_SHIPPING_INFO_TABLE = {
+    (NOT_SHIPPED_INFO, ShippingEvent.ShippingStarted): (
+        (ShippingInfo.InTransit,),
+        IN_TRANSIT_INFO,
+    ),
+    (IN_TRANSIT_INFO, ShippingEvent.ShippingDelivered): (
+        (ShippingInfo.Delivered,),
+        DELIVERED_INFO,
+    ),
+}
 
 
 def shipping_info() -> StateMachine:
     """Projection folding shipping events into the delivery status view."""
-    return Basic(
-        BaseMachine(
-            "shippingInfo",
-            SHIPPING_INFO_TOPOLOGY,
-            MachineState(NOT_SHIPPED_INFO),
-            _shipping_info_action,
-        )
+    return _table_machine(
+        "shippingInfo", SHIPPING_INFO_TOPOLOGY, NOT_SHIPPED_INFO, _SHIPPING_INFO_TABLE
     )
 
 

@@ -112,25 +112,13 @@ def _encode_side(value) -> str:
 
 
 def default_registry() -> dict[str, RegistryEntry]:
+    def enum_coded(factory, enum_cls) -> RegistryEntry:
+        return RegistryEntry(factory, _enum_decoder(enum_cls), _encode_enum, _encode_enum)
+
     return {
-        "cart": RegistryEntry(
-            cart_domain.cart,
-            _enum_decoder(CartCommand),
-            _encode_enum,
-            _encode_enum,
-        ),
-        "shipping": RegistryEntry(
-            cart_domain.shipping,
-            _enum_decoder(ShippingCommand),
-            _encode_enum,
-            _encode_enum,
-        ),
-        "whole-cart-domain": RegistryEntry(
-            cart_domain.whole_cart_domain,
-            _enum_decoder(CartCommand),
-            _encode_enum,
-            _encode_enum,
-        ),
+        "cart": enum_coded(cart_domain.cart, CartCommand),
+        "shipping": enum_coded(cart_domain.shipping, ShippingCommand),
+        "whole-cart-domain": enum_coded(cart_domain.whole_cart_domain, CartCommand),
         "cart-and-shipping": RegistryEntry(
             cart_domain.cart_and_shipping,
             _decode_side,

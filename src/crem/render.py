@@ -206,14 +206,14 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
             initial = _quote(
                 _initial_marker((prefix + vertex for vertex in vertices), prefix + "initial")
             )
+            nodes = {vertex: _quote(prefix + vertex) for vertex in vertices}
             lines += [
                 f"{indent}subgraph {_quote('cluster_' + leaf.name)} {{",
                 f"{indent}  label={_quote(leaf.name)};",
                 f'{indent}  {initial} [shape=point, label=""];',
-                *(f"{indent}  {_quote(prefix + vertex)} [label={_quote(vertex)}];"
-                  for vertex in vertices),
-                f"{indent}  {initial} -> {_quote(prefix + leaf.state.vertex)};",
-                *(f"{indent}  {_quote(prefix + source)} -> {_quote(prefix + target)};"
+                *(f"{indent}  {node} [label={_quote(vertex)}];" for vertex, node in nodes.items()),
+                f"{indent}  {initial} -> {nodes[leaf.state.vertex]};",
+                *(f"{indent}  {nodes[source]} -> {nodes[target]};"
                   for source, target in leaf.topology.transitions()),
                 f"{indent}}}",
             ]
@@ -255,8 +255,8 @@ def _flow_mermaid(items: list[_Item], edges: list[_Edge]) -> str:
             lines += [
                 f'{indent}subgraph {cluster_ids[leaf.name]}["{_mermaid_text(leaf.name)}"]',
                 f'{indent}    {ids[None]}((" "))',
-                *(f'{indent}    {ids[vertex]}["{_mermaid_text(vertex)}"]'
-                  for vertex in leaf.topology.vertices()),
+                *(f'{indent}    {node}["{_mermaid_text(vertex)}"]'
+                  for vertex, node in ids.items() if vertex is not None),
                 f"{indent}    {ids[None]} --> {ids[leaf.state.vertex]}",
                 *(f"{indent}    {ids[source]} --> {ids[target]}"
                   for source, target in leaf.topology.transitions()),

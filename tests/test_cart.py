@@ -65,6 +65,8 @@ def step_at(tree, vertex, value):
         (INITIATING_PAYMENT, MARK, [COMPLETED], PAYMENT_COMPLETE),
         (PAYMENT_COMPLETE, PAY, [], PAYMENT_COMPLETE),
         (PAYMENT_COMPLETE, MARK, [], PAYMENT_COMPLETE),
+        # a pair the table does not list outputs [] and stays put
+        (WAITING_FOR_PAYMENT, ShippingCommand.StartShipping, [], WAITING_FOR_PAYMENT),
     ],
 )
 def test_cart_action_row(start, command, events, end):
@@ -95,6 +97,7 @@ def test_payment_gateway_outage_never_confirms():
         (PAYMENT_IN_PROGRESS, INITIATED, [], PAYMENT_IN_PROGRESS),
         (PAYMENT_DONE, INITIATED, [], PAYMENT_DONE),
         (PAYMENT_DONE, COMPLETED, [], PAYMENT_DONE),
+        (PAYMENT_PENDING, ShippingEvent.ShippingStarted, [], PAYMENT_PENDING),
     ],
 )
 def test_payment_status_row(start, event, views, end):
@@ -145,6 +148,7 @@ def test_whole_cart_domain_with_gateway_outage():
         (SHIPPING, ShippingCommand.StartShipping, [], SHIPPING),
         (DELIVERED, ShippingCommand.StartShipping, [], DELIVERED),
         (DELIVERED, ShippingCommand.MarkAsDelivered, [], DELIVERED),
+        (NOT_SHIPPED, PAY, [], NOT_SHIPPED),
     ],
 )
 def test_shipping_action_row(start, command, events, end):
@@ -169,10 +173,28 @@ def test_payment_complete_policy_rows():
         (NOT_SHIPPED_INFO, ShippingEvent.ShippingDelivered, [], NOT_SHIPPED_INFO),
         (IN_TRANSIT_INFO, ShippingEvent.ShippingDelivered, [ShippingInfo.Delivered], DELIVERED_INFO),
         (DELIVERED_INFO, ShippingEvent.ShippingStarted, [], DELIVERED_INFO),
+        (IN_TRANSIT_INFO, ShippingEvent.ShippingStarted, [], IN_TRANSIT_INFO),
+        (NOT_SHIPPED_INFO, COMPLETED, [], NOT_SHIPPED_INFO),
     ],
 )
 def test_shipping_info_row(start, event, views, end):
     assert step_at(shipping_info(), start, event) == (views, end)
+
+
+@pytest.mark.parametrize(
+    "leaf,start,value",
+    [
+        (cart, INITIATING_PAYMENT, PAY),
+        (payment_status, PAYMENT_PENDING, COMPLETED),
+        (shipping, SHIPPING, ShippingCommand.StartShipping),
+        (shipping_info, DELIVERED_INFO, ShippingEvent.ShippingDelivered),
+    ],
+)
+def test_table_leaf_stay_keeps_its_state_object(leaf, start, value):
+    # a stay allocates no new state: the step path depends on it for speed
+    machine = replace(leaf().machine, state=MachineState(start))
+    _, stepped = machine.step(value)
+    assert stepped.state is machine.state
 
 
 def test_cart_and_shipping_pay_starts_shipping():

@@ -170,6 +170,9 @@ def test_run_feedback_overflow_exit_code(tmp_path, capsys):
         cli.main(["run", "whole-cart-domain", "--input", commands, "--feedback-cap", "2"])
         == 5
     )
+    assert capsys.readouterr().err == (
+        "error: feedback loop exceeded 2 iterations without settling\n"
+    )
 
 
 def test_replay_takes_the_feedback_cap(tmp_path, capsys):
@@ -338,7 +341,9 @@ def test_run_maps_disallowed_transition_to_exit_4(tmp_path, capsys):
     }
     commands = write_lines(tmp_path / "cmds.txt", ["x", "y"])
     assert cli.main(["run", "flipflop", "--input", commands], registry=registry) == 4
-    assert "flipflop" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: machine 'flipflop': transition 'b' -> 'a' is not allowed by the topology\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,7 @@ def test_feedback_overflow_at_cap():
     with pytest.raises(FeedbackOverflow) as err:
         Feedback(ping, pong).step(0, RunConfig(feedback_cap=13))
     assert err.value.cap == 13
+    assert str(err.value) == "feedback loop exceeded 13 iterations without settling"
 
 
 def test_feedback_requires_list_outputs():

@@ -63,6 +63,9 @@ def test_disallowed_transition_names_machine_and_edge():
         machine.step(0)
     assert err.value.machine == "walker"
     assert (err.value.source, err.value.target) == ("c", "a")
+    assert str(err.value) == (
+        "machine 'walker': transition 'c' -> 'a' is not allowed by the topology"
+    )
 
 
 def test_step_is_pure():
