@@ -11,7 +11,9 @@ exit code.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
-6 log divergence (on ``replay``, or when ``run`` resumes a log).
+6 log divergence (on ``replay``, or when ``run`` resumes a log), printed on
+stdout. The table ``_EXIT_CODES`` holds the rest of that contract: each
+failure it names prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -43,15 +46,12 @@ ENV_FEEDBACK_CAP = "CREM_FEEDBACK_CAP"
 class CodecError(ValueError):
     """A line of input text could not be decoded for the chosen machine."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class MalformedLog(ValueError):
+class MalformedLog(CodecError):
     """An event log file violated the record schema."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(f"malformed log: {message}")
 
 
 class _UsageError(ValueError):
@@ -87,7 +87,10 @@ def _encode_enum(value) -> str:
     return value.name
 
 
-_SIDES = {"cart": (Left, CartCommand), "ship": (Right, ShippingCommand)}
+_SIDES = {
+    "cart": (Left, _enum_decoder(CartCommand)),
+    "ship": (Right, _enum_decoder(ShippingCommand)),
+}
 
 
 def _decode_side(text: str):
@@ -96,18 +99,14 @@ def _decode_side(text: str):
         raise CodecError(
             f"expected 'cart <CartCommand>' or 'ship <ShippingCommand>', got {text.strip()!r}"
         )
-    wrapper, enum_cls = _SIDES[parts[0]]
-    try:
-        return wrapper(enum_cls[parts[1]])
-    except KeyError:
-        raise CodecError(f"{parts[1]!r} is not a {enum_cls.__name__}") from None
+    wrapper, decode = _SIDES[parts[0]]
+    return wrapper(decode(parts[1]))
 
 
 def _encode_side(value) -> str:
-    if isinstance(value, Left):
-        return f"cart {value.value.name}"
-    if isinstance(value, Right):
-        return f"ship {value.value.name}"
+    for tag, (wrapper, _) in _SIDES.items():
+        if isinstance(value, wrapper):
+            return f"{tag} {value.value.name}"
     raise CodecError(f"cannot encode {value!r}")
 
 
@@ -250,8 +249,7 @@ def _cmd_run(args, registry) -> int:
     if log_path is not None and log_path.exists():
         machine, seq = _replay(machine, log_path, entry, config)
 
-    log_handle = log_path.open("a+b") if log_path else None
-    try:
+    with log_path.open("a+b") if log_path else nullcontext() as log_handle:
         if seq:  # never glue a record onto an unterminated last line
             log_handle.seek(-1, os.SEEK_END)
             if log_handle.read(1) != b"\n":
@@ -260,7 +258,7 @@ def _cmd_run(args, registry) -> int:
             try:
                 value = entry.decode_input(text)
             except CodecError as error:
-                raise CodecError(str(error), line=number) from None
+                raise CodecError(f"line {number}: {error}") from None
             outputs, machine = machine.step(value, config)
             encoded = [entry.encode_output(item) for item in outputs]
             print(f"[{', '.join(encoded)}]")
@@ -273,9 +271,6 @@ def _cmd_run(args, registry) -> int:
                 log_handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
                 log_handle.flush()
                 seq += 1
-    finally:
-        if log_handle is not None:
-            log_handle.close()
     return EXIT_OK
 
 
@@ -318,40 +313,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a subclass, such as MalformedLog of CodecError, takes its nearest listed base's code
+_EXIT_CODES: dict[type[Exception], int] = {
+    _UsageError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    CodecError: EXIT_CODEC,
+    DisallowedTransition: EXIT_TOPOLOGY,
+    FeedbackOverflow: EXIT_FEEDBACK,
+}
+
+
 def main(
     argv: Sequence[str] | None = None,
     registry: Mapping[str, RegistryEntry] | None = None,
 ) -> int:
     if registry is None:
         registry = default_registry()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args, registry)
-    except _UsageError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except CodecError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_CODEC
-    except MalformedLog as error:
-        print(f"error: malformed log: {error}", file=sys.stderr)
-        return EXIT_CODEC
-    except DisallowedTransition as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_TOPOLOGY
-    except FeedbackOverflow as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_FEEDBACK
     except _Diverged as error:
         print(error)
         return EXIT_DIVERGED
-    except OSError as error:
+    except tuple(_EXIT_CODES) as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(_EXIT_CODES[kind] for kind in type(error).__mro__ if kind in _EXIT_CODES)
 
 
 def script_main() -> None:

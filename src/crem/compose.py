@@ -86,7 +86,8 @@ class Right:
 
 
 class StateMachine:
-    """A node of the composition tree. Use the concrete subclasses."""
+    """A tree node: one of the six concrete kinds, or a hand-rolled node that defines
+    ``step`` and ``leaves``; such a node runs in a tree, but ``render_flow`` draws only the six."""
 
     def step(
         self, value: Any, config: RunConfig = DEFAULT_CONFIG

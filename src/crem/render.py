@@ -64,13 +64,13 @@ def _mermaid_id_list(labels: Iterable[str], used: set[str]) -> list[str]:
     return ids
 
 
-def _initial_marker(taken: Iterable[str], base: str) -> str:
-    """Identifier for the start-marker node, distinct from every real node."""
-    taken = set(taken)
-    marker = base
-    while marker in taken:
-        marker = "_" + marker
-    return marker
+def _claim(used: set[str], base: str) -> str:
+    """``base``, prefixed with ``_`` until no id in ``used`` equals it; adds it to ``used``."""
+    node = base
+    while node in used:
+        node = "_" + node
+    used.add(node)
+    return node
 
 
 def render_base(machine: BaseMachine, format: str) -> Diagram:
@@ -88,14 +88,15 @@ def render_base(machine: BaseMachine, format: str) -> Diagram:
 
 def _base_dot(machine: BaseMachine) -> str:
     topology = machine.topology
-    marker = _initial_marker(topology.vertices(), "__initial")
+    vertices = topology.vertices()
+    marker = _claim(set(vertices), "__initial")
     lines = [
         f"digraph {_quote(machine.name)} {{",
         "  rankdir=LR;",
         "  node [shape=box, style=rounded];",
         f'  {_quote(marker)} [shape=point, label=""];',
     ]
-    for vertex in topology.vertices():
+    for vertex in vertices:
         lines.append(f"  {_quote(vertex)};")
     lines.append(f"  {_quote(marker)} -> {_quote(machine.state.vertex)};")
     for source, target in topology.transitions():
@@ -106,10 +107,11 @@ def _base_dot(machine: BaseMachine) -> str:
 
 def _base_mermaid(machine: BaseMachine) -> str:
     topology = machine.topology
-    ids = dict(zip(topology.vertices(), _mermaid_id_list(topology.vertices(), set())))
+    vertices = topology.vertices()
+    ids = dict(zip(vertices, _mermaid_id_list(vertices, set())))
     lines = ["stateDiagram-v2"]
-    for vertex in topology.vertices():
-        lines.append(f'    state "{_mermaid_text(vertex)}" as {ids[vertex]}')
+    for vertex, node in ids.items():
+        lines.append(f'    state "{_mermaid_text(vertex)}" as {node}')
     lines.append(f"    [*] --> {ids[machine.state.vertex]}")
     for source, target in topology.transitions():
         lines.append(f"    {ids[source]} --> {ids[target]}")
@@ -192,6 +194,9 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
         "  rankdir=LR;",
         "  node [shape=box, style=rounded];",
     ]
+    # node ids are unique across the diagram; per leaf, vertex -> quoted node id
+    used: set[str] = set()
+    by_leaf: dict[str, dict[str, str]] = {}
     for kind, depth, value in items:
         indent = "  " * (depth + 1)
         if kind == "open":
@@ -203,10 +208,12 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
         else:
             leaf, prefix = value, value.name + "__"
             vertices = leaf.topology.vertices()
-            initial = _quote(
-                _initial_marker((prefix + vertex for vertex in vertices), prefix + "initial")
-            )
-            nodes = {vertex: _quote(prefix + vertex) for vertex in vertices}
+            ids = [prefix + vertex for vertex in vertices]
+            if not used.isdisjoint(ids):
+                ids = [_claim(used, node) for node in ids]
+            used.update(ids)
+            initial = _quote(_claim(used, prefix + "initial"))
+            nodes = by_leaf[leaf.name] = dict(zip(vertices, map(_quote, ids)))
             lines += [
                 f"{indent}subgraph {_quote('cluster_' + leaf.name)} {{",
                 f"{indent}  label={_quote(leaf.name)};",
@@ -218,10 +225,10 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
                 f"{indent}}}",
             ]
     for source, target, label in edges:
-        source_node = f"{source.name}__{source.state.vertex}"
-        target_node = f"{target.name}__{target.state.vertex}"
+        source_node = by_leaf[source.name][source.state.vertex]
+        target_node = by_leaf[target.name][target.state.vertex]
         lines.append(
-            f"  {_quote(source_node)} -> {_quote(target_node)} "
+            f"  {source_node} -> {target_node} "
             f"[ltail={_quote('cluster_' + source.name)}, "
             f"lhead={_quote('cluster_' + target.name)}, label={_quote(label)}];"
         )

@@ -111,11 +111,20 @@ def test_run_reads_stdin(monkeypatch, capsys):
 
 
 def test_run_codec_error_reports_line(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "FooBar"])
-    assert cli.main(["run", "cart", "--input", commands]) == 3
-    err = capsys.readouterr().err
-    assert "line 2" in err
-    assert "FooBar" in err
+    cases = [
+        ("cart", ["PayCart", "FooBar"], "line 2: 'FooBar' is not a CartCommand"),
+        (
+            "cart-and-shipping",
+            ["bogus PayCart"],
+            "line 1: expected 'cart <CartCommand>' or 'ship <ShippingCommand>', "
+            "got 'bogus PayCart'",
+        ),
+        ("cart-and-shipping", ["cart Bogus"], "line 1: 'Bogus' is not a CartCommand"),
+    ]
+    for machine, lines, message in cases:
+        commands = write_lines(tmp_path / "cmds.txt", lines)
+        assert cli.main(["run", machine, "--input", commands]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_writes_event_log(tmp_path, capsys):
@@ -148,6 +157,7 @@ def test_run_appends_and_resumes_from_existing_log(tmp_path, capsys):
 def test_run_rejects_feedback_cap_below_one(tmp_path, capsys):
     commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "cart", "--input", commands, "--feedback-cap", "0"]) == 2
+    assert capsys.readouterr().err == "error: feedback_cap must be at least 1\n"
 
 
 def test_run_rejects_invalid_env_cap(tmp_path, monkeypatch, capsys):
@@ -189,7 +199,9 @@ def test_replay_takes_the_feedback_cap(tmp_path, capsys):
 
 
 def test_run_missing_input_file(tmp_path, capsys):
-    assert cli.main(["run", "cart", "--input", str(tmp_path / "absent.txt")]) == 2
+    absent = str(tmp_path / "absent.txt")
+    assert cli.main(["run", "cart", "--input", absent]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {absent!r}\n"
 
 
 def test_replay_empty_log(tmp_path):
@@ -297,6 +309,9 @@ def test_replay_rejects_bad_json(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text("not json\n", encoding="utf-8")
     assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == (
+        "error: malformed log: line 1: not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
 
 
 def test_replay_rejects_bad_seq(tmp_path, capsys):
@@ -304,18 +319,38 @@ def test_replay_rejects_bad_seq(tmp_path, capsys):
     record = {"seq": 5, "input": "PayCart", "outputs": []}
     log.write_text(json.dumps(record) + "\n", encoding="utf-8")
     assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == "error: malformed log: line 1: expected seq 0, found 5\n"
 
 
 def test_replay_rejects_wrong_schema(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text(json.dumps({"seq": 0, "input": "PayCart"}) + "\n", encoding="utf-8")
     assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == "error: malformed log: line 1: not a valid event record\n"
+
+
+def test_replay_rejects_an_undecodable_input(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"input": "Bogus", "outputs": [], "seq": 0}\n', encoding="utf-8")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == (
+        "error: malformed log: seq 0: 'Bogus' is not a CartCommand\n"
+    )
+
+
+def test_replay_missing_log_exits_3(tmp_path, capsys):
+    log = tmp_path / "absent.jsonl"
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed log: cannot read log {log}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_replay_unknown_machine(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text("", encoding="utf-8")
     assert cli.main(["replay", "nosuch", "--log", str(log)]) == 2
+    assert capsys.readouterr().err == "error: unknown machine 'nosuch'\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -365,6 +400,13 @@ def test_codec_round_trip_is_canonical(machine, lines):
         assert entry.encode_input(entry.decode_input(line)) == line
         # decoding is forgiving about surrounding whitespace
         assert entry.encode_input(entry.decode_input(f"  {line}  ")) == line
+
+
+def test_encoding_an_unknown_value_is_a_codec_error():
+    entry = cli.default_registry()["cart-and-shipping"]
+    with pytest.raises(cli.CodecError) as err:
+        entry.encode_output(5)
+    assert str(err.value) == "cannot encode 5"
 
 
 def test_run_round_trip_for_every_registered_machine(tmp_path, capsys):

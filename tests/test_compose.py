@@ -130,6 +130,12 @@ def test_feedback_outputs_all_come_from_forward_machine():
     assert output and all(tag == "fwd" for tag, _ in output)
 
 
+def test_feedback_leaves_run_forward_then_backward():
+    f1, f2, b1 = (emitter(name, lambda x: [x]) for name in ("f1", "f2", "b1"))
+    tree = Feedback(Sequential(f1, f2), b1)
+    assert list(tree.leaves()) == [f1.machine, f2.machine, b1.machine]
+
+
 def test_feedback_overflow_at_cap():
     ping = emitter("ping", lambda x: [x])
     pong = emitter("pong", lambda x: [x])

@@ -6,12 +6,16 @@ import dotparse
 from crem import (
     Alternative,
     Basic,
+    BaseMachine,
     Diagram,
     DuplicateLeafName,
     Feedback,
     Kleisli,
+    MachineState,
     Parallel,
     Sequential,
+    StepResult,
+    Topology,
     identity_machine,
     render_base,
     render_flow,
@@ -59,6 +63,20 @@ def test_base_render_is_deterministic():
     assert render_base(CART, "mermaid").text == render_base(CART, "mermaid").text
 
 
+@pytest.mark.parametrize("format", ["dot", "mermaid"])
+def test_base_render_lists_the_vertices_once(format, monkeypatch):
+    calls = []
+    vertices = Topology.vertices
+
+    def counting(self):
+        calls.append(self)
+        return vertices(self)
+
+    monkeypatch.setattr(Topology, "vertices", counting)
+    render_base(CART, format)
+    assert calls == [CART.topology]
+
+
 def test_base_mermaid_uses_state_diagram_and_initial_marker():
     text = render_base(CART, "mermaid").text
     assert text.startswith("stateDiagram-v2\n")
@@ -78,6 +96,8 @@ def test_diagram_rejects_unknown_format():
         render_base(CART, "png")
     with pytest.raises(ValueError):
         Diagram("png", "")
+    with pytest.raises(ValueError, match=r"^unknown diagram format 'svg'$"):
+        render_flow(cart(), "svg")
 
 
 def test_flow_of_basic_is_one_cluster():
@@ -169,6 +189,52 @@ def test_flow_cluster_edges_match_each_topology():
         assert drawn == set(leaf.topology.transitions())
 
 
+def _leaf(name, edges, initial):
+    return Basic(
+        BaseMachine(name, Topology(edges), MachineState(initial), lambda s, v: StepResult([v], s))
+    )
+
+
+def _cluster_nodes(text):
+    """Per leaf cluster, the ids of the node statements inside it, in order."""
+    clusters, current = {}, None
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith('subgraph "cluster_'):
+            current = clusters.setdefault(line.split('"')[1], [])
+        elif line == "}":
+            current = None
+        elif current is not None and "->" not in line and line.endswith("];"):
+            current.append(line.split(" [")[0])
+    return clusters
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        # "a" + "b__c" and "a__b" + "c" both read "a__b__c"
+        Sequential(_leaf("a", (("b__c", ("x",)),), "b__c"), _leaf("a__b", (("c", ()),), "c")),
+        # a vertex of "a" reads like the marker of "a__b"
+        Sequential(
+            _leaf("a", (("b__initial", ()),), "b__initial"), _leaf("a__b", (("x", ()),), "x")
+        ),
+    ],
+    ids=["vertex-vertex", "vertex-marker"],
+)
+def test_flow_dot_node_ids_are_unique_across_the_diagram(tree):
+    text = render_flow(tree, "dot").text
+    clusters = _cluster_nodes(text)
+    # each cluster holds its marker and one node per vertex, none shared
+    assert {name: len(ids) for name, ids in clusters.items()} == {
+        f"cluster_{leaf.name}": len(leaf.topology.vertices()) + 1 for leaf in tree.leaves()
+    }
+    ids = [node for nodes in clusters.values() for node in nodes]
+    assert len(set(ids)) == len(ids)
+    assert len(dotparse.parse_dot(text).nodes) == len(ids)
+    # the inter-cluster edge joins the current vertices' nodes of its two clusters
+    source, _, target = next(line for line in text.splitlines() if "ltail=" in line).split()[:3]
+    assert source in clusters["cluster_a"] and target in clusters["cluster_a__b"]
+
+
 def test_flow_mermaid_structure():
     text = render_flow(whole_cart_domain(), "mermaid").text
     assert text.startswith("flowchart TD\n")
@@ -196,6 +262,18 @@ def test_flow_rejects_duplicate_leaf_names():
 
     with pytest.raises(DuplicateLeafName):
         render_flow(TwoSameLeaves(), "dot")
+
+
+def test_flow_rejects_a_hand_rolled_child():
+    from crem import StateMachine
+
+    class Opaque(StateMachine):
+        def leaves(self):
+            yield stateless("inner", lambda x: [x])
+
+    tree = Sequential(identity_machine("a"), Opaque())
+    with pytest.raises(TypeError, match="not a composition tree node"):
+        render_flow(tree, "dot")
 
 
 def test_quoting_of_awkward_labels():
