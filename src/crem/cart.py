@@ -69,7 +69,8 @@ def _table_machine(name: str, topology: Topology, initial: str, table: dict) -> 
     """Leaf whose action looks ``(vertex, input)`` up as ``(outputs, next vertex)``.
 
     A pair the table does not list outputs ``[]`` and stays put. A stay
-    returns the same state object, so staying costs no allocation.
+    returns the same state object, so the leaf and every node above it
+    return themselves too, and a stay allocates nothing anywhere up the tree.
     """
 
     def act(state: MachineState, value) -> StepResult:

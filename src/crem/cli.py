@@ -14,6 +14,9 @@ Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 6 log divergence (on ``replay``, or when ``run`` resumes a log), printed on
 stdout. The table ``_EXIT_CODES`` holds the rest of that contract: each
 failure it names prints one ``error:`` line on stderr.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -313,6 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process."""
+    return _build_parser()
+
+
 # a subclass, such as MalformedLog of CodecError, takes its nearest listed base's code
 _EXIT_CODES: dict[type[Exception], int] = {
     _UsageError: EXIT_USAGE,
@@ -330,7 +340,7 @@ def main(
     if registry is None:
         registry = default_registry()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -15,7 +15,10 @@ gone (a subtree reused in a second parent, or a hand-rolled node) sends
 the check back to a walk over the new node's leaves, as does any clash,
 so the error always names the first duplicate in walk order. Stepping
 moves the already validated nodes forward through a private copy, which
-keeps the root's set, so a step costs only the leaf steps it makes.
+keeps the root's set, so a step costs only the leaf steps it makes. A node
+whose children all came back as the very same objects is returned as it
+is, so a stay allocates nothing and a move rebuilds only its path from the
+root; every subtree it did not touch is shared by the old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -168,6 +171,8 @@ class Basic(StateMachine):
 
     def step(self, value, config=DEFAULT_CONFIG):
         output, machine = self.machine.step(value)
+        if machine is self.machine:
+            return output, self
         return output, _evolve(self, machine=machine)
 
     def leaves(self):
@@ -198,6 +203,8 @@ class Sequential(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         intermediate, first = self.first.step(value, config)
         output, second = self.second.step(intermediate, config)
+        if first is self.first and second is self.second:
+            return output, self
         return output, _evolve(self, first=first, second=second)
 
 
@@ -208,6 +215,8 @@ class Parallel(_Binary):
         a, c = value
         b, first = self.first.step(a, config)
         d, second = self.second.step(c, config)
+        if first is self.first and second is self.second:
+            return (b, d), self
         return (b, d), _evolve(self, first=first, second=second)
 
 
@@ -220,9 +229,13 @@ class Alternative(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         if isinstance(value, Left):
             output, first = self.first.step(value.value, config)
+            if first is self.first:
+                return Left(output), self
             return Left(output), _evolve(self, first=first)
         if isinstance(value, Right):
             output, second = self.second.step(value.value, config)
+            if second is self.second:
+                return Right(output), self
             return Right(output), _evolve(self, second=second)
         raise TypeError(f"Alternative expects Left or Right, got {value!r}")
 
@@ -267,6 +280,8 @@ class Feedback(StateMachine):
                 break
         if inputs or outputs:
             raise FeedbackOverflow(config.feedback_cap)
+        if forward is self.forward and backward is self.backward:
+            return collected, self
         return collected, _evolve(self, forward=forward, backward=backward)
 
     def leaves(self):
@@ -289,6 +304,8 @@ class Kleisli(_Binary):
             outputs, second = second.step(item, config)
             _require_list(outputs, "the second machine of Kleisli")
             collected.extend(outputs)
+        if first is self.first and second is self.second:
+            return collected, self
         return collected, _evolve(self, first=first, second=second)
 
 

@@ -78,6 +78,8 @@ class BaseMachine:
         output, next_state = self.action(self.state, value)
         if not self.topology.allows(self.state.vertex, next_state.vertex):
             raise DisallowedTransition(self.name, self.state.vertex, next_state.vertex)
+        if next_state is self.state:  # the action kept its state: so does the machine
+            return output, self
         # an allowed move lands on a vertex of the topology: nothing to recheck
         return output, _evolve(self, state=next_state)
 

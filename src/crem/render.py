@@ -194,14 +194,19 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
         "  rankdir=LR;",
         "  node [shape=box, style=rounded];",
     ]
-    # node ids are unique across the diagram; per leaf, vertex -> quoted node id
+    # node ids are unique across the diagram, and so are subgraph ids, a namespace of
+    # their own; Graphviz draws a subgraph as a cluster only if its id starts with
+    # "cluster", so a clash puts the "_" after that word
     used: set[str] = set()
-    by_leaf: dict[str, dict[str, str]] = {}
+    clusters: set[str] = set()  # subgraph ids without their "cluster" head
+    by_leaf: dict[str, dict[str, str]] = {}  # per leaf, vertex -> quoted node id
+    cluster_of: dict[str, str] = {}  # per leaf, its quoted subgraph id
     for kind, depth, value in items:
         indent = "  " * (depth + 1)
         if kind == "open":
             label, number = value
-            lines.append(f"{indent}subgraph {_quote(f'cluster_{label}_{number}')} {{")
+            cluster = _quote("cluster" + _claim(clusters, f"_{label}_{number}"))
+            lines.append(f"{indent}subgraph {cluster} {{")
             lines.append(f"{indent}  label={_quote(label)};")
         elif kind == "close":
             lines.append(f"{indent}}}")
@@ -214,8 +219,9 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
             used.update(ids)
             initial = _quote(_claim(used, prefix + "initial"))
             nodes = by_leaf[leaf.name] = dict(zip(vertices, map(_quote, ids)))
+            cluster = cluster_of[leaf.name] = _quote("cluster" + _claim(clusters, "_" + leaf.name))
             lines += [
-                f"{indent}subgraph {_quote('cluster_' + leaf.name)} {{",
+                f"{indent}subgraph {cluster} {{",
                 f"{indent}  label={_quote(leaf.name)};",
                 f'{indent}  {initial} [shape=point, label=""];',
                 *(f"{indent}  {node} [label={_quote(vertex)}];" for vertex, node in nodes.items()),
@@ -229,8 +235,8 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
         target_node = by_leaf[target.name][target.state.vertex]
         lines.append(
             f"  {source_node} -> {target_node} "
-            f"[ltail={_quote('cluster_' + source.name)}, "
-            f"lhead={_quote('cluster_' + target.name)}, label={_quote(label)}];"
+            f"[ltail={cluster_of[source.name]}, lhead={cluster_of[target.name]}, "
+            f"label={_quote(label)}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,9 @@ class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
     The order in which sources and targets first appear is preserved; it is
-    part of the value because it drives rendering. Labels are checked once,
+    part of the value because it drives rendering. Construction turns the
+    groups into tuples, keeping ``edges`` as it is when it already is a
+    tuple of ``(source, tuple of targets)`` pairs. Labels are checked once,
     by :meth:`normalize`; :meth:`allows` is then a single lookup in a
     per-source index built on first use.
     """
@@ -28,7 +30,14 @@ class Topology:
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        groups = tuple((source, tuple(targets)) for source, targets in self.edges)
+        edges = self.edges
+        if type(edges) is tuple:
+            for group in edges:
+                if type(group) is not tuple or len(group) != 2 or type(group[1]) is not tuple:
+                    break
+            else:
+                return  # already canonical: a tuple of (source, tuple of targets) pairs
+        groups = tuple((source, tuple(targets)) for source, targets in edges)
         object.__setattr__(self, "edges", groups)
 
     def normalize(self) -> Topology:

@@ -430,3 +430,48 @@ def test_run_output_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert cli.main(["run", "cart-and-shipping", "--input", commands]) == 0
     assert capsys.readouterr().out == first
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the kept parser before and after the test, so the next one builds anew."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once(fresh_parser, monkeypatch, tmp_path, capsys):
+    builds = []
+    original = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    assert cli.main(["list"]) == 0
+    assert cli.main(["run", "cart", "--input", commands]) == 0
+    assert cli.main(["render", "cart"]) == 0
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_no_argument_leaks_between_calls(fresh_parser, tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    run = ["run", "whole-cart-domain", "--input", commands]
+    assert cli.main([*run, "--feedback-cap", "3"]) == 5
+    assert capsys.readouterr().err == (
+        "error: feedback loop exceeded 3 iterations without settling\n"
+    )
+    assert cli.main(run) == 0
+    assert capsys.readouterr() == ("[PaymentInProgress, PaymentDone]\n", "")
+
+    out = tmp_path / "cart.dot"
+    assert cli.main(["render", "cart", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(["render", "cart"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")

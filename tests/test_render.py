@@ -235,6 +235,64 @@ def test_flow_dot_node_ids_are_unique_across_the_diagram(tree):
     assert source in clusters["cluster_a"] and target in clusters["cluster_a__b"]
 
 
+def _subgraph_labels(text):
+    """Each subgraph id of a DOT diagram, in order, with the label on its next line."""
+    lines = [line.strip() for line in text.splitlines()]
+    return [
+        (line.split('"')[1], lines[i + 1].split('"')[1])
+        for i, line in enumerate(lines)
+        if line.startswith("subgraph ")
+    ]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        # a leaf named like the bracket around it
+        Sequential(
+            Parallel(identity_machine("parallel_1"), identity_machine("b")), identity_machine("c")
+        ),
+        # a leaf named like a bracket opened after it
+        Sequential(
+            Alternative(identity_machine("alternative_2"), identity_machine("b")),
+            Alternative(identity_machine("c"), identity_machine("d")),
+        ),
+    ],
+    ids=["leaf-after-bracket", "bracket-after-leaf"],
+)
+def test_flow_dot_subgraph_ids_are_unique(tree):
+    text = render_flow(tree, "dot").text
+    subgraphs = _subgraph_labels(text)
+    ids = [name for name, _ in subgraphs]
+    assert len(set(ids)) == len(ids) == len(dotparse.parse_dot(text).subgraphs)
+    # Graphviz draws a subgraph as a cluster only if its id starts with "cluster"
+    assert all(name.startswith("cluster_") for name in ids)
+    # ltail and lhead name the clusters of the leaves the edge joins
+    cluster_of = {label: name for name, label in subgraphs}
+    edge = next(line for line in text.splitlines() if "ltail=" in line)
+    ltail, lhead = re.search(r'ltail="([^"]*)", lhead="([^"]*)"', edge).groups()
+    source, target = (next(side.leaves()).name for side in (tree.first, tree.second))
+    assert (ltail, lhead) == (cluster_of[source], cluster_of[target])
+
+
+def test_flow_mermaid_bracket_ids_cannot_clash():
+    # leaf names and vertices that read like bracket ids
+    tree = Sequential(
+        Parallel(identity_machine("bracket_1"), _leaf("bracket", (("1", ()),), "1")),
+        Alternative(_leaf("b", (("racket_2", ()),), "racket_2"), identity_machine("bracket_2")),
+    )
+    text = render_flow(tree, "mermaid").text
+    subgraphs = re.findall(r"subgraph (\w+)\[", text)
+    nodes = re.findall(r"^ *(\w+)(?:\[|\(\()", text, re.MULTILINE)
+    nodes = [node for node in nodes if node != "subgraph"]
+    assert [name for name in subgraphs if name.startswith("bracket_")] == ["bracket_1", "bracket_2"]
+    # the other subgraph ids start with sg_, and a node id always holds the "__" of its label
+    assert all(name.startswith(("bracket_", "sg_")) for name in subgraphs)
+    assert nodes and all("__" in node for node in nodes)
+    everything = subgraphs + nodes
+    assert len(set(everything)) == len(everything)
+
+
 def test_flow_mermaid_structure():
     text = render_flow(whole_cart_domain(), "mermaid").text
     assert text.startswith("flowchart TD\n")

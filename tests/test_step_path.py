@@ -3,7 +3,8 @@
 These tests pin that down without timings: counting wrappers prove that a
 step reaches no validating code and that building a chain walks no leaves,
 an oracle proves that the privately copied trees equal the ones the public
-constructors build, and deep trees prove that neither the leaf walk nor the
+constructors build, identity checks prove that a step shares every subtree
+it did not change, and deep trees prove that neither the leaf walk nor the
 diagram layout walk needs recursion.
 """
 
@@ -39,7 +40,16 @@ from crem import (
     unrestricted_mealy,
 )
 from crem import compose
-from crem.cart import PAYMENT_COMPLETE, CartCommand, CartView, whole_cart_domain
+from crem.cart import (
+    PAYMENT_COMPLETE,
+    CartCommand,
+    CartView,
+    ShippingCommand,
+    cart,
+    cart_and_shipping,
+    shipping,
+    whole_cart_domain,
+)
 
 NODE_KINDS = (Basic, Sequential, Parallel, Alternative, Feedback, Kleisli)
 RING = Topology((("r0", ("r1",)), ("r1", ("r2",)), ("r2", ("r0",))))
@@ -136,6 +146,89 @@ def test_public_constructors_still_validate(validation_calls):
     assert counts["Topology.normalize"] >= 4
     assert counts["_adopt_leaf_names"] == 3
     assert counts["_check_leaf_names"] == 0  # the children handed their names up
+
+
+# -- a step shares every subtree it did not change ------------------------------
+
+
+@pytest.mark.parametrize(
+    "factory, warm_up, inputs",
+    [
+        (whole_cart_domain, [CartCommand.PayCart], list(CartCommand)),
+        (
+            cart_and_shipping,
+            [Left(CartCommand.PayCart), Right(ShippingCommand.MarkAsDelivered)],
+            [*map(Left, CartCommand), *map(Right, ShippingCommand)],
+        ),
+    ],
+    ids=["whole-cart-domain", "cart-and-shipping"],
+)
+def test_terminal_domain_steps_to_the_same_tree(factory, warm_up, inputs, monkeypatch):
+    tree = factory()
+    for value in warm_up:
+        _, tree = tree.step(value)
+    checks = Counter()
+    for owner, attr in ((BaseMachine, "step"), (Topology, "allows")):
+        original = getattr(owner, attr)
+
+        def counting(*args, _original=original, _key=attr, **kwargs):
+            checks[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    for value in inputs:
+        _, stepped = tree.step(value)
+        assert stepped is tree
+    # every leaf step still checked its move against the topology
+    assert checks["step"] >= len(inputs)
+    assert checks["allows"] == checks["step"]
+
+
+def counts(name, out=lambda x: [x]):
+    """Leaf that moves on every step: its payload counts the steps."""
+    return Basic(unrestricted_mealy(name, 0, lambda n, x: (out(x), n + 1)))
+
+
+def never_back(x):
+    return []
+
+
+@pytest.mark.parametrize(
+    "tree, value, stayed",
+    [
+        (Sequential(Sequential(emit("a", list), emit("b", list)), counts("c")), [1], "first"),
+        (Sequential(counts("a"), emit("b", list)), [1], "second"),
+        (Parallel(emit("a", list), counts("b")), ([1], [2]), "first"),
+        (Parallel(counts("a"), emit("b", list)), ([1], [2]), "second"),
+        (Alternative(counts("a"), counts("b")), Left(1), "second"),
+        (Alternative(counts("a"), counts("b")), Right(1), "first"),
+        (Kleisli(emit("a", lambda x: [x]), counts("b")), 1, "first"),
+        (Kleisli(counts("a"), emit("b", lambda x: [x])), 1, "second"),
+        (Feedback(emit("a", lambda x: [x]), counts("b", never_back)), 1, "forward"),
+        (Feedback(counts("a"), emit("b", never_back)), 1, "backward"),
+    ],
+    ids=[f"{kind}-keeps-{side}" for kind in ("seq", "par", "alt", "kleisli", "feedback")
+         for side in ("first", "second")],
+)
+def test_a_move_rebuilds_only_its_path(tree, value, stayed):
+    _, stepped = tree.step(value)
+    names = [field.name for field in fields(tree)]
+    moved = names[1 - names.index(stayed)]
+    assert getattr(stepped, stayed) is getattr(tree, stayed)
+    assert getattr(stepped, moved) != getattr(tree, moved)
+    assert stepped == public_copy(stepped)
+
+
+def test_a_cart_move_rebuilds_only_its_path():
+    tree = Alternative(cart(), Sequential(shipping(), identity_machine("c")))
+    _, moved = tree.step(Left(CartCommand.PayCart))
+    assert moved.first != tree.first and moved.second is tree.second
+    _, moved_again = moved.step(Right(ShippingCommand.StartShipping))
+    assert moved_again.first is moved.first
+    assert moved_again.second.first != moved.second.first
+    assert moved_again.second.second is tree.second.second
+    _, stayed = moved_again.step(Left(CartCommand.PayCart))  # the cart only stays now
+    assert stayed is moved_again
 
 
 # -- the stepped tree equals the one the public constructors build ------------

@@ -197,6 +197,20 @@ def test_normalize_matches_the_reference(edges):
     assert raw == Topology(edges)
 
 
+@given(edge_lists)
+def test_list_and_tuple_shaped_edges_give_one_value(edges):
+    shaped = Topology(edges)
+    groups = tuple((source, tuple(targets)) for source, targets in edges)
+    canonical = Topology(groups)
+    assert canonical.edges is groups  # already canonical: kept, not rebuilt
+    assert shaped.edges == canonical.edges
+    assert type(shaped.edges) is tuple
+    assert all(type(group) is tuple and type(group[1]) is tuple for group in shaped.edges)
+    assert shaped == canonical
+    assert hash(shaped) == hash(canonical)
+    assert repr(shaped) == repr(canonical)
+
+
 def stay(state, value):
     return StepResult(value, state)
 
