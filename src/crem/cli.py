@@ -4,10 +4,35 @@ Input files carry one encoded command per line; blank lines and ``#``
 comments are skipped. With ``--log``, each processed input appends one
 record to a JSONL event log, which ``replay`` later re-runs against a
 fresh machine to verify that every logged output regenerates exactly.
-A ``run`` on an existing log resumes it the same way: every logged record
-is re-run and checked before anything new is appended. A log is checked in
+A ``run`` on an existing log resumes it the same way: the logged records
+are re-run and checked before anything new is appended. A log is checked in
 one pass, record by record, so its first fault in file order decides the
 exit code.
+
+After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
+records the machine name, a fingerprint of its topology (the sha256 of its
+DOT flow diagram), the count of records and the length and sha256 of the
+log bytes that run checked or wrote, and the leaf vertices after them. It
+is written to a temporary file and then renamed into place. A resuming
+``run`` whose manifest matches the machine, the fingerprint and the hash of
+a prefix that ends a line restores those vertices into a fresh tree and
+re-runs only the records after that prefix. That is the trade: only a run
+that checked or wrote exactly those bytes writes a manifest, so a matching
+hash stands for "checked as ``replay`` does". Any mismatch, an unreadable
+manifest or vertices the tree cannot hold fall back to checking the whole
+log. No manifest is written for a tree with a node outside the six kinds
+or a leaf whose payload is not None. ``replay`` re-runs every record; when
+a manifest exists it first refuses, with exit 3, a log whose manifest names
+another machine or topology.
+
+A torn tail is a last line that is both unterminated and not valid JSON,
+as a write cut short leaves it. A resuming ``run`` removes it, once the
+lines before it check out, says so in one ``warning:`` line on stderr and
+goes on; ``replay`` exits 3 and calls it a torn tail. An unterminated last
+line that is valid JSON is checked as a record and ended with a newline
+before the run appends. A ``run --log`` holds an exclusive ``flock`` on the
+log from before it reads the log until its manifest is in place, so a
+second writer waits and then resumes after the first.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
@@ -22,18 +47,30 @@ and reused by every later call.
 from __future__ import annotations
 
 import argparse
+import fcntl
+import hashlib
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import cart as cart_domain
 from .cart import CartCommand, ShippingCommand
-from .compose import DEFAULT_CONFIG, Basic, FeedbackOverflow, Left, Right, RunConfig, StateMachine
+from .compose import (
+    DEFAULT_CONFIG,
+    Basic,
+    FeedbackOverflow,
+    Left,
+    Right,
+    RunConfig,
+    StateMachine,
+    _leaf_vertices,
+    _restore_vertices,
+)
 from .machine import DisallowedTransition
 from .render import FORMATS, render_base, render_flow
 
@@ -45,6 +82,8 @@ EXIT_FEEDBACK = 5
 EXIT_DIVERGED = 6
 
 ENV_FEEDBACK_CAP = "CREM_FEEDBACK_CAP"
+
+MANIFEST_VERSION = 1
 
 
 class CodecError(ValueError):
@@ -195,20 +234,17 @@ def _cmd_render(args, registry) -> int:
     return EXIT_OK
 
 
-def _replay(machine: StateMachine, path: Path, entry, config) -> tuple[StateMachine, int]:
-    """Check and re-run the log at ``path`` in one pass, record by record.
+def _replay(
+    machine: StateMachine, log_text: str, entry, config, seq: int = 0, first_line: int = 1
+) -> tuple[StateMachine, int]:
+    """Check and re-run the records in ``log_text`` in one pass, record by record.
 
-    Each line is parsed, checked, stepped and compared before the next, so
-    the first fault in file order is the one raised. Returns the machine
-    after the last record, where new records continue, and the record count.
+    ``log_text`` starts with record ``seq`` on log line ``first_line``. Each
+    line is parsed, checked, stepped and compared before the next, so the
+    first fault in file order is the one raised. Returns the machine after
+    the last record, where new records continue, and the next seq.
     """
-    try:
-        # a byte that is not UTF-8 becomes a lone surrogate, caught on its line
-        raw = path.read_text(encoding="utf-8", errors="surrogateescape")
-    except OSError as error:
-        raise MalformedLog(f"cannot read log {path}: {error}") from error
-    seq = 0
-    for number, text in enumerate(raw.splitlines(), start=1):
+    for number, text in enumerate(log_text.splitlines(), start=first_line):
         try:
             text.encode("utf-8")
             record = json.loads(text)
@@ -242,45 +278,224 @@ def _replay(machine: StateMachine, path: Path, entry, config) -> tuple[StateMach
     return machine, seq
 
 
+def _text(data: bytes) -> str:
+    # a byte that is not UTF-8 becomes a lone surrogate, caught on its line
+    return data.decode("utf-8", errors="surrogateescape")
+
+
+def _split_torn_tail(data: bytes) -> tuple[bytes, bytes]:
+    """Split the log bytes into the lines to check and a torn tail (``b""`` if none).
+
+    A torn tail is a last line that is both unterminated and not valid
+    JSON, which is what a write cut short leaves behind.
+    """
+    if not data or data.endswith(b"\n"):
+        return data, b""
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:].decode("utf-8"))
+    except ValueError:
+        return data[:start], data[start:]
+    return data, b""
+
+
+@contextmanager
+def _locked_log(path: Path) -> Iterator[bytes]:
+    """Hold an exclusive lock on the log at ``path``, created if absent; yield its bytes.
+
+    A second writer blocks in ``flock`` until the first one lets go.
+    """
+    existed = path.exists()
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_CREAT, 0o666)
+    except OSError as error:
+        if existed:
+            raise MalformedLog(f"cannot read log {path}: {error}") from error
+        raise
+    with open(fd, "rb") as handle:  # closing it releases the lock
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        try:
+            data = handle.read()
+        except OSError as error:
+            raise MalformedLog(f"cannot read log {path}: {error}") from error
+        yield data
+
+
+def _manifest_path(log: Path) -> Path:
+    return log.with_name(log.name + ".crem")
+
+
+def _fingerprint(tree: StateMachine) -> str | None:
+    """sha256 of the tree's DOT flow diagram, or None for a tree no manifest can hold."""
+    if _leaf_vertices(tree) is None:
+        return None
+    return hashlib.sha256(render_flow(tree, "dot").text.encode()).hexdigest()
+
+
+_MANIFEST_FIELDS = {
+    "version": int,
+    "machine": str,
+    "fingerprint": str,
+    "records": int,
+    "bytes": int,
+    "sha256": str,
+    "vertices": list,
+}
+
+
+def _read_manifest(log: Path) -> dict | None:
+    """The manifest beside ``log``, or None if it is absent, unreadable or malformed."""
+    try:
+        manifest = json.loads(_manifest_path(log).read_bytes())
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(manifest, dict)
+        or set(manifest) != set(_MANIFEST_FIELDS)
+        or any(type(manifest[key]) is not kind for key, kind in _MANIFEST_FIELDS.items())
+        or manifest["version"] != MANIFEST_VERSION
+        or manifest["records"] < 0
+        or manifest["bytes"] < 0
+        or not all(isinstance(vertex, str) for vertex in manifest["vertices"])
+    ):
+        return None
+    return manifest
+
+
+def _write_manifest(log: Path, manifest: dict) -> None:
+    target = _manifest_path(log)
+    temp = target.with_name(target.name + ".tmp")
+    try:
+        temp.write_bytes(json.dumps(manifest, sort_keys=True).encode())
+        os.replace(temp, target)
+    except OSError:
+        pass  # no manifest only costs time: the next run checks the whole log
+
+
+def _restore(
+    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str | None, body: bytes
+) -> tuple[StateMachine, int, int, Any] | None:
+    """Resume from the manifest: ``(machine, seq, bytes covered, their sha256)``, or None.
+
+    The manifest must name this machine and topology, and must cover a
+    prefix of ``body`` that ends a line and hashes to its ``sha256``; its
+    vertices must then fit the fresh tree's leaves.
+    """
+    if manifest is None or manifest["machine"] != name or manifest["fingerprint"] != fingerprint:
+        return None
+    size = manifest["bytes"]
+    if size > len(body) or (size and body[size - 1 : size] != b"\n"):
+        return None
+    digest = hashlib.sha256(memoryview(body)[:size])
+    if digest.hexdigest() != manifest["sha256"]:
+        return None
+    machine = _restore_vertices(fresh, manifest["vertices"])
+    if machine is None:
+        return None
+    return machine, manifest["records"], size, digest
+
+
 def _cmd_run(args, registry) -> int:
     entry = _lookup(registry, args.machine)
     config = _run_config(args.feedback_cap)
     machine = entry.factory()
     lines = _read_command_lines(args.input)
+    if not args.log:
+        _run_commands(machine, lines, entry, config)
+        return EXIT_OK
 
-    seq = 0
-    log_path = Path(args.log) if args.log else None
-    if log_path is not None and log_path.exists():
-        machine, seq = _replay(machine, log_path, entry, config)
+    path = Path(args.log)
+    with _locked_log(path) as data:
+        body, torn = _split_torn_tail(data)
+        fingerprint = _fingerprint(machine)
+        resumed = _restore(machine, _read_manifest(path), args.machine, fingerprint, body)
+        if resumed is None:
+            resumed = machine, 0, 0, hashlib.sha256()
+        machine, seq, start, digest = resumed
+        machine, seq = _replay(machine, _text(body[start:]), entry, config, seq, seq + 1)
+        digest.update(memoryview(body)[start:])
 
-    with log_path.open("a+b") if log_path else nullcontext() as log_handle:
-        if seq:  # never glue a record onto an unterminated last line
-            log_handle.seek(-1, os.SEEK_END)
-            if log_handle.read(1) != b"\n":
-                log_handle.write(b"\n")
-        for number, text in lines:
-            try:
-                value = entry.decode_input(text)
-            except CodecError as error:
-                raise CodecError(f"line {number}: {error}") from None
-            outputs, machine = machine.step(value, config)
-            encoded = [entry.encode_output(item) for item in outputs]
-            print(f"[{', '.join(encoded)}]")
-            if log_handle is not None:
-                record = {
-                    "seq": seq,
-                    "input": entry.encode_input(value),
-                    "outputs": encoded,
-                }
-                log_handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
-                log_handle.flush()
-                seq += 1
+        with path.open("a+b") as log:
+            if torn:
+                log.truncate(len(body))
+                print(
+                    f"warning: {path}: removed a torn tail at line {seq + 1} "
+                    f"({len(torn)} bytes, unterminated and not valid JSON)",
+                    file=sys.stderr,
+                )
+            elif body and not body.endswith(b"\n"):  # never glue a record onto it
+                log.write(b"\n")
+                digest.update(b"\n")
+
+            def append(record: bytes) -> None:
+                log.write(record)
+                log.flush()
+                digest.update(record)
+
+            machine, seq = _run_commands(machine, lines, entry, config, seq, append)
+            size = log.seek(0, os.SEEK_END)
+
+        vertices = _leaf_vertices(machine)
+        if fingerprint is not None and vertices is not None:
+            _write_manifest(path, {
+                "version": MANIFEST_VERSION,
+                "machine": args.machine,
+                "fingerprint": fingerprint,
+                "records": seq,
+                "bytes": size,
+                "sha256": digest.hexdigest(),
+                "vertices": vertices,
+            })
     return EXIT_OK
+
+
+def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[StateMachine, int]:
+    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on."""
+    for number, text in lines:
+        try:
+            value = entry.decode_input(text)
+        except CodecError as error:
+            raise CodecError(f"line {number}: {error}") from None
+        outputs, machine = machine.step(value, config)
+        encoded = [entry.encode_output(item) for item in outputs]
+        print(f"[{', '.join(encoded)}]")
+        if append is not None:
+            record = {"seq": seq, "input": entry.encode_input(value), "outputs": encoded}
+            append(json.dumps(record, sort_keys=True).encode() + b"\n")
+            seq += 1
+    return machine, seq
+
+
+def _check_identity(log: Path, name: str, fresh: StateMachine) -> None:
+    """Refuse a log whose manifest names another machine or topology than ``name``'s."""
+    manifest = _read_manifest(log)
+    if manifest is None:
+        return
+    fingerprint = _fingerprint(fresh)
+    if (manifest["machine"], manifest["fingerprint"]) != (name, fingerprint):
+        raise MalformedLog(
+            f"{log} was written by machine {manifest['machine']!r} "
+            f"(topology {manifest['fingerprint'][:12]}), not by {name!r} "
+            f"(topology {(fingerprint or 'unknown')[:12]})"
+        )
 
 
 def _cmd_replay(args, registry) -> int:
     entry = _lookup(registry, args.machine)
-    _replay(entry.factory(), Path(args.log), entry, _run_config(args.feedback_cap))
+    machine = entry.factory()
+    config = _run_config(args.feedback_cap)
+    path = Path(args.log)
+    _check_identity(path, args.machine, machine)
+    try:
+        data = path.read_bytes()
+    except OSError as error:
+        raise MalformedLog(f"cannot read log {path}: {error}") from error
+    body, torn = _split_torn_tail(data)
+    _, seq = _replay(machine, _text(body), entry, config)
+    if torn:
+        raise MalformedLog(
+            f"line {seq + 1}: torn tail ({len(torn)} bytes, unterminated and not valid JSON)"
+        )
     return EXIT_OK
 
 

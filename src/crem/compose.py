@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .machine import BaseMachine, _evolve, stateless
+from .machine import BaseMachine, MachineState, _evolve, _on_topology, stateless
 
 
 class DuplicateLeafName(ValueError):
@@ -116,6 +116,75 @@ def _iter_leaves(node: StateMachine) -> Iterator[BaseMachine]:
             stack.append(node.forward)
         else:
             yield from node.leaves()
+
+
+def _leaf_vertices(tree: StateMachine) -> list[str] | None:
+    """The vertices of ``tree``'s leaves in ``_iter_leaves`` order.
+
+    None if vertices alone do not capture the tree's state: it has a node
+    outside the six kinds, or a leaf whose payload is not None.
+    """
+    vertices = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Basic):
+            if node.machine.state.payload is not None:
+                return None
+            vertices.append(node.machine.state.vertex)
+        elif isinstance(node, _Binary):
+            stack += (node.second, node.first)
+        elif isinstance(node, Feedback):
+            stack += (node.backward, node.forward)
+        else:
+            return None
+    return vertices
+
+
+def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachine | None:
+    """``tree`` with its leaves, in ``_iter_leaves`` order, moved onto ``vertices``.
+
+    The inverse of :func:`_leaf_vertices`. Each vertex is checked against
+    its leaf's topology as ``BaseMachine`` construction checks it, and the
+    tree is rebuilt through ``_evolve``: a leaf already on its vertex with
+    no payload is kept, and so is every subtree none of whose leaves moved.
+    None if the tree has a node outside the six kinds, if the count of
+    vertices differs from the count of leaves, or if a vertex is off its
+    leaf's topology.
+    """
+    used = 0  # vertices handed out so far
+    built: list[StateMachine] = []  # rebuilt subtrees, children before parents
+    stack: list[tuple[StateMachine, bool]] = [(tree, False)]
+    while stack:
+        node, children_built = stack.pop()
+        if isinstance(node, Basic):
+            machine = node.machine
+            if used == len(vertices) or not _on_topology(machine.topology, vertices[used]):
+                return None
+            vertex = vertices[used]
+            used += 1
+            if machine.state.vertex != vertex or machine.state.payload is not None:
+                node = _evolve(node, machine=_evolve(machine, state=MachineState(vertex)))
+            built.append(node)
+        elif isinstance(node, Feedback):
+            if not children_built:
+                stack += ((node, True), (node.backward, False), (node.forward, False))
+                continue
+            backward, forward = built.pop(), built.pop()
+            if forward is not node.forward or backward is not node.backward:
+                node = _evolve(node, forward=forward, backward=backward)
+            built.append(node)
+        elif isinstance(node, _Binary):
+            if not children_built:
+                stack += ((node, True), (node.second, False), (node.first, False))
+                continue
+            second, first = built.pop(), built.pop()
+            if first is not node.first or second is not node.second:
+                node = _evolve(node, first=first, second=second)
+            built.append(node)
+        else:
+            return None
+    return built[0] if used == len(vertices) else None
 
 
 def _check_leaf_names(node: StateMachine) -> frozenset[str]:

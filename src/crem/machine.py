@@ -68,10 +68,10 @@ class BaseMachine:
         if not self.name:
             raise EmptyName("machine name must be non-empty")
         object.__setattr__(self, "topology", self.topology.normalize())
-        vertex = self.state.vertex
-        edges = self.topology.edges
-        if not any(vertex == source or vertex in targets for source, targets in edges):
-            raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
+        if not _on_topology(self.topology, self.state.vertex):
+            raise UnknownVertex(
+                f"vertex {self.state.vertex!r} is not in the topology of {self.name!r}"
+            )
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:
         """Run the action once, enforcing the topology on the implied move."""
@@ -82,6 +82,11 @@ class BaseMachine:
             return output, self
         # an allowed move lands on a vertex of the topology: nothing to recheck
         return output, _evolve(self, state=next_state)
+
+
+def _on_topology(topology: Topology, vertex: str) -> bool:
+    """True if ``vertex`` is a source or a target of one of ``topology``'s edges."""
+    return any(vertex == source or vertex in targets for source, targets in topology.edges)
 
 
 def _evolve(value, **changes):
@@ -113,11 +118,14 @@ def unrestricted_mealy(
 
     ``func`` maps ``(state_value, input)`` to ``(output, new_state_value)``.
     Every step is an identity move on the single vertex, so no transition
-    can ever be rejected.
+    can ever be rejected. A step whose ``func`` hands back the very payload
+    it was given keeps its state object, so the machine returns itself.
     """
 
     def act(state: MachineState, value: Any) -> StepResult:
         output, payload = func(state.payload, value)
+        if payload is state.payload:
+            return StepResult(output, state)
         return StepResult(output, MachineState(UNIT_VERTEX, payload))
 
     return BaseMachine(

@@ -231,6 +231,14 @@ def test_a_cart_move_rebuilds_only_its_path():
     assert stayed is moved_again
 
 
+def test_unrestricted_mealy_that_keeps_its_payload_shares():
+    m = unrestricted_mealy("m", 0, lambda s, x: (x, s))
+    assert m.step(1)[1] is m
+    tree = Sequential(Basic(m), identity_machine("id"))
+    assert tree.step(1) == (1, tree)
+    assert tree.step(1)[1] is tree
+
+
 # -- the stepped tree equals the one the public constructors build ------------
 
 shapes = st.recursive(
