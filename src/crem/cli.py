@@ -10,20 +10,22 @@ one pass, record by record, so its first fault in file order decides the
 exit code.
 
 After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
-records the machine name, a fingerprint of its topology (the sha256 of its
-DOT flow diagram), the count of records and the length and sha256 of the
-log bytes that run checked or wrote, and the leaf vertices after them. It
-is written to a temporary file and then renamed into place. A resuming
-``run`` whose manifest matches the machine, the fingerprint and the hash of
-a prefix that ends a line restores those vertices into a fresh tree and
+records the format version (2), the machine name, a topology fingerprint
+(the sha256 of one walk of the fresh tree: each node's kind, and each
+leaf's name, edges and initial vertex), the count of records, the length
+and sha256 of the log bytes that run checked or wrote, and the leaf
+vertices after them. It is written to a temporary file and then renamed
+into place. A resuming ``run`` whose manifest matches the version, machine
+and fingerprint, and covers a prefix that ends a line, holds one line per
+record and matches its hash, restores those vertices into a fresh tree and
 re-runs only the records after that prefix. That is the trade: only a run
 that checked or wrote exactly those bytes writes a manifest, so a matching
 hash stands for "checked as ``replay`` does". Any mismatch, an unreadable
 manifest or vertices the tree cannot hold fall back to checking the whole
 log. No manifest is written for a tree with a node outside the six kinds
-or a leaf whose payload is not None. ``replay`` re-runs every record; when
-a manifest exists it first refuses, with exit 3, a log whose manifest names
-another machine or topology.
+or a leaf whose payload is not None when the run ends. ``replay`` re-runs
+every record; when a manifest exists it first refuses, with exit 3, a log
+whose manifest names another machine or topology.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. A resuming ``run`` removes it, once the
@@ -32,7 +34,8 @@ goes on; ``replay`` exits 3 and calls it a torn tail. An unterminated last
 line that is valid JSON is checked as a record and ended with a newline
 before the run appends. A ``run --log`` holds an exclusive ``flock`` on the
 log from before it reads the log until its manifest is in place, so a
-second writer waits and then resumes after the first.
+second writer waits and then resumes after the first; ``replay`` reads the
+log and its manifest under a shared ``flock``, so it waits for a writer.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
@@ -68,6 +71,7 @@ from .compose import (
     Right,
     RunConfig,
     StateMachine,
+    _fingerprint,
     _leaf_vertices,
     _restore_vertices,
 )
@@ -83,7 +87,7 @@ EXIT_DIVERGED = 6
 
 ENV_FEEDBACK_CAP = "CREM_FEEDBACK_CAP"
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 class CodecError(ValueError):
@@ -300,20 +304,21 @@ def _split_torn_tail(data: bytes) -> tuple[bytes, bytes]:
 
 
 @contextmanager
-def _locked_log(path: Path) -> Iterator[bytes]:
-    """Hold an exclusive lock on the log at ``path``, created if absent; yield its bytes.
+def _locked_log(path: Path, exclusive: bool) -> Iterator[bytes]:
+    """Hold a lock on the log at ``path`` and yield its bytes.
 
-    A second writer blocks in ``flock`` until the first one lets go.
+    A writer's lock is exclusive and creates a missing log; a reader's is shared.
     """
-    existed = path.exists()
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_CREAT, 0o666)
+    create = os.O_CREAT if exclusive else 0
+    existed = not create or path.exists()
+    try:  # "rb" through an opener, as no mode of open() creates a file it only reads
+        handle = open(path, "rb", opener=lambda name, flags: os.open(name, flags | create, 0o666))
     except OSError as error:
         if existed:
             raise MalformedLog(f"cannot read log {path}: {error}") from error
         raise
-    with open(fd, "rb") as handle:  # closing it releases the lock
-        fcntl.flock(handle, fcntl.LOCK_EX)
+    with handle:  # closing it releases the lock
+        fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
         try:
             data = handle.read()
         except OSError as error:
@@ -323,13 +328,6 @@ def _locked_log(path: Path) -> Iterator[bytes]:
 
 def _manifest_path(log: Path) -> Path:
     return log.with_name(log.name + ".crem")
-
-
-def _fingerprint(tree: StateMachine) -> str | None:
-    """sha256 of the tree's DOT flow diagram, or None for a tree no manifest can hold."""
-    if _leaf_vertices(tree) is None:
-        return None
-    return hashlib.sha256(render_flow(tree, "dot").text.encode()).hexdigest()
 
 
 _MANIFEST_FIELDS = {
@@ -373,18 +371,20 @@ def _write_manifest(log: Path, manifest: dict) -> None:
 
 
 def _restore(
-    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str | None, body: bytes
+    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str, body: bytes
 ) -> tuple[StateMachine, int, int, Any] | None:
     """Resume from the manifest: ``(machine, seq, bytes covered, their sha256)``, or None.
 
     The manifest must name this machine and topology, and must cover a
-    prefix of ``body`` that ends a line and hashes to its ``sha256``; its
-    vertices must then fit the fresh tree's leaves.
+    prefix of ``body`` that ends a line, holds as many lines as it has
+    records and hashes to its ``sha256``; its vertices must then fit the
+    fresh tree's leaves.
     """
     if manifest is None or manifest["machine"] != name or manifest["fingerprint"] != fingerprint:
         return None
     size = manifest["bytes"]
-    if size > len(body) or (size and body[size - 1 : size] != b"\n"):
+    # the prefix is empty or ends a line, and holds one line per record (no hash covers that)
+    if body.rfind(b"\n", 0, size) != size - 1 or manifest["records"] != body.count(b"\n", 0, size):
         return None
     digest = hashlib.sha256(memoryview(body)[:size])
     if digest.hexdigest() != manifest["sha256"]:
@@ -405,7 +405,7 @@ def _cmd_run(args, registry) -> int:
         return EXIT_OK
 
     path = Path(args.log)
-    with _locked_log(path) as data:
+    with _locked_log(path, exclusive=True) as data:
         body, torn = _split_torn_tail(data)
         fingerprint = _fingerprint(machine)
         resumed = _restore(machine, _read_manifest(path), args.machine, fingerprint, body)
@@ -436,7 +436,7 @@ def _cmd_run(args, registry) -> int:
             size = log.seek(0, os.SEEK_END)
 
         vertices = _leaf_vertices(machine)
-        if fingerprint is not None and vertices is not None:
+        if vertices is not None:
             _write_manifest(path, {
                 "version": MANIFEST_VERSION,
                 "machine": args.machine,
@@ -476,7 +476,7 @@ def _check_identity(log: Path, name: str, fresh: StateMachine) -> None:
         raise MalformedLog(
             f"{log} was written by machine {manifest['machine']!r} "
             f"(topology {manifest['fingerprint'][:12]}), not by {name!r} "
-            f"(topology {(fingerprint or 'unknown')[:12]})"
+            f"(topology {fingerprint[:12]})"
         )
 
 
@@ -485,11 +485,8 @@ def _cmd_replay(args, registry) -> int:
     machine = entry.factory()
     config = _run_config(args.feedback_cap)
     path = Path(args.log)
-    _check_identity(path, args.machine, machine)
-    try:
-        data = path.read_bytes()
-    except OSError as error:
-        raise MalformedLog(f"cannot read log {path}: {error}") from error
+    with _locked_log(path, exclusive=False) as data:  # a run in progress finishes first
+        _check_identity(path, args.machine, machine)
     body, torn = _split_torn_tail(data)
     _, seq = _replay(machine, _text(body), entry, config)
     if torn:

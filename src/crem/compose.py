@@ -30,6 +30,7 @@ guarantees it terminates.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -101,20 +102,30 @@ class StateMachine:
         raise NotImplementedError
 
 
-def _iter_leaves(node: StateMachine) -> Iterator[BaseMachine]:
-    """Leaves left to right, walked with an explicit stack, not recursion."""
-    stack = [node]
+def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
+    """The one traversal of a composition tree, with an explicit stack, not recursion.
+
+    Yields ``(node, False)`` for every node in pre-order, left to right, and ``(node, True)``
+    for each composite once its children are done; a node outside ``_KINDS`` is not opened.
+    """
+    stack = [(tree, False)]
     while stack:
-        node = stack.pop()
+        node, done = item = stack.pop()
+        yield item
+        if done or isinstance(node, Basic):
+            continue
+        if isinstance(node, _Binary):
+            stack += ((node, True), (node.second, False), (node.first, False))
+        elif isinstance(node, Feedback):
+            stack += ((node, True), (node.backward, False), (node.forward, False))
+
+
+def _iter_leaves(tree: StateMachine) -> Iterator[BaseMachine]:
+    """Leaves left to right; a node outside the six kinds lists its own ``leaves()``."""
+    for node, _ in _walk(tree):
         if isinstance(node, Basic):
             yield node.machine
-        elif isinstance(node, _Binary):
-            stack.append(node.second)
-            stack.append(node.first)
-        elif isinstance(node, Feedback):
-            stack.append(node.backward)
-            stack.append(node.forward)
-        else:
+        elif not isinstance(node, _KINDS):
             yield from node.leaves()
 
 
@@ -125,18 +136,12 @@ def _leaf_vertices(tree: StateMachine) -> list[str] | None:
     outside the six kinds, or a leaf whose payload is not None.
     """
     vertices = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node, _ in _walk(tree):
         if isinstance(node, Basic):
             if node.machine.state.payload is not None:
                 return None
             vertices.append(node.machine.state.vertex)
-        elif isinstance(node, _Binary):
-            stack += (node.second, node.first)
-        elif isinstance(node, Feedback):
-            stack += (node.backward, node.forward)
-        else:
+        elif not isinstance(node, _KINDS):
             return None
     return vertices
 
@@ -146,17 +151,14 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
 
     The inverse of :func:`_leaf_vertices`. Each vertex is checked against
     its leaf's topology as ``BaseMachine`` construction checks it, and the
-    tree is rebuilt through ``_evolve``: a leaf already on its vertex with
-    no payload is kept, and so is every subtree none of whose leaves moved.
-    None if the tree has a node outside the six kinds, if the count of
-    vertices differs from the count of leaves, or if a vertex is off its
-    leaf's topology.
+    tree is rebuilt through ``_evolve``, keeping every leaf already on its
+    vertex with no payload and every subtree none of whose leaves moved.
+    None for a node outside the six kinds, a count of vertices other than
+    the count of leaves, or a vertex off its leaf's topology.
     """
     used = 0  # vertices handed out so far
     built: list[StateMachine] = []  # rebuilt subtrees, children before parents
-    stack: list[tuple[StateMachine, bool]] = [(tree, False)]
-    while stack:
-        node, children_built = stack.pop()
+    for node, done in _walk(tree):
         if isinstance(node, Basic):
             machine = node.machine
             if used == len(vertices) or not _on_topology(machine.topology, vertices[used]):
@@ -166,25 +168,29 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
             if machine.state.vertex != vertex or machine.state.payload is not None:
                 node = _evolve(node, machine=_evolve(machine, state=MachineState(vertex)))
             built.append(node)
-        elif isinstance(node, Feedback):
-            if not children_built:
-                stack += ((node, True), (node.backward, False), (node.forward, False))
-                continue
-            backward, forward = built.pop(), built.pop()
-            if forward is not node.forward or backward is not node.backward:
-                node = _evolve(node, forward=forward, backward=backward)
-            built.append(node)
-        elif isinstance(node, _Binary):
-            if not children_built:
-                stack += ((node, True), (node.second, False), (node.first, False))
-                continue
-            second, first = built.pop(), built.pop()
-            if first is not node.first or second is not node.second:
-                node = _evolve(node, first=first, second=second)
-            built.append(node)
-        else:
+        elif not isinstance(node, _KINDS):
             return None
+        elif done:
+            second, first = built.pop(), built.pop()
+            one, two = node.__match_args__  # the two fields: first, second or forward, backward
+            if first is not getattr(node, one) or second is not getattr(node, two):
+                node = _evolve(node, **{one: first, two: second})
+            built.append(node)
     return built[0] if used == len(vertices) else None
+
+
+def _fingerprint(tree: StateMachine) -> str:
+    """The sha256 of ``tree``'s walk: each node's kind, and each leaf's name, edges and vertex.
+
+    It names the topology, not the actions' code or the payloads; a node outside the six
+    kinds counts by its kind alone. Composites have two children, so pre-order fixes the shape.
+    """
+    walk = [
+        (type(node).__name__, node.machine.name, node.machine.topology.edges,
+         node.machine.state.vertex) if isinstance(node, Basic) else type(node).__name__
+        for node, done in _walk(tree) if not done
+    ]
+    return hashlib.sha256(repr(walk).encode()).hexdigest()
 
 
 def _check_leaf_names(node: StateMachine) -> frozenset[str]:
@@ -210,9 +216,7 @@ def _handed_up_names(child: StateMachine) -> frozenset[str] | None:
     """
     if isinstance(child, Basic):
         return frozenset((child.machine.name,))
-    if isinstance(child, (_Binary, Feedback)):
-        return child.__dict__.pop(_LEAF_NAMES, None)
-    return None
+    return child.__dict__.pop(_LEAF_NAMES, None) if isinstance(child, _KINDS) else None
 
 
 def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
@@ -376,6 +380,10 @@ class Kleisli(_Binary):
         if first is self.first and second is self.second:
             return collected, self
         return collected, _evolve(self, first=first, second=second)
+
+
+# the six kinds: Basic, the four _Binary nodes and Feedback; _walk opens only these
+_KINDS = (Basic, _Binary, Feedback)
 
 
 def run_trace(

@@ -21,8 +21,9 @@ from .compose import (
     Parallel,
     Sequential,
     StateMachine,
-    _Binary,
+    _KINDS,
     _check_leaf_names,
+    _walk,
 )
 from .machine import BaseMachine
 
@@ -128,8 +129,6 @@ def render_flow(machine: StateMachine, format: str) -> Diagram:
     in a labeled bracketing cluster. Clusters appear depth-first,
     left to right.
     """
-    if not isinstance(machine, (Basic, _Binary, Feedback)):
-        _check_leaf_names(machine)  # the six kinds checked their names when built
     if format == "dot":
         return Diagram("dot", _flow_dot(*_layout(machine)))
     if format == "mermaid":
@@ -150,40 +149,35 @@ def _layout(tree: StateMachine) -> tuple[list[_Item], list[_Edge]]:
     """Walk the tree once into the clusters and edges that both formats print.
 
     Clusters and brackets come in pre-order, so brackets are numbered in
-    pre-order; edges come in post-order. An edge joins the representatives
-    (first leaves) of two subtrees. The walk uses an explicit stack, not
-    recursion: a composite node is pushed again, marked done, under its two
-    children, and ``reps`` holds each finished subtree's representative.
+    pre-order, and a bracket's depth is the count of brackets open around
+    it; edges come in post-order. An edge joins the representatives (first
+    leaves) of two subtrees: ``reps`` holds each finished subtree's.
     """
     items: list[_Item] = []
     edges: list[_Edge] = []
     brackets = count(1)
+    depth = 0
     reps: list[BaseMachine] = []
-    stack: list[tuple[StateMachine, int, bool]] = [(tree, 0, False)]
-    while stack:
-        node, depth, done = stack.pop()
+    for node, done in _walk(tree):
         if isinstance(node, Basic):
             items.append(("leaf", depth, node.machine))
             reps.append(node.machine)
+        elif not isinstance(node, _KINDS):
+            # a hand-rolled root's names were never checked (a child's were, with its parent)
+            _check_leaf_names(node)
+            raise TypeError(f"not a composition tree node: {node!r}")
+        elif isinstance(node, (Parallel, Alternative)) and not done:
+            items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
+            depth += 1
         elif done:
             second = reps.pop()  # the first child's representative stays, as the node's
             if isinstance(node, (Parallel, Alternative)):
+                depth -= 1
                 items.append(("close", depth, None))
             elif isinstance(node, Feedback):
                 edges += [(reps[-1], second, "feedback"), (second, reps[-1], "feedback")]
             else:
                 edges.append((reps[-1], second, _COMBINATOR_EDGES[type(node)]))
-        elif isinstance(node, (Parallel, Alternative)):
-            items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
-            stack += [(node, depth, True), (node.second, depth + 1, False),
-                      (node.first, depth + 1, False)]
-        elif isinstance(node, (Sequential, Kleisli)):
-            stack += [(node, depth, True), (node.second, depth, False), (node.first, depth, False)]
-        elif isinstance(node, Feedback):
-            stack += [(node, depth, True), (node.backward, depth, False),
-                      (node.forward, depth, False)]
-        else:
-            raise TypeError(f"not a composition tree node: {node!r}")
     return items, edges
 
 

@@ -38,14 +38,18 @@ from crem import (
     Basic,
     BaseMachine,
     Feedback,
+    Kleisli,
+    MachineState,
     Sequential,
     StateMachine,
+    StepResult,
+    Topology,
     cli,
     identity_machine,
     unrestricted_mealy,
 )
 from crem.cart import CartCommand, cart, cart_and_shipping, shipping, whole_cart_domain
-from crem.compose import _leaf_vertices, _restore_vertices
+from crem.compose import _fingerprint, _leaf_vertices, _restore_vertices
 
 VOCABULARY = {
     "cart": ["PayCart", "MarkCartAsPaid"],
@@ -210,6 +214,10 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
             bytes=mid_line, sha256=hashlib.sha256(log.read_bytes()[:mid_line]).hexdigest()
         ),
         "records-as-bool": changed(records=True),
+        # the sha256 covers the bytes, not the count: a wrong count must not set the next seq
+        "records-short": changed(records=manifest["records"] - 1),
+        "records-long": changed(records=manifest["records"] + 1),
+        "version-1": changed(version=1),  # the format whose fingerprint hashed the DOT diagram
         "unknown-field": changed(extra=1),
         "not-json": b"{not json",
         "not-utf-8": b"\xff\xfe",
@@ -221,7 +229,8 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("kind", [
     "vertex-off-topology", "vertex-missing", "vertex-extra", "fingerprint", "other-machine",
     "version", "sha256", "bytes-past-the-end", "bytes-mid-line", "records-as-bool",
-    "unknown-field", "not-json", "not-utf-8", "a-list", "empty",
+    "records-short", "records-long", "version-1", "unknown-field", "not-json", "not-utf-8",
+    "a-list", "empty",
 ])
 def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, leaf_steps):
     machine = "whole-cart-domain"
@@ -245,7 +254,10 @@ def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, le
     assert expected == (0, "[]\n", "")
     assert log.read_bytes() == expected_bytes
     # the run wrote a good manifest over the bad one
-    assert json.loads(manifest_of(log).read_bytes())["records"] == len(commands) + 1
+    rewritten = json.loads(manifest_of(log).read_bytes())
+    assert rewritten["records"] == len(commands) + 1
+    assert rewritten["version"] == cli.MANIFEST_VERSION == 2
+    assert call("replay", machine, "--log", log) == (0, "", "")
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,6 +419,54 @@ def test_no_snapshot_or_restore_through_a_hand_rolled_node():
     assert _restore_vertices(tree, ["WaitingForPaymentVertex", "Unit"]) is None
 
 
+# -- the fingerprint -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(cli.default_registry()))
+def test_two_builds_of_a_registered_machine_share_a_fingerprint(name):
+    factory = cli.default_registry()[name].factory
+    assert _fingerprint(factory()) == _fingerprint(factory())
+    assert len(_fingerprint(factory())) == 64
+
+
+def leaf(name="m", edges=(("a", ("b",)),), vertex="a", act=lambda s, x: StepResult([x], s)):
+    return Basic(BaseMachine(name, Topology(edges), MachineState(vertex), act))
+
+
+def test_the_fingerprint_names_kinds_leaf_names_edges_and_vertices():
+    def tree(kind=Sequential, **changes):
+        return kind(leaf(**changes), leaf("echo"))
+
+    base = _fingerprint(tree())
+    assert _fingerprint(tree(act=lambda s, x: StepResult([], s))) == base  # not the code
+    for other in [
+        tree(name="n"),
+        tree(edges=(("a", ("c",)),)),
+        tree(edges=(("a", ("b",)), ("b", ("a",)))),
+        tree(kind=Kleisli),
+        tree(vertex="b"),
+        Sequential(leaf("echo"), leaf()),
+        Sequential(Sequential(leaf(), leaf("echo")), identity_machine("x")),
+        Sequential(leaf(), Sequential(leaf("echo"), identity_machine("x"))),
+    ]:
+        assert _fingerprint(other) != base
+    # the same leaves in pre-order, grouped two ways, do not collide
+    left = Sequential(Sequential(leaf("a"), leaf("b")), leaf("c"))
+    right = Sequential(leaf("a"), Sequential(leaf("b"), leaf("c")))
+    assert _fingerprint(left) != _fingerprint(right)
+
+
+def test_run_and_replay_render_no_diagram(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("render_flow called")
+
+    monkeypatch.setattr(cli, "render_flow", refuse)
+    log = tmp_path / "log.jsonl"
+    assert run("cart-and-shipping", log, commands_for("cart-and-shipping", 5))[0] == 0
+    assert run("cart-and-shipping", log, commands_for("cart-and-shipping", 5))[0] == 0
+    assert call("replay", "cart-and-shipping", "--log", log) == (0, "", "")
+
+
 # -- machine identity on replay --------------------------------------------------
 
 
@@ -535,6 +595,40 @@ def test_a_second_writer_waits_for_the_lock(tmp_path):
         (1, ["CartPaymentCompleted"]),
     ]
     assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_replay_waits_for_a_writer_instead_of_calling_its_record_torn(tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    record = b'{"input": "MarkCartAsPaid", "outputs": ["CartPaymentCompleted"], "seq": 1}\n'
+    with log.open("a+b") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        try:
+            held.write(record[:20])  # a record half written, as a run in progress leaves it
+            held.flush()
+            reader = crem_process("replay", "cart", "--log", log)
+            time.sleep(0.5)
+            assert reader.poll() is None  # blocked on the lock
+            held.write(record[20:])
+            held.flush()
+        finally:
+            fcntl.flock(held, fcntl.LOCK_UN)
+        out, err = reader.communicate(timeout=60)
+    assert (reader.returncode, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda log: None, "[Errno 2] No such file or directory"),
+    (Path.mkdir, "[Errno 21] Is a directory"),
+], ids=["missing", "directory"])
+def test_replay_locks_nothing_into_being_and_names_what_it_cannot_read(tmp_path, make, reason):
+    log = tmp_path / "log.jsonl"
+    make(log)
+    existed = log.exists()
+    code, out, err = call("replay", "cart", "--log", log)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    assert err == f"error: malformed log: cannot read log {log}: {reason}: '{log}'\n"
+    assert log.exists() == existed
 
 
 def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):

@@ -4,8 +4,9 @@ These tests pin that down without timings: counting wrappers prove that a
 step reaches no validating code and that building a chain walks no leaves,
 an oracle proves that the privately copied trees equal the ones the public
 constructors build, identity checks prove that a step shares every subtree
-it did not change, and deep trees prove that neither the leaf walk nor the
-diagram layout walk needs recursion.
+it did not change, and deep trees prove that the one tree walk, and with it
+the leaf list, the vertex snapshot and restore, the fingerprint and the
+diagram layout, needs no recursion.
 """
 
 import re
@@ -77,11 +78,16 @@ def left_chain(size, leaf=lambda i: identity_machine(f"leaf{i}")):
     return tree
 
 
-def right_chain(size):
-    tree = identity_machine(f"leaf{size - 1}")
+def right_chain(size, leaf=lambda i: identity_machine(f"leaf{i}")):
+    tree = leaf(size - 1)
     for i in reversed(range(size - 1)):
-        tree = Sequential(identity_machine(f"leaf{i}"), tree)
+        tree = Sequential(leaf(i), tree)
     return tree
+
+
+def on_ring(i):
+    """Leaf ``leaf<i>`` on RING with no payload, so its vertex alone is its state."""
+    return Basic(BaseMachine(f"leaf{i}", RING, MachineState("r0"), lambda s, x: StepResult(x, s)))
 
 
 # -- no validation on the step path --------------------------------------------
@@ -375,6 +381,23 @@ def test_thousand_leaf_chain_renders(chain, default_recursion_limit):
         text = render_flow(tree, format).text
         assert text.count("seq") == 999
         assert "leaf999" in text
+
+
+@pytest.mark.parametrize("chain", [left_chain, right_chain])
+def test_thousand_leaf_chain_round_trips_its_vertices(chain, default_recursion_limit):
+    # no ==, hash or repr here: on a tree this deep they recurse
+    tree = chain(1000, on_ring)
+    start = compose._leaf_vertices(tree)
+    assert start == ["r0"] * 1000
+    assert compose._restore_vertices(tree, start) is tree
+    spread = [f"r{i % 3}" for i in range(1000)]
+    moved = compose._restore_vertices(tree, spread)
+    assert compose._leaf_vertices(moved) == spread
+    assert [leaf.name for leaf in moved.leaves()] == [f"leaf{i}" for i in range(1000)]
+    assert compose._leaf_vertices(compose._restore_vertices(moved, start)) == start
+    assert compose._restore_vertices(tree, spread[:-1]) is None
+    assert compose._fingerprint(tree) == compose._fingerprint(chain(1000, on_ring))
+    assert compose._fingerprint(moved) != compose._fingerprint(tree)
 
 
 @pytest.fixture
