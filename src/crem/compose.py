@@ -7,18 +7,21 @@ children because they route individual elements onward.
 
 Leaf names are checked once, when a node is built through its public
 constructor, and the check costs only the work that node adds: a new
-composite takes over the frozenset of leaf names its children were built
-with (a ``Basic`` child contributes its one name), tests that the two sets
-are disjoint and keeps their union, so only the root of a tree holds a set
-and a chain builds without re-walking its subtrees. A child whose set is
-gone (a subtree reused in a second parent, or a hand-rolled node) sends
-the check back to a walk over the new node's leaves, as does any clash,
-so the error always names the first duplicate in walk order. Stepping
-moves the already validated nodes forward through a private copy, which
-keeps the root's set, so a step costs only the leaf steps it makes. A node
-whose children all came back as the very same objects is returned as it
-is, so a stay allocates nothing and a move rebuilds only its path from the
-root; every subtree it did not touch is shared by the old and new tree.
+composite takes over the sets of leaf names its children were built with
+(a ``Basic`` child contributes its one name), tests that the two sets are
+disjoint and adds the smaller set into the larger one in place, so only the
+root of a tree holds a set and any chain builds in O(n log n) without
+re-walking its subtrees. A child whose set is gone (a subtree reused in a
+second parent, or a hand-rolled node) sends the check back to a walk over
+the new node's leaves, as does any clash, so the error always names the
+first duplicate in walk order. Stepping moves the already validated nodes
+forward through a private copy, which shares the root's set, so a step
+costs only the leaf steps it makes; a later build can only grow that set
+into a superset of the copy's names, which at worst sends a build of the
+copy through the walk and never hides a duplicate. A node whose children
+all came back as the very same objects is returned as it is, so a stay
+allocates nothing and a move rebuilds only its path from the root; every
+subtree it did not touch is shared by the old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -193,14 +196,14 @@ def _fingerprint(tree: StateMachine) -> str:
     return hashlib.sha256(repr(walk).encode()).hexdigest()
 
 
-def _check_leaf_names(node: StateMachine) -> frozenset[str]:
+def _check_leaf_names(node: StateMachine) -> set[str]:
     """The leaf names of ``node``; raises on the first duplicate in walk order."""
     seen: set[str] = set()
     for leaf in _iter_leaves(node):
         if leaf.name in seen:
             raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
         seen.add(leaf.name)
-    return frozenset(seen)
+    return seen
 
 
 # key of the leaf-name set in a composite's instance __dict__; not a field,
@@ -208,14 +211,14 @@ def _check_leaf_names(node: StateMachine) -> frozenset[str]:
 _LEAF_NAMES = "_leaf_names"
 
 
-def _handed_up_names(child: StateMachine) -> frozenset[str] | None:
+def _handed_up_names(child: StateMachine) -> set[str] | None:
     """The leaf names ``child`` hands to a new parent, or None if unknown.
 
     A composite gives its set up (pops it), so a subtree's set lives only
     on its current root and memory stays linear in the tree's size.
     """
     if isinstance(child, Basic):
-        return frozenset((child.machine.name,))
+        return {child.machine.name}
     return child.__dict__.pop(_LEAF_NAMES, None) if isinstance(child, _KINDS) else None
 
 
@@ -226,10 +229,12 @@ def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMach
     if first_names is None or second_names is None or not first_names.isdisjoint(second_names):
         # a set is missing or the sets clash: the walk names the first duplicate
         names = _check_leaf_names(node)
-    elif len(first_names) >= len(second_names):  # copy the larger set, insert the smaller
-        names = first_names | second_names
+    elif len(first_names) >= len(second_names):  # add the smaller set into the larger, in place
+        names = first_names
+        names |= second_names
     else:
-        names = second_names | first_names
+        names = second_names
+        names |= first_names
     node.__dict__[_LEAF_NAMES] = names
 
 

@@ -3,7 +3,8 @@
 Diagrams derive from the same values that execute, so they cannot drift
 from the behavior. Output is byte-stable across runs: ordering follows the
 first-appearance order of the underlying values and nothing time- or
-environment-dependent is emitted.
+environment-dependent is emitted. A render reads each leaf's topology once
+and escapes each label once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -48,13 +49,19 @@ def _mermaid_text(text: str) -> str:
     return text.replace('"', "'")
 
 
-def _mermaid_id_list(labels: Iterable[str], used: set[str]) -> list[str]:
-    """Turn labels into distinct Mermaid-safe identifiers, deterministically."""
+# Mermaid ids keep only these; like quoting, sanitising maps each character on its own
+_MERMAID_UNSAFE = re.compile(r"[^0-9A-Za-z_]")
+
+
+def _mermaid_lead(safe: str) -> str:
+    """A sanitised label, with ``v_`` in front if it starts with a digit."""
+    return "v_" + safe if safe[0].isdigit() else safe
+
+
+def _mermaid_ids(bases: Iterable[str], used: set[str]) -> list[str]:
+    """Distinct Mermaid ids for sanitised ``bases``: a taken one gets ``_2``, ``_3``, ..."""
     ids: list[str] = []
-    for label in labels:
-        base = re.sub(r"[^0-9A-Za-z_]", "_", label) or "v"
-        if base[0].isdigit():
-            base = "v_" + base
+    for base in bases:
         candidate = base
         suffix = 2
         while candidate in used:
@@ -65,11 +72,11 @@ def _mermaid_id_list(labels: Iterable[str], used: set[str]) -> list[str]:
     return ids
 
 
-def _claim(used: set[str], base: str) -> str:
-    """``base``, prefixed with ``_`` until no id in ``used`` equals it; adds it to ``used``."""
-    node = base
+def _claim(used: set[str], node: str) -> str:
+    """``node``, a quoted id, with ``_`` put after its opening quote until no id in ``used``
+    equals it (the quoted id with ``_`` in front); adds it to ``used``."""
     while node in used:
-        node = "_" + node
+        node = '"_' + node[1:]
     used.add(node)
     return node
 
@@ -90,33 +97,34 @@ def render_base(machine: BaseMachine, format: str) -> Diagram:
 def _base_dot(machine: BaseMachine) -> str:
     topology = machine.topology
     vertices = topology.vertices()
-    marker = _claim(set(vertices), "__initial")
+    nodes = dict(zip(vertices, map(_quote, vertices)))
+    marker = _claim(set(nodes.values()), '"__initial"')
     lines = [
         f"digraph {_quote(machine.name)} {{",
         "  rankdir=LR;",
         "  node [shape=box, style=rounded];",
-        f'  {_quote(marker)} [shape=point, label=""];',
+        f'  {marker} [shape=point, label=""];',
     ]
-    for vertex in vertices:
-        lines.append(f"  {_quote(vertex)};")
-    lines.append(f"  {_quote(marker)} -> {_quote(machine.state.vertex)};")
-    for source, target in topology.transitions():
-        lines.append(f"  {_quote(source)} -> {_quote(target)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {node};" for node in nodes.values()]
+    lines.append(f"  {marker} -> {nodes[machine.state.vertex]};")
+    lines += [f"  {nodes[source]} -> {nodes[target]};"
+              for source, targets in topology.edges for target in targets]
+    lines += ["}", ""]
+    return "\n".join(lines)
 
 
 def _base_mermaid(machine: BaseMachine) -> str:
     topology = machine.topology
     vertices = topology.vertices()
-    ids = dict(zip(vertices, _mermaid_id_list(vertices, set())))
+    safe = [_mermaid_lead(_MERMAID_UNSAFE.sub("_", vertex)) for vertex in vertices]
+    ids = dict(zip(vertices, _mermaid_ids(safe, set())))
     lines = ["stateDiagram-v2"]
-    for vertex, node in ids.items():
-        lines.append(f'    state "{_mermaid_text(vertex)}" as {node}')
+    lines += [f'    state "{_mermaid_text(vertex)}" as {node}' for vertex, node in ids.items()]
     lines.append(f"    [*] --> {ids[machine.state.vertex]}")
-    for source, target in topology.transitions():
-        lines.append(f"    {ids[source]} --> {ids[target]}")
-    return "\n".join(lines) + "\n"
+    lines += [f"    {ids[source]} --> {ids[target]}"
+              for source, targets in topology.edges for target in targets]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_flow(machine: StateMachine, format: str) -> Diagram:
@@ -190,65 +198,60 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
     ]
     # node ids are unique across the diagram, and so are subgraph ids, a namespace of
     # their own; Graphviz draws a subgraph as a cluster only if its id starts with
-    # "cluster", so a clash puts the "_" after that word
+    # "cluster", so a clash puts the "_" after that word; every id here is quoted
     used: set[str] = set()
-    clusters: set[str] = set()  # subgraph ids without their "cluster" head
-    by_leaf: dict[str, dict[str, str]] = {}  # per leaf, vertex -> quoted node id
-    cluster_of: dict[str, str] = {}  # per leaf, its quoted subgraph id
+    clusters: set[str] = set()  # subgraph ids without the "cluster" after their quote
+    by_leaf: dict[str, dict[str, str]] = {}  # per leaf, vertex -> node id
+    cluster_of: dict[str, str] = {}  # per leaf, its subgraph id
     for kind, depth, value in items:
         indent = "  " * (depth + 1)
         if kind == "open":
             label, number = value
-            cluster = _quote("cluster" + _claim(clusters, f"_{label}_{number}"))
+            cluster = '"cluster' + _claim(clusters, _quote(f"_{label}_{number}"))[1:]
             lines.append(f"{indent}subgraph {cluster} {{")
             lines.append(f"{indent}  label={_quote(label)};")
         elif kind == "close":
             lines.append(f"{indent}}}")
         else:
-            leaf, prefix = value, value.name + "__"
+            leaf = value
+            name = _quote(leaf.name)
+            head = name[:-1] + "__"  # quoting maps each character on its own
             vertices = leaf.topology.vertices()
-            ids = [prefix + vertex for vertex in vertices]
+            labels = list(map(_quote, vertices))
+            ids = [head + label[1:] for label in labels]
             if not used.isdisjoint(ids):
                 ids = [_claim(used, node) for node in ids]
             used.update(ids)
-            initial = _quote(_claim(used, prefix + "initial"))
-            nodes = by_leaf[leaf.name] = dict(zip(vertices, map(_quote, ids)))
-            cluster = cluster_of[leaf.name] = _quote("cluster" + _claim(clusters, "_" + leaf.name))
+            initial = _claim(used, head + 'initial"')
+            nodes = by_leaf[leaf.name] = dict(zip(vertices, ids))
+            cluster = cluster_of[leaf.name] = '"cluster' + _claim(clusters, '"_' + name[1:])[1:]
             lines += [
                 f"{indent}subgraph {cluster} {{",
-                f"{indent}  label={_quote(leaf.name)};",
+                f"{indent}  label={name};",
                 f'{indent}  {initial} [shape=point, label=""];',
-                *(f"{indent}  {node} [label={_quote(vertex)}];" for vertex, node in nodes.items()),
-                f"{indent}  {initial} -> {nodes[leaf.state.vertex]};",
-                *(f"{indent}  {nodes[source]} -> {nodes[target]};"
-                  for source, target in leaf.topology.transitions()),
-                f"{indent}}}",
             ]
-    for source, target, label in edges:
-        source_node = by_leaf[source.name][source.state.vertex]
-        target_node = by_leaf[target.name][target.state.vertex]
-        lines.append(
-            f"  {source_node} -> {target_node} "
-            f"[ltail={cluster_of[source.name]}, lhead={cluster_of[target.name]}, "
-            f"label={_quote(label)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines += [f"{indent}  {node} [label={label}];" for node, label in zip(ids, labels)]
+            lines.append(f"{indent}  {initial} -> {nodes[leaf.state.vertex]};")
+            lines += [f"{indent}  {nodes[source]} -> {nodes[target]};"
+                      for source, targets in leaf.topology.edges for target in targets]
+            lines.append(f"{indent}}}")
+    lines += [
+        f"  {by_leaf[source.name][source.state.vertex]} -> "
+        f"{by_leaf[target.name][target.state.vertex]} "
+        f"[ltail={cluster_of[source.name]}, lhead={cluster_of[target.name]}, "
+        f"label={_quote(label)}];"
+        for source, target, label in edges
+    ]
+    lines += ["}", ""]
+    return "\n".join(lines)
 
 
 def _flow_mermaid(items: list[_Item], edges: list[_Edge]) -> str:
-    leaves = [value for kind, _, value in items if kind == "leaf"]
+    # each leaf name sanitised once; every cluster id is taken before any node id
+    safe = {value.name: _MERMAID_UNSAFE.sub("_", value.name)
+            for kind, _, value in items if kind == "leaf"}
     used: set[str] = set()
-    # every cluster id is taken before any node id
-    names = [leaf.name for leaf in leaves]
-    cluster_ids = dict(zip(names, _mermaid_id_list((f"sg_{name}" for name in names), used)))
-    # per leaf, vertex -> node id; None marks the initial marker
-    node_ids: dict[str, dict[str | None, str]] = {}
-    for leaf in leaves:
-        vertices = (None, *leaf.topology.vertices())
-        labels = (f"{leaf.name}__{'initial' if vertex is None else vertex}" for vertex in vertices)
-        node_ids[leaf.name] = dict(zip(vertices, _mermaid_id_list(labels, used)))
-
+    cluster_ids = dict(zip(safe, _mermaid_ids(["sg_" + name for name in safe.values()], used)))
     lines = ["flowchart TD"]
     for kind, depth, value in items:
         indent = "    " * (depth + 1)
@@ -258,19 +261,23 @@ def _flow_mermaid(items: list[_Item], edges: list[_Edge]) -> str:
         elif kind == "close":
             lines.append(f"{indent}end")
         else:
-            leaf, ids = value, node_ids[value.name]
+            leaf = value
+            head = _mermaid_lead(safe[leaf.name]) + "__"
+            vertices = leaf.topology.vertices()
+            bases = [head + _MERMAID_UNSAFE.sub("_", vertex) for vertex in vertices]
+            initial, *ids = _mermaid_ids([head + "initial"] + bases, used)
+            nodes = dict(zip(vertices, ids))
             lines += [
                 f'{indent}subgraph {cluster_ids[leaf.name]}["{_mermaid_text(leaf.name)}"]',
-                f'{indent}    {ids[None]}((" "))',
-                *(f'{indent}    {node}["{_mermaid_text(vertex)}"]'
-                  for vertex, node in ids.items() if vertex is not None),
-                f"{indent}    {ids[None]} --> {ids[leaf.state.vertex]}",
-                *(f"{indent}    {ids[source]} --> {ids[target]}"
-                  for source, target in leaf.topology.transitions()),
-                f"{indent}end",
+                f'{indent}    {initial}((" "))',
             ]
-    for source, target, label in edges:
-        lines.append(
-            f"    {cluster_ids[source.name]} -->|{label}| {cluster_ids[target.name]}"
-        )
-    return "\n".join(lines) + "\n"
+            lines += [f'{indent}    {node}["{_mermaid_text(vertex)}"]'
+                      for vertex, node in nodes.items()]
+            lines.append(f"{indent}    {initial} --> {nodes[leaf.state.vertex]}")
+            lines += [f"{indent}    {nodes[source]} --> {nodes[target]}"
+                      for source, targets in leaf.topology.edges for target in targets]
+            lines.append(f"{indent}end")
+    lines += [f"    {cluster_ids[source.name]} -->|{label}| {cluster_ids[target.name]}"
+              for source, target, label in edges]
+    lines.append("")
+    return "\n".join(lines)

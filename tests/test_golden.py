@@ -82,6 +82,25 @@ def awkward_tree():
     )
 
 
+def escapes_tree():
+    """The escape paths. Leaf ``q"\\`` with vertex ``b__c\\"`` and leaf
+    ``q"\\__b`` with vertex ``c\\"`` print one DOT node id, so the later one
+    is claimed; ``a-b``, ``a.b`` and ``a_b`` repair to one Mermaid id and take
+    the ``_2`` and ``_3`` suffixes under a leaf name that starts with a digit;
+    ``Zürich`` and ``café`` are not ASCII; ``d``, ``c\\"`` and ``café`` are
+    sources with no targets."""
+    return Sequential(
+        Parallel(
+            _leaf('q"\\', (('b__c\\"', ("d",)), ("d", ())), 'b__c\\"'),
+            _leaf('q"\\__b', (('c\\"', ()),), 'c\\"'),
+        ),
+        Alternative(
+            _leaf("9lives", (("a-b", ("a.b", "a_b")), ("a_b", ("Zürich",))), "a.b"),
+            _leaf("ünï", (("café", ()), ("naïve", ("café",))), "naïve"),
+        ),
+    )
+
+
 def _registered_leaves():
     for name in sorted(REGISTRY):
         for leaf in REGISTRY[name].factory().leaves():
@@ -94,10 +113,13 @@ def _cases():
         cases[f"flow/{name}"] = lambda fmt, name=name: render_flow(REGISTRY[name].factory(), fmt)
     cases["flow/all-kinds"] = lambda fmt: render_flow(all_kinds_tree(), fmt)
     cases["flow/awkward"] = lambda fmt: render_flow(awkward_tree(), fmt)
+    cases["flow/escapes"] = lambda fmt: render_flow(escapes_tree(), fmt)
     for key, leaf in _registered_leaves():
         cases[f"base/{key}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     for index, leaf in enumerate(awkward_tree().leaves()):
         cases[f"base/awkward/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
+    for index, leaf in enumerate(escapes_tree().leaves()):
+        cases[f"base/escapes/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     return {
         f"{key}.{fmt}": (lambda render=render, fmt=fmt: render(fmt))
         for key, render in cases.items()
@@ -180,6 +202,22 @@ GOLDEN = {
         "b41dd500907140b27a4acd6e9c2d6aa5e9456dcd96ccbc947cdecc46b440d408",
     "base/cart/cart.mermaid":
         "55d594146eac810da4181d6eb57970a4360937fa03cc0962bad968a6e2103e41",
+    "base/escapes/0.dot":
+        "68cc1621ac23e8037e6c9176c9dd4c06428426f8b0b26ca3828b0e1fc7684388",
+    "base/escapes/0.mermaid":
+        "e092dd5dad1a793204e351f15552fe7a3bc8554dbfb51250ed67531fad380474",
+    "base/escapes/1.dot":
+        "6338afefc0c2ebec9766aa10a34cf37f050b966bb3cc2f6f315105b12bcd7b35",
+    "base/escapes/1.mermaid":
+        "95aaaddf6d3a22a6c95658dd5cc5fdde49710153888b9c902e6f0786162f2c2d",
+    "base/escapes/2.dot":
+        "b661def3467c8eb32a6269a858f6f7848f00989649eca0b8147aa5be07a81f7b",
+    "base/escapes/2.mermaid":
+        "f20ff76495ae615973c1ce527f8d045f40000aaa617bbbc3c48082fd9fd44188",
+    "base/escapes/3.dot":
+        "6e9fcfbc814a8d7130b7d312282c0075e1161312cddd21128b7eb4b8b2aee6b0",
+    "base/escapes/3.mermaid":
+        "cd18912e44facfafbd63a71308adb87a28eeac0436d561da2b46d876fdf82e09",
     "base/shipping/shipping.dot":
         "60ee42c27f92d1c1005d19cef2f9d75ca856d065f3ca1a5bac4d6deb60df0dfb",
     "base/shipping/shipping.mermaid":
@@ -212,6 +250,10 @@ GOLDEN = {
         "e3833fca66debe8fd70312f5a619bbea4852c321096462b3fa97eabf884d88c4",
     "flow/cart.mermaid":
         "719b0a14d113aef4eaf092e50db4b5a0ac2d9a7b0c7ae68b61748a043cdfde2e",
+    "flow/escapes.dot":
+        "fd8dbc189770d53c9fbc340ca8ed0385c2b29881910fa02b40e7e44094a1266e",
+    "flow/escapes.mermaid":
+        "87f6da9488daac7fe8af1f80d40ebb647f5569b406865908a879290666faca7f",
     "flow/shipping.dot":
         "da80af735eda0d4c1dcb5628ab9fe1be2b60c3892d795a212c9ee2ea79808475",
     "flow/shipping.mermaid":

@@ -21,7 +21,7 @@ from crem import (
     render_flow,
     stateless,
 )
-from crem.cart import cart, payment_gateway, whole_cart_domain
+from crem.cart import cart, cart_and_shipping, payment_gateway, whole_cart_domain
 
 CART = cart().machine
 
@@ -63,18 +63,34 @@ def test_base_render_is_deterministic():
     assert render_base(CART, "mermaid").text == render_base(CART, "mermaid").text
 
 
+@pytest.fixture
+def topology_reads(monkeypatch):
+    """The topologies that ``Topology.vertices`` and ``Topology.transitions`` are called on."""
+    calls = {"vertices": [], "transitions": []}
+    for method, seen in calls.items():
+        original = getattr(Topology, method)
+
+        def counting(self, original=original, seen=seen):
+            seen.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Topology, method, counting)
+    return calls
+
+
 @pytest.mark.parametrize("format", ["dot", "mermaid"])
-def test_base_render_lists_the_vertices_once(format, monkeypatch):
-    calls = []
-    vertices = Topology.vertices
-
-    def counting(self):
-        calls.append(self)
-        return vertices(self)
-
-    monkeypatch.setattr(Topology, "vertices", counting)
+def test_base_render_lists_the_vertices_once(format, topology_reads):
     render_base(CART, format)
-    assert calls == [CART.topology]
+    assert topology_reads == {"vertices": [CART.topology], "transitions": []}
+
+
+@pytest.mark.parametrize("format", ["dot", "mermaid"])
+def test_flow_render_lists_each_leaf_vertices_once(format, topology_reads):
+    tree = cart_and_shipping()
+    render_flow(tree, format)
+    leaves = list(tree.leaves())
+    assert len(leaves) == 11
+    assert topology_reads == {"vertices": [leaf.topology for leaf in leaves], "transitions": []}
 
 
 def test_base_mermaid_uses_state_diagram_and_initial_marker():

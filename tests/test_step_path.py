@@ -422,6 +422,44 @@ def test_thousand_leaf_chain_builds_without_walking_leaves(chain, leaves_walked)
     assert len(list(tree.leaves())) == 1000
 
 
+@pytest.mark.parametrize("chain", [left_chain, right_chain])
+def test_ten_thousand_leaf_chain_extends_one_name_set_in_place(chain, leaves_walked):
+    tree = chain(10_000)
+    names = vars(tree)[compose._LEAF_NAMES]
+    assert len(names) == 10_000
+    # the larger child's set becomes the parent's, whichever side it is on
+    grown = Sequential(tree, identity_machine("after"))
+    assert vars(grown)[compose._LEAF_NAMES] is names
+    assert vars(Sequential(identity_machine("before"), grown))[compose._LEAF_NAMES] is names
+    assert leaves_walked["leaves"] == 0
+    assert len(names) == 10_002
+    # a duplicate added as the last leaf is still named
+    with duplicate("leaf9999"):
+        Sequential(chain(10_000), identity_machine("leaf9999"))
+
+
+def test_a_stepped_root_and_its_copy_both_build_as_children(leaves_walked):
+    log = []
+    root = Sequential(ring("a", log), ring("b", log))
+    _, stepped = root.step(0)
+    assert stepped is not root and log == ["a", "b"]
+    # the copy shares the root's set, which the first build grows in place to {a, b, c}
+    first = Sequential(root, identity_machine("c"))
+    assert leaves_walked["leaves"] == 0
+    # so the copy hands up a superset that clashes with "c": the build walks and succeeds
+    second = Sequential(stepped, identity_machine("c"))
+    assert leaves_walked["leaves"] == 3
+    for tree in (first, second):
+        assert [leaf.name for leaf in tree.leaves()] == ["a", "b", "c"]
+        assert vars(tree)[compose._LEAF_NAMES] == {"a", "b", "c"}
+    assert [leaf.state.vertex for leaf in second.leaves()] == ["r1", "r1", "Unit"]
+    with duplicate("b"):
+        Sequential(second, identity_machine("b"))
+    with duplicate("a"):
+        Parallel(first, identity_machine("a"))
+    assert [leaf.name for leaf in Sequential(first, identity_machine("d")).leaves()] == list("abcd")
+
+
 class Wrapped(StateMachine):
     """A node outside the six kinds: it wraps one subtree and forwards to it."""
 
