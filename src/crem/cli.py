@@ -22,8 +22,8 @@ re-runs only the records after that prefix. That is the trade: only a run
 that checked or wrote exactly those bytes writes a manifest, so a matching
 hash stands for "checked as ``replay`` does". Any mismatch, an unreadable
 manifest or vertices the tree cannot hold fall back to checking the whole
-log. No manifest is written for a tree with a node outside the six kinds
-or a leaf whose payload is not None when the run ends. ``replay`` re-runs
+log. No manifest is written for a tree with a leaf whose payload is not
+None when the run ends. ``replay`` re-runs
 every record; when a manifest exists it first refuses, with exit 3, a log
 whose manifest names another machine or topology.
 

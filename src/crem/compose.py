@@ -2,8 +2,11 @@
 
 Trees are immutable; stepping returns the output and a new tree. The six
 node kinds are Basic, Sequential, Parallel, Alternative, Feedback and
-Kleisli. Feedback and Kleisli require list-shaped outputs from their
-children because they route individual elements onward.
+Kleisli, and a tree holds no other: a composite refuses any other child
+with a ``TypeError`` when it is built, and every walk refuses any other
+root, so everything that walks a tree is total over trees. Feedback and
+Kleisli require list-shaped outputs from their children because they route
+individual elements onward.
 
 Leaf names are checked once, when a node is built through its public
 constructor, and the check costs only the work that node adds: a new
@@ -12,16 +15,16 @@ composite takes over the sets of leaf names its children were built with
 disjoint and adds the smaller set into the larger one in place, so only the
 root of a tree holds a set and any chain builds in O(n log n) without
 re-walking its subtrees. A child whose set is gone (a subtree reused in a
-second parent, or a hand-rolled node) sends the check back to a walk over
-the new node's leaves, as does any clash, so the error always names the
-first duplicate in walk order. Stepping moves the already validated nodes
-forward through a private copy, which shares the root's set, so a step
-costs only the leaf steps it makes; a later build can only grow that set
-into a superset of the copy's names, which at worst sends a build of the
-copy through the walk and never hides a duplicate. A node whose children
-all came back as the very same objects is returned as it is, so a stay
-allocates nothing and a move rebuilds only its path from the root; every
-subtree it did not touch is shared by the old and new tree.
+second parent) sends the check back to a walk over the new node's leaves,
+as does any clash, so the error always names the first duplicate in walk
+order. Stepping moves the already validated nodes forward through a
+private copy, which shares the root's set, so a step costs only the leaf
+steps it makes; a later build can only grow that set into a superset of
+the copy's names, which at worst sends a build of the copy through the
+walk and never hides a duplicate. A node whose children all came back as
+the very same objects is returned as it is, so a stay allocates nothing
+and a move rebuilds only its path from the root; every subtree it did not
+touch is shared by the old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -93,8 +96,8 @@ class Right:
 
 
 class StateMachine:
-    """A tree node: one of the six concrete kinds, or a hand-rolled node that defines
-    ``step`` and ``leaves``; such a node runs in a tree, but ``render_flow`` draws only the six."""
+    """A tree node, always one of the six kinds: ``Basic``, ``Sequential``, ``Parallel``,
+    ``Alternative``, ``Feedback`` or ``Kleisli``."""
 
     def step(
         self, value: Any, config: RunConfig = DEFAULT_CONFIG
@@ -102,15 +105,19 @@ class StateMachine:
         raise NotImplementedError
 
     def leaves(self) -> Iterator[BaseMachine]:
-        raise NotImplementedError
+        """The leaves' machines, left to right."""
+        return _iter_leaves(self)
 
 
 def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
     """The one traversal of a composition tree, with an explicit stack, not recursion.
 
     Yields ``(node, False)`` for every node in pre-order, left to right, and ``(node, True)``
-    for each composite once its children are done; a node outside ``_KINDS`` is not opened.
+    for each composite once its children are done. Nodes are the six kinds; a root of any
+    other type raises ``TypeError``, and every child was checked when its parent was built.
     """
+    if not isinstance(tree, _KINDS):
+        raise TypeError(f"not a composition tree node: {type(tree).__name__}")
     stack = [(tree, False)]
     while stack:
         node, done = item = stack.pop()
@@ -119,24 +126,22 @@ def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
             continue
         if isinstance(node, _Binary):
             stack += ((node, True), (node.second, False), (node.first, False))
-        elif isinstance(node, Feedback):
+        else:  # Feedback
             stack += ((node, True), (node.backward, False), (node.forward, False))
 
 
 def _iter_leaves(tree: StateMachine) -> Iterator[BaseMachine]:
-    """Leaves left to right; a node outside the six kinds lists its own ``leaves()``."""
+    """Leaves left to right."""
     for node, _ in _walk(tree):
         if isinstance(node, Basic):
             yield node.machine
-        elif not isinstance(node, _KINDS):
-            yield from node.leaves()
 
 
 def _leaf_vertices(tree: StateMachine) -> list[str] | None:
     """The vertices of ``tree``'s leaves in ``_iter_leaves`` order.
 
-    None if vertices alone do not capture the tree's state: it has a node
-    outside the six kinds, or a leaf whose payload is not None.
+    None if vertices alone do not capture the tree's state: a leaf's payload
+    is not None.
     """
     vertices = []
     for node, _ in _walk(tree):
@@ -144,8 +149,6 @@ def _leaf_vertices(tree: StateMachine) -> list[str] | None:
             if node.machine.state.payload is not None:
                 return None
             vertices.append(node.machine.state.vertex)
-        elif not isinstance(node, _KINDS):
-            return None
     return vertices
 
 
@@ -156,8 +159,8 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
     its leaf's topology as ``BaseMachine`` construction checks it, and the
     tree is rebuilt through ``_evolve``, keeping every leaf already on its
     vertex with no payload and every subtree none of whose leaves moved.
-    None for a node outside the six kinds, a count of vertices other than
-    the count of leaves, or a vertex off its leaf's topology.
+    None for a count of vertices other than the count of leaves, or a
+    vertex off its leaf's topology.
     """
     used = 0  # vertices handed out so far
     built: list[StateMachine] = []  # rebuilt subtrees, children before parents
@@ -171,8 +174,6 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
             if machine.state.vertex != vertex or machine.state.payload is not None:
                 node = _evolve(node, machine=_evolve(machine, state=MachineState(vertex)))
             built.append(node)
-        elif not isinstance(node, _KINDS):
-            return None
         elif done:
             second, first = built.pop(), built.pop()
             one, two = node.__match_args__  # the two fields: first, second or forward, backward
@@ -185,8 +186,8 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
 def _fingerprint(tree: StateMachine) -> str:
     """The sha256 of ``tree``'s walk: each node's kind, and each leaf's name, edges and vertex.
 
-    It names the topology, not the actions' code or the payloads; a node outside the six
-    kinds counts by its kind alone. Composites have two children, so pre-order fixes the shape.
+    It names the topology, not the actions' code or the payloads. Composites have two
+    children, so pre-order fixes the shape.
     """
     walk = [
         (type(node).__name__, node.machine.name, node.machine.topology.edges,
@@ -197,7 +198,8 @@ def _fingerprint(tree: StateMachine) -> str:
 
 
 def _check_leaf_names(node: StateMachine) -> set[str]:
-    """The leaf names of ``node``; raises on the first duplicate in walk order."""
+    """The leaf names of ``node``, raising on the first duplicate in walk order: the
+    fallback of a build whose child handed up no set, or whose children's sets clash."""
     seen: set[str] = set()
     for leaf in _iter_leaves(node):
         if leaf.name in seen:
@@ -215,11 +217,14 @@ def _handed_up_names(child: StateMachine) -> set[str] | None:
     """The leaf names ``child`` hands to a new parent, or None if unknown.
 
     A composite gives its set up (pops it), so a subtree's set lives only
-    on its current root and memory stays linear in the tree's size.
+    on its current root and memory stays linear in the tree's size. A child
+    that is not one of the six kinds raises ``TypeError``: this closes the tree.
     """
     if isinstance(child, Basic):
         return {child.machine.name}
-    return child.__dict__.pop(_LEAF_NAMES, None) if isinstance(child, _KINDS) else None
+    if isinstance(child, _KINDS):
+        return child.__dict__.pop(_LEAF_NAMES, None)
+    raise TypeError(f"not a composition tree node: {type(child).__name__}")
 
 
 def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
@@ -253,9 +258,6 @@ class Basic(StateMachine):
             return output, self
         return output, _evolve(self, machine=machine)
 
-    def leaves(self):
-        yield self.machine
-
 
 @dataclass(frozen=True)
 class _Binary(StateMachine):
@@ -270,9 +272,6 @@ class _Binary(StateMachine):
 
     def __post_init__(self):
         _adopt_leaf_names(self, self.first, self.second)
-
-    def leaves(self):
-        return _iter_leaves(self)
 
 
 class Sequential(_Binary):
@@ -362,9 +361,6 @@ class Feedback(StateMachine):
             return collected, self
         return collected, _evolve(self, forward=forward, backward=backward)
 
-    def leaves(self):
-        return _iter_leaves(self)
-
 
 class Kleisli(_Binary):
     """Flat-map ``first``'s outputs through ``second``.
@@ -387,7 +383,7 @@ class Kleisli(_Binary):
         return collected, _evolve(self, first=first, second=second)
 
 
-# the six kinds: Basic, the four _Binary nodes and Feedback; _walk opens only these
+# the six kinds: Basic, the four _Binary nodes and Feedback; no tree holds any other node
 _KINDS = (Basic, _Binary, Feedback)
 
 

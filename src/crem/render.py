@@ -22,8 +22,6 @@ from .compose import (
     Parallel,
     Sequential,
     StateMachine,
-    _KINDS,
-    _check_leaf_names,
     _walk,
 )
 from .machine import BaseMachine
@@ -170,10 +168,6 @@ def _layout(tree: StateMachine) -> tuple[list[_Item], list[_Edge]]:
         if isinstance(node, Basic):
             items.append(("leaf", depth, node.machine))
             reps.append(node.machine)
-        elif not isinstance(node, _KINDS):
-            # a hand-rolled root's names were never checked (a child's were, with its parent)
-            _check_leaf_names(node)
-            raise TypeError(f"not a composition tree node: {node!r}")
         elif isinstance(node, (Parallel, Alternative)) and not done:
             items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
             depth += 1

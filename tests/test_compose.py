@@ -290,6 +290,38 @@ def test_duplicate_leaf_names_rejected_at_construction():
         Feedback(emitter("same", lambda x: [x]), emitter("same", lambda x: [x]))
 
 
+class HandRolled(StateMachine):
+    """A node outside the six kinds that defines its own step and leaves."""
+
+    def step(self, value, config=None):
+        return value, self
+
+    def leaves(self):
+        yield cart().machine
+
+
+# a forgotten Basic(...), a value that is no machine at all, and two StateMachines
+NOT_NODES = {
+    "BaseMachine": lambda: cart().machine,
+    "int": lambda: 42,
+    "StateMachine": StateMachine,
+    "HandRolled": HandRolled,
+}
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("name", list(NOT_NODES))
+@pytest.mark.parametrize(
+    "kind", [Sequential, Parallel, Alternative, Feedback, Kleisli], ids=lambda kind: kind.__name__
+)
+def test_a_child_outside_the_six_kinds_is_refused_at_construction(kind, name, side):
+    children = [NOT_NODES[name](), identity_machine("x")]
+    if side == "second":
+        children.reverse()
+    with pytest.raises(TypeError, match=f"^not a composition tree node: {name}$"):
+        kind(*children)
+
+
 def test_step_is_deterministic():
     machine = Kleisli(Feedback(cart(), emitter("gw", lambda e: [])), counterish())
     first = machine.step(PAY)

@@ -325,17 +325,12 @@ def test_flow_mermaid_is_deterministic():
 
 
 def test_flow_rejects_duplicate_leaf_names():
-    # the compose constructors already refuse duplicates, so feed the
-    # renderer a hand-rolled node to exercise its own validation
-    from crem import StateMachine
-
-    class TwoSameLeaves(StateMachine):
-        def leaves(self):
-            yield stateless("dup", lambda x: x)
-            yield stateless("dup", lambda x: x)
-
-    with pytest.raises(DuplicateLeafName):
-        render_flow(TwoSameLeaves(), "dot")
+    # no tree with a duplicate leaf name is ever built, so none reaches the renderer:
+    # a reused subtree hands up no name set, and the build's walk finds the duplicate
+    shared = Sequential(identity_machine("dup"), identity_machine("x"))
+    render_flow(Parallel(shared, identity_machine("y")), "dot")
+    with pytest.raises(DuplicateLeafName, match="'dup' appears more than once"):
+        Sequential(shared, identity_machine("dup"))
 
 
 def test_flow_rejects_a_hand_rolled_child():
@@ -345,9 +340,15 @@ def test_flow_rejects_a_hand_rolled_child():
         def leaves(self):
             yield stateless("inner", lambda x: [x])
 
-    tree = Sequential(identity_machine("a"), Opaque())
-    with pytest.raises(TypeError, match="not a composition tree node"):
-        render_flow(tree, "dot")
+    # the composite refuses the child when it is built, and the renderer such a root
+    with pytest.raises(TypeError, match="^not a composition tree node: Opaque$"):
+        Sequential(identity_machine("a"), Opaque())
+    for format in ("dot", "mermaid"):
+        with pytest.raises(TypeError, match="^not a composition tree node: Opaque$"):
+            render_flow(Opaque(), format)
+        # a leaf's machine without its Basic(...) is no node either
+        with pytest.raises(TypeError, match="^not a composition tree node: BaseMachine$"):
+            render_flow(CART, format)
 
 
 def test_quoting_of_awkward_labels():

@@ -414,9 +414,16 @@ def test_no_snapshot_or_restore_through_a_hand_rolled_node():
         def leaves(self):
             return self.inner.leaves()
 
-    tree = Feedback(Opaque(cart()), identity_machine("echo"))
-    assert _leaf_vertices(tree) is None
-    assert _restore_vertices(tree, ["WaitingForPaymentVertex", "Unit"]) is None
+    not_a_node = "^not a composition tree node: Opaque$"
+    with pytest.raises(TypeError, match=not_a_node):
+        Feedback(Opaque(cart()), identity_machine("echo"))
+    root = Opaque(cart())
+    with pytest.raises(TypeError, match=not_a_node):
+        _leaf_vertices(root)
+    with pytest.raises(TypeError, match=not_a_node):
+        _restore_vertices(root, ["WaitingForPaymentVertex"])
+    with pytest.raises(TypeError, match=not_a_node):
+        _fingerprint(root)
 
 
 # -- the fingerprint -------------------------------------------------------------

@@ -474,20 +474,37 @@ class Wrapped(StateMachine):
         return self.inner.leaves()
 
 
+def not_a_node(name):
+    """Expect the construction-time refusal of a child of type ``name``."""
+    return pytest.raises(TypeError, match=f"^not a composition tree node: {name}$")
+
+
 def test_duplicate_name_under_hand_rolled_child_is_rejected():
-    message = re.escape("machine name 'dup' appears more than once")
-    with pytest.raises(DuplicateLeafName, match=message):
+    # the hand-rolled child is refused before any leaf name is compared
+    with not_a_node("Wrapped"):
         Sequential(Wrapped(identity_machine("dup")), Basic(stateless("dup", lambda x: x)))
-    with pytest.raises(DuplicateLeafName, match=message):
+    with not_a_node("Wrapped"):
         Feedback(
             emit("dup", lambda x: [x]),
             Wrapped(Sequential(identity_machine("a"), emit("dup", lambda x: [x]))),
         )
+    # without the wrapper, the same trees name the duplicate
+    with duplicate("dup"):
+        Sequential(identity_machine("dup"), Basic(stateless("dup", lambda x: x)))
+    with duplicate("dup"):
+        Feedback(
+            emit("dup", lambda x: [x]),
+            Sequential(identity_machine("a"), emit("dup", lambda x: [x])),
+        )
 
 
-def test_hand_rolled_child_leaves_keep_their_order():
+def test_hand_rolled_child_leaves_keep_their_order(leaves_walked):
     inner = Sequential(identity_machine("b"), identity_machine("c"))
-    tree = Sequential(identity_machine("a"), Wrapped(inner))
+    with not_a_node("Wrapped"):
+        Sequential(identity_machine("a"), Wrapped(inner))
+    # the refused build took nothing from inner: it still hands up its set, unwalked
+    tree = Sequential(identity_machine("a"), inner)
+    assert leaves_walked["leaves"] == 0
     assert [leaf.name for leaf in tree.leaves()] == ["a", "b", "c"]
     output, tree = tree.step(5)
     assert output == 5
@@ -552,13 +569,22 @@ def test_replaced_tree_is_checked():
 
 
 def test_hand_rolled_child_duplicates_are_named_in_walk_order():
-    with duplicate("b"):  # inside the hand-rolled child, before the cross clash on a
+    # a hand-rolled child is refused whatever leaves it lists, duplicates too
+    with not_a_node("Bag"):
         Sequential(identity_machine("a"), Bag("b", "c", "b", "a"))
-    with duplicate("q"):
+    with not_a_node("Bag"):
         Feedback(Bag("p", "q"), Sequential(identity_machine("r"), identity_machine("q")))
-    with duplicate("s"):
+    with not_a_node("Wrapped"):
         Parallel(Wrapped(Bag("s", "t")), Sequential(identity_machine("u"), identity_machine("s")))
-    tree = Sequential(identity_machine("a"), Bag("b", "c"))
+    # the walk-order cases that need no hand-rolled node: reused subtrees hand up no set
+    pair_pq = Sequential(identity_machine("p"), identity_machine("q"))
+    pair_st = Sequential(identity_machine("s"), identity_machine("t"))
+    Parallel(pair_pq, pair_st)
+    with duplicate("q"):
+        Feedback(pair_pq, Sequential(identity_machine("r"), identity_machine("q")))
+    with duplicate("s"):
+        Parallel(pair_st, Sequential(identity_machine("u"), identity_machine("s")))
+    tree = Sequential(identity_machine("a"), Sequential(identity_machine("b"), identity_machine("c")))
     with duplicate("c"):
         Sequential(tree, identity_machine("c"))
 
