@@ -17,14 +17,16 @@ root of a tree holds a set and any chain builds in O(n log n) without
 re-walking its subtrees. A child whose set is gone (a subtree reused in a
 second parent) sends the check back to a walk over the new node's leaves,
 as does any clash, so the error always names the first duplicate in walk
-order. Stepping moves the already validated nodes forward through a
-private copy, which shares the root's set, so a step costs only the leaf
-steps it makes; a later build can only grow that set into a superset of
-the copy's names, which at worst sends a build of the copy through the
-walk and never hides a duplicate. A node whose children all came back as
-the very same objects is returned as it is, so a stay allocates nothing
-and a move rebuilds only its path from the root; every subtree it did not
-touch is shared by the old and new tree.
+order. The children give their sets up only once the new node holds its
+own, so a refused build leaves its children as they were. Stepping moves
+the already validated nodes forward through a private copy, which shares
+the root's set, so a step costs only the leaf steps it makes; a later
+build can only grow that set into a superset of the copy's names, which
+at worst sends a build of the copy through the walk and never hides a
+duplicate. A node whose children all came back as the very same objects
+is returned as it is, so a stay allocates nothing and a move rebuilds only
+its path from the root; every subtree it did not touch is shared by the
+old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -216,19 +218,24 @@ _LEAF_NAMES = "_leaf_names"
 def _handed_up_names(child: StateMachine) -> set[str] | None:
     """The leaf names ``child`` hands to a new parent, or None if unknown.
 
-    A composite gives its set up (pops it), so a subtree's set lives only
-    on its current root and memory stays linear in the tree's size. A child
-    that is not one of the six kinds raises ``TypeError``: this closes the tree.
+    A composite's set is only read here; the parent removes it once the build
+    succeeds, so a subtree's set lives only on its current root and memory
+    stays linear in the tree's size. A child that is not one of the six
+    kinds raises ``TypeError``: this closes the tree.
     """
     if isinstance(child, Basic):
         return {child.machine.name}
     if isinstance(child, _KINDS):
-        return child.__dict__.pop(_LEAF_NAMES, None)
+        return child.__dict__.get(_LEAF_NAMES)
     raise TypeError(f"not a composition tree node: {type(child).__name__}")
 
 
 def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
-    """Check that ``node``'s children share no leaf name; store their union."""
+    """Check that ``node``'s children share no leaf name; store their union.
+
+    The children give their sets up only after ``node`` holds its own, so a
+    refused build leaves both children as they were.
+    """
     first_names = _handed_up_names(first)
     second_names = _handed_up_names(second)
     if first_names is None or second_names is None or not first_names.isdisjoint(second_names):
@@ -241,6 +248,8 @@ def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMach
         names = second_names
         names |= first_names
     node.__dict__[_LEAF_NAMES] = names
+    first.__dict__.pop(_LEAF_NAMES, None)
+    second.__dict__.pop(_LEAF_NAMES, None)
 
 
 def _require_list(value: Any, where: str) -> None:

@@ -54,9 +54,10 @@ class BaseMachine:
     ``action`` maps ``(state, input)`` to a :class:`StepResult` and must be
     pure. Stepping returns a new machine value; nothing is mutated.
 
-    Construction checks the invariants once: a non-empty name, a normalized
-    topology with non-empty labels, and a state on one of its vertices. A
-    step then checks only the move it makes against the topology.
+    Construction checks the invariants once: a non-empty name and a state
+    on one of the topology's vertices; the :class:`Topology` checked its own
+    labels and normalized itself when it was built. A step then checks only
+    the move it makes against the topology.
     """
 
     name: str
@@ -67,7 +68,6 @@ class BaseMachine:
     def __post_init__(self) -> None:
         if not self.name:
             raise EmptyName("machine name must be non-empty")
-        object.__setattr__(self, "topology", self.topology.normalize())
         if not _on_topology(self.topology, self.state.vertex):
             raise UnknownVertex(
                 f"vertex {self.state.vertex!r} is not in the topology of {self.name!r}"

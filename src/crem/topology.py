@@ -2,7 +2,8 @@
 
 A topology is a list of directed edges grouped by source vertex. Staying on
 the current vertex is always permitted and never listed; only genuine moves
-between distinct vertices need an explicit edge.
+between distinct vertices need an explicit edge. A topology has one form:
+it is checked and normalized once, when it is built.
 """
 
 from __future__ import annotations
@@ -19,47 +20,36 @@ class EmptyVertexLabel(ValueError):
 class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
-    The order in which sources and targets first appear is preserved; it is
-    part of the value because it drives rendering. Construction turns the
-    groups into tuples, keeping ``edges`` as it is when it already is a
-    tuple of ``(source, tuple of targets)`` pairs. Labels are checked once,
-    by :meth:`normalize`; :meth:`allows` is then a single lookup in a
-    per-source index built on first use.
+    Construction checks every label and normalizes the groups in one pass:
+    an empty label raises :class:`EmptyVertexLabel`, duplicate source groups
+    are merged and duplicate targets dropped, first appearance winning for
+    both, so a topology written with duplicate groups is equal to its normal
+    form. That order is part of the value because it drives rendering. The
+    groups are stored as tuples; ``edges`` that already are the normal tuple
+    are kept as they are. :meth:`allows` is a single lookup in a per-source
+    index built on first use.
     """
 
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        edges = self.edges
-        if type(edges) is tuple:
-            for group in edges:
-                if type(group) is not tuple or len(group) != 2 or type(group[1]) is not tuple:
-                    break
-            else:
-                return  # already canonical: a tuple of (source, tuple of targets) pairs
-        groups = tuple((source, tuple(targets)) for source, targets in edges)
-        object.__setattr__(self, "edges", groups)
-
-    def normalize(self) -> Topology:
-        """Merge duplicate source groups and drop duplicate targets.
-
-        First-appearance order wins for both sources and targets, so the
-        result is stable and normalizing twice changes nothing. A topology
-        with nothing to merge or drop is returned as it is.
-        """
         merged: dict[str, tuple[str, ...]] = {}
-        changed = False
         for source, targets in self.edges:
+            targets = tuple(targets)
             if not source or not all(targets):
                 raise EmptyVertexLabel("vertex labels must be non-empty")
             if source in merged:
                 targets = merged[source] + targets
-            elif len(set(targets)) == len(targets):
-                merged[source] = targets
-                continue
-            merged[source] = tuple(dict.fromkeys(targets))
-            changed = True
-        return Topology(tuple(merged.items())) if changed else self
+            if len(set(targets)) != len(targets):
+                targets = tuple(dict.fromkeys(targets))
+            merged[source] = targets
+        edges = tuple(merged.items())
+        if edges != self.edges:  # an already normal tuple is kept, not rebuilt
+            object.__setattr__(self, "edges", edges)
+
+    def normalize(self) -> Topology:
+        """The topology itself: construction already normalized it."""
+        return self
 
     def allows(self, source: str, target: str) -> bool:
         """True if the move ``source -> target`` is permitted.
@@ -70,11 +60,8 @@ class Topology:
 
     @cached_property
     def _targets(self) -> dict[str, tuple[str, ...]]:
-        """Targets per source; duplicate source groups are merged."""
-        index: dict[str, tuple[str, ...]] = {}
-        for source, targets in self.edges:
-            index[source] = index.get(source, ()) + targets
-        return index
+        """Targets per source."""
+        return dict(self.edges)
 
     def vertices(self) -> tuple[str, ...]:
         """All vertices (sources and targets) in first-appearance order."""
@@ -94,4 +81,4 @@ class Topology:
 
 def trivial_topology(vertex: str) -> Topology:
     """Topology with a single vertex and no explicit edges."""
-    return Topology(((vertex, ()),)).normalize()
+    return Topology(((vertex, ()),))

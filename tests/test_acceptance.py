@@ -95,7 +95,7 @@ def test_criterion_1_cart_action_table():
             seen.add((start, command))
         # all six (state, command) pairs covered, no more exist
         assert len(seen) == 6
-        assert len(CART_TOPOLOGY.normalize().vertices()) * len(CartCommand) == 6
+        assert len(CART_TOPOLOGY.vertices()) * len(CartCommand) == 6
 
     report(1, "cart action table reproduces exactly (six rows)", check)
 
@@ -159,7 +159,7 @@ def test_criterion_3_allowed_transition_semantics():
                 if rng.random() < 0.3:
                     groups.append((label, ()))
             rng.shuffle(groups)
-            topology = Topology(tuple(groups)).normalize()
+            topology = Topology(tuple(groups))
 
             edge_set = set(pairs)  # brute-force membership oracle
             candidates = labels + ["foreign"]

@@ -436,6 +436,21 @@ def test_two_builds_of_a_registered_machine_share_a_fingerprint(name):
     assert len(_fingerprint(factory())) == 64
 
 
+# taken from the manifests existing logs hold: a change here orphans every LOG.crem
+PINNED_FINGERPRINTS = {
+    "cart": "149a162f9f0db78148d311e998cfbd0c27edd6c05c1b63b6b3206eacda3fe99d",
+    "cart-and-shipping": "ce06af14280c11e232e68c0daa3fb32b244ecb9fbe65856312e3b8d02d18f93e",
+    "shipping": "3ce462b0ed52c15cf554c4db0b933112d4ca0821f308afc9015bc217c343ca05",
+    "whole-cart-domain": "72559195e98a4b854a2ee2445acac28a7dd46bb093d02a096040e9531a3e105a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.default_registry()))
+def test_a_registered_machine_keeps_its_pinned_fingerprint(name):
+    factory = cli.default_registry()[name].factory
+    assert _fingerprint(factory()) == PINNED_FINGERPRINTS[name]
+
+
 def leaf(name="m", edges=(("a", ("b",)),), vertex="a", act=lambda s, x: StepResult([x], s)):
     return Basic(BaseMachine(name, Topology(edges), MachineState(vertex), act))
 

@@ -108,7 +108,7 @@ def validation_calls(monkeypatch):
         monkeypatch.setattr(owner, attr, wrapper)
 
     def install():
-        wrap(Topology, "normalize", "Topology.normalize")
+        wrap(Topology, "__init__", "Topology.__init__")
         wrap(BaseMachine, "__init__", "BaseMachine.__init__")
         wrap(BaseMachine, "__post_init__", "BaseMachine.__post_init__")
         for cls in NODE_KINDS:
@@ -149,7 +149,7 @@ def test_public_constructors_still_validate(validation_calls):
     counts = validation_calls()
     left_chain(4)
     assert counts["BaseMachine.__post_init__"] == 4
-    assert counts["Topology.normalize"] >= 4
+    assert counts["Topology.__init__"] == 4  # one per leaf, checked and normalized there
     assert counts["_adopt_leaf_names"] == 3
     assert counts["_check_leaf_names"] == 0  # the children handed their names up
 
@@ -609,3 +609,21 @@ def test_leaf_name_sets_never_show_in_the_value():
     _, stepped = root.step((1, 2))
     assert stepped == root and repr(stepped) == repr(root)
     assert vars(stepped)[compose._LEAF_NAMES] == frozenset("abc")
+
+
+@pytest.mark.parametrize(
+    "other, error",
+    [(42, TypeError), (identity_machine("a"), DuplicateLeafName)],
+    ids=["foreign-child", "duplicate-leaf"],
+)
+def test_a_refused_build_leaves_its_children_their_name_sets(other, error, leaves_walked):
+    x = Sequential(identity_machine("a"), identity_machine("b"))
+    names = vars(x)[compose._LEAF_NAMES]
+    with pytest.raises(error):
+        Sequential(x, other)
+    assert vars(x)[compose._LEAF_NAMES] is names
+    assert names == {"a", "b"}
+    # so the next parent takes the set over without walking the leaves
+    walked = leaves_walked["leaves"]
+    assert [leaf.name for leaf in Sequential(x, identity_machine("c")).leaves()] == list("abc")
+    assert leaves_walked["leaves"] == walked + 3  # the three of .leaves() alone

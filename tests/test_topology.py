@@ -21,25 +21,33 @@ from crem.cart import (
 )
 
 
-def test_normalize_merges_duplicate_sources():
-    raw = Topology((("A", ("B",)), ("A", ("C",))))
-    assert raw.normalize() == Topology((("A", ("B", "C")),))
+def test_construction_merges_duplicate_sources():
+    assert Topology((("A", ("B",)), ("A", ("C",)))).edges == (("A", ("B", "C")),)
 
 
-def test_normalize_drops_duplicate_targets():
-    raw = Topology((("A", ("B", "B")),))
-    assert raw.normalize() == Topology((("A", ("B",)),))
+def test_construction_drops_duplicate_targets():
+    assert Topology((("A", ("B", "B")),)).edges == (("A", ("B",)),)
 
 
-def test_normalize_keeps_already_normal_topology():
-    assert CART_TOPOLOGY.normalize() == CART_TOPOLOGY
+def test_normalize_returns_the_topology_itself():
+    assert CART_TOPOLOGY.normalize() is CART_TOPOLOGY
+    merged = Topology((("A", ("B",)), ("A", ("B", "C"))))
+    assert merged.normalize() is merged
 
 
-def test_normalize_rejects_empty_labels():
+def test_construction_rejects_empty_labels():
     with pytest.raises(EmptyVertexLabel):
-        Topology((("", ("B",)),)).normalize()
+        Topology((("", ("B",)),))
     with pytest.raises(EmptyVertexLabel):
-        Topology((("A", ("",)),)).normalize()
+        Topology((("A", ("",)),))
+
+
+def test_duplicate_groups_equal_their_normal_form():
+    duplicated = Topology((("A", ("B", "B")), ("C", ("A",)), ("A", ("C", "B"))))
+    normal = Topology((("A", ("B", "C")), ("C", ("A",))))
+    assert duplicated == normal
+    assert hash(duplicated) == hash(normal)
+    assert repr(duplicated) == repr(normal)
 
 
 def test_allows_listed_edge():
@@ -83,41 +91,31 @@ def test_trivial_topology():
 
 
 labels = st.text(min_size=1, max_size=4)
-raw_topologies = st.lists(
-    st.tuples(labels, st.lists(labels, max_size=4)), max_size=6
-).map(lambda groups: Topology(tuple((s, tuple(ts)) for s, ts in groups)))
+# groups as written, before construction: sources and targets may repeat
+raw_edges = st.lists(
+    st.tuples(labels, st.lists(labels, max_size=4).map(tuple)), max_size=6
+).map(tuple)
 
 
-@given(raw_topologies)
-def test_normalize_is_idempotent(raw):
-    once = raw.normalize()
-    assert once.normalize() == once
+@given(raw_edges)
+def test_construction_is_idempotent(edges):
+    once = Topology(edges)
+    assert Topology(once.edges).edges is once.edges
 
 
-@given(raw_topologies)
-def test_normalize_preserves_vertex_set(raw):
-    assert set(raw.normalize().vertices()) == set(raw.vertices())
+@given(raw_edges)
+def test_construction_preserves_vertex_set(edges):
+    assert set(Topology(edges).vertices()) == {v for s, ts in edges for v in (s, *ts)}
 
 
-@given(raw_topologies, labels)
-def test_reflexivity(raw, vertex):
-    assert raw.normalize().allows(vertex, vertex)
+@given(raw_edges, labels)
+def test_reflexivity(edges, vertex):
+    assert Topology(edges).allows(vertex, vertex)
 
 
-@given(raw_topologies, labels, labels)
-def test_edge_soundness_matches_membership(raw, a, b):
-    # for distinct vertices, allowance is exactly edge-list membership
-    if a == b:
-        return
-    member = any(
-        source == a and b in targets for source, targets in raw.edges
-    )
-    assert raw.normalize().allows(a, b) == member
-
-
-@given(raw_topologies)
-def test_normalized_sources_are_distinct_and_targets_deduped(raw):
-    topo = raw.normalize()
+@given(raw_edges)
+def test_normalized_sources_are_distinct_and_targets_deduped(edges):
+    topo = Topology(edges)
     sources = [source for source, _ in topo.edges]
     assert len(sources) == len(set(sources))
     for _, targets in topo.edges:
@@ -130,28 +128,30 @@ def test_raw_allows_merges_duplicate_sources():
     assert not raw.allows("B", "A")
 
 
-@given(raw_topologies, labels, labels)
-def test_raw_allows_matches_membership(raw, a, b):
-    member = a == b or any(source == a and b in targets for source, targets in raw.edges)
-    assert raw.allows(a, b) == member
+@given(raw_edges, labels, labels)
+def test_raw_allows_matches_membership(edges, a, b):
+    # allowance is exactly identity or membership in the groups as written
+    member = a == b or any(source == a and b in targets for source, targets in edges)
+    assert Topology(edges).allows(a, b) == member
 
 
-@given(raw_topologies, labels, labels)
-def test_allows_leaves_the_value_unchanged(raw, a, b):
-    fresh = Topology(raw.edges)
-    raw.allows(a, b)
-    assert raw == fresh
-    assert hash(raw) == hash(fresh)
-    assert repr(raw) == repr(fresh)
+@given(raw_edges, labels, labels)
+def test_allows_leaves_the_value_unchanged(edges, a, b):
+    topology = Topology(edges)
+    fresh = Topology(edges)
+    topology.allows(a, b)
+    assert topology == fresh
+    assert hash(topology) == hash(fresh)
+    assert repr(topology) == repr(fresh)
 
 
-# -- the one-pass normalize against the loop it replaced -----------------------
+# -- construction against the label-by-label oracle ---------------------------
 
 
-def reference_normalize(topology):
-    """The label-by-label loop ``normalize`` used to be; returns the edges."""
+def reference_normalize(edges):
+    """The label-by-label loop normalizing used to be; returns the normal edges."""
     merged = {}
-    for source, targets in topology.edges:
+    for source, targets in edges:
         if not source:
             raise EmptyVertexLabel("vertex labels must be non-empty")
         bucket = merged.setdefault(source, [])
@@ -181,34 +181,42 @@ edge_lists = list_or_tuple(
 )
 
 
-@given(edge_lists)
-def test_normalize_matches_the_reference(edges):
-    raw = Topology(edges)
+def checked_build(edges):
+    """``Topology(edges)`` and the oracle's edges, or None if both refuse an empty label."""
     try:
-        expected = reference_normalize(raw)
+        expected = reference_normalize(edges)
     except EmptyVertexLabel as error:
         with pytest.raises(EmptyVertexLabel, match=f"^{re.escape(str(error))}$"):
-            raw.normalize()
+            Topology(edges)
+        return None
+    return Topology(edges), expected
+
+
+@given(edge_lists)
+def test_normalize_matches_the_reference(edges):
+    built = checked_build(edges)
+    if built is None:
         return
-    once = raw.normalize()
-    assert once.edges == expected
-    assert once.normalize() == once
-    assert once.normalize().edges == expected
-    assert raw == Topology(edges)
+    topology, expected = built
+    assert topology.edges == expected
+    assert topology.normalize() is topology
 
 
 @given(edge_lists)
 def test_list_and_tuple_shaped_edges_give_one_value(edges):
-    shaped = Topology(edges)
-    groups = tuple((source, tuple(targets)) for source, targets in edges)
-    canonical = Topology(groups)
-    assert canonical.edges is groups  # already canonical: kept, not rebuilt
-    assert shaped.edges == canonical.edges
+    built = checked_build(edges)
+    if built is None:
+        return
+    shaped, expected = built
+    normal = Topology(expected)
+    assert normal.edges is expected  # already normal: kept, not rebuilt
+    assert shaped.edges == expected
     assert type(shaped.edges) is tuple
     assert all(type(group) is tuple and type(group[1]) is tuple for group in shaped.edges)
-    assert shaped == canonical
-    assert hash(shaped) == hash(canonical)
-    assert repr(shaped) == repr(canonical)
+    # duplicate groups and list shapes give the normal form's value
+    assert shaped == normal
+    assert hash(shaped) == hash(normal)
+    assert repr(shaped) == repr(normal)
 
 
 def stay(state, value):
@@ -217,11 +225,10 @@ def stay(state, value):
 
 @given(edge_lists, clashing_labels.filter(bool))
 def test_initial_vertex_is_any_source_or_target(edges, vertex):
-    topology = Topology(edges)
-    try:
-        groups = reference_normalize(topology)
-    except EmptyVertexLabel:
+    built = checked_build(edges)
+    if built is None:
         return
+    topology, groups = built
     vertices = {v for source, targets in groups for v in (source, *targets)}
     if vertex in vertices:
         assert BaseMachine("m", topology, MachineState(vertex), stay).state.vertex == vertex
