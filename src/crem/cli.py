@@ -239,20 +239,23 @@ def _cmd_render(args, registry) -> int:
 
 
 def _replay(
-    machine: StateMachine, log_text: str, entry, config, seq: int = 0, first_line: int = 1
+    machine: StateMachine, log: bytes, entry, config, seq: int = 0, first_line: int = 1
 ) -> tuple[StateMachine, int]:
-    """Check and re-run the records in ``log_text`` in one pass, record by record.
+    """Check and re-run the records in the log bytes ``log`` in one pass, record by record.
 
-    ``log_text`` starts with record ``seq`` on log line ``first_line``. Each
-    line is parsed, checked, stepped and compared before the next, so the
+    ``log`` starts with record ``seq`` on log line ``first_line``; a line ends
+    at ``b"\n"`` only, as the manifest and the torn tail count lines. Each is
+    decoded, parsed, checked, stepped and compared before the next, so the
     first fault in file order is the one raised. Returns the machine after
     the last record, where new records continue, and the next seq.
     """
-    for number, text in enumerate(log_text.splitlines(), start=first_line):
+    lines = log.split(b"\n")
+    if not lines[-1]:  # the empty rest after the last newline
+        lines.pop()
+    for number, line in enumerate(lines, start=first_line):
         try:
-            text.encode("utf-8")
-            record = json.loads(text)
-        except UnicodeEncodeError:
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
             raise MalformedLog(f"line {number}: not valid UTF-8") from None
         except json.JSONDecodeError as error:
             raise MalformedLog(f"line {number}: not valid JSON: {error}") from None
@@ -280,11 +283,6 @@ def _replay(
             )
         seq += 1
     return machine, seq
-
-
-def _text(data: bytes) -> str:
-    # a byte that is not UTF-8 becomes a lone surrogate, caught on its line
-    return data.decode("utf-8", errors="surrogateescape")
 
 
 def _split_torn_tail(data: bytes) -> tuple[bytes, bytes]:
@@ -412,7 +410,7 @@ def _cmd_run(args, registry) -> int:
         if resumed is None:
             resumed = machine, 0, 0, hashlib.sha256()
         machine, seq, start, digest = resumed
-        machine, seq = _replay(machine, _text(body[start:]), entry, config, seq, seq + 1)
+        machine, seq = _replay(machine, body[start:], entry, config, seq, seq + 1)
         digest.update(memoryview(body)[start:])
 
         with path.open("a+b") as log:
@@ -488,7 +486,7 @@ def _cmd_replay(args, registry) -> int:
     with _locked_log(path, exclusive=False) as data:  # a run in progress finishes first
         _check_identity(path, args.machine, machine)
     body, torn = _split_torn_tail(data)
-    _, seq = _replay(machine, _text(body), entry, config)
+    _, seq = _replay(machine, body, entry, config)
     if torn:
         raise MalformedLog(
             f"line {seq + 1}: torn tail ({len(torn)} bytes, unterminated and not valid JSON)"
@@ -496,7 +494,9 @@ def _cmd_replay(args, registry) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="crem",
         description="Run, render and replay composed state machines.",
@@ -527,12 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_parser.set_defaults(handler=_cmd_replay)
 
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use and kept for the process."""
-    return _build_parser()
 
 
 # a subclass, such as MalformedLog of CodecError, takes its nearest listed base's code

@@ -1,32 +1,33 @@
 """Composition of machines: a small AST with execution semantics.
 
 Trees are immutable; stepping returns the output and a new tree. The six
-node kinds are Basic, Sequential, Parallel, Alternative, Feedback and
-Kleisli, and a tree holds no other: a composite refuses any other child
-with a ``TypeError`` when it is built, and every walk refuses any other
-root, so everything that walks a tree is total over trees. Feedback and
-Kleisli require list-shaped outputs from their children because they route
+node kinds are the Basic leaf and five composites, Sequential, Parallel,
+Alternative, Feedback and Kleisli, each over two subtrees ``first`` and
+``second``; a tree holds no other: a composite refuses any other child with
+a ``TypeError`` when it is built, and every walk refuses any other root, so
+everything that walks a tree is total over trees. Feedback and Kleisli
+require list-shaped outputs from their children because they route
 individual elements onward.
 
 Leaf names are checked once, when a node is built through its public
 constructor, and the check costs only the work that node adds: a new
-composite takes over the sets of leaf names its children were built with
-(a ``Basic`` child contributes its one name), tests that the two sets are
+composite takes over the sets of leaf names its children were built with (a
+``Basic`` child contributes its one name), tests that the two sets are
 disjoint and adds the smaller set into the larger one in place, so only the
 root of a tree holds a set and any chain builds in O(n log n) without
 re-walking its subtrees. A child whose set is gone (a subtree reused in a
-second parent) sends the check back to a walk over the new node's leaves,
-as does any clash, so the error always names the first duplicate in walk
-order. The children give their sets up only once the new node holds its
-own, so a refused build leaves its children as they were. Stepping moves
-the already validated nodes forward through a private copy, which shares
-the root's set, so a step costs only the leaf steps it makes; a later
-build can only grow that set into a superset of the copy's names, which
-at worst sends a build of the copy through the walk and never hides a
-duplicate. A node whose children all came back as the very same objects
-is returned as it is, so a stay allocates nothing and a move rebuilds only
-its path from the root; every subtree it did not touch is shared by the
-old and new tree.
+second parent) sends the check back to a walk over the new node's leaves, as
+does any clash, so the error always names the first duplicate in walk order.
+The children give their sets up only once the new node holds its own, so a
+refused build leaves its children as they were. Stepping moves the already
+validated nodes forward through a private copy, which shares the root's set,
+so a step costs only the leaf steps it makes; a later build can only grow
+that set into a superset of the copy's names, which at worst sends a build
+of the copy through the walk and never hides a duplicate. Steps and restores
+rebuild a composite by one rule, ``_Binary._with``: a node whose children
+all came back as the very same objects is returned as it is, so a stay
+allocates nothing and a move rebuilds only its path from the root; every
+subtree it did not touch is shared by the old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -108,15 +109,18 @@ class StateMachine:
 
     def leaves(self) -> Iterator[BaseMachine]:
         """The leaves' machines, left to right."""
-        return _iter_leaves(self)
+        for node, _ in _walk(self):
+            if isinstance(node, Basic):
+                yield node.machine
 
 
 def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
     """The one traversal of a composition tree, with an explicit stack, not recursion.
 
     Yields ``(node, False)`` for every node in pre-order, left to right, and ``(node, True)``
-    for each composite once its children are done. Nodes are the six kinds; a root of any
-    other type raises ``TypeError``, and every child was checked when its parent was built.
+    for each composite once its children are done. A node is a ``Basic`` leaf or a
+    ``_Binary`` composite with children ``first`` and ``second``; a root of any other type
+    raises ``TypeError``, and every child was checked when its parent was built.
     """
     if not isinstance(tree, _KINDS):
         raise TypeError(f"not a composition tree node: {type(tree).__name__}")
@@ -124,23 +128,12 @@ def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
     while stack:
         node, done = item = stack.pop()
         yield item
-        if done or isinstance(node, Basic):
-            continue
-        if isinstance(node, _Binary):
+        if not done and not isinstance(node, Basic):
             stack += ((node, True), (node.second, False), (node.first, False))
-        else:  # Feedback
-            stack += ((node, True), (node.backward, False), (node.forward, False))
-
-
-def _iter_leaves(tree: StateMachine) -> Iterator[BaseMachine]:
-    """Leaves left to right."""
-    for node, _ in _walk(tree):
-        if isinstance(node, Basic):
-            yield node.machine
 
 
 def _leaf_vertices(tree: StateMachine) -> list[str] | None:
-    """The vertices of ``tree``'s leaves in ``_iter_leaves`` order.
+    """The vertices of ``tree``'s leaves in ``leaves()`` order.
 
     None if vertices alone do not capture the tree's state: a leaf's payload
     is not None.
@@ -155,12 +148,12 @@ def _leaf_vertices(tree: StateMachine) -> list[str] | None:
 
 
 def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachine | None:
-    """``tree`` with its leaves, in ``_iter_leaves`` order, moved onto ``vertices``.
+    """``tree`` with its leaves, in ``leaves()`` order, moved onto ``vertices``.
 
-    The inverse of :func:`_leaf_vertices`. Each vertex is checked against
-    its leaf's topology as ``BaseMachine`` construction checks it, and the
-    tree is rebuilt through ``_evolve``, keeping every leaf already on its
-    vertex with no payload and every subtree none of whose leaves moved.
+    The inverse of :func:`_leaf_vertices`. Each vertex is checked against its leaf's
+    topology as ``BaseMachine`` construction checks it, and the tree is rebuilt as a step
+    rebuilds it, keeping every leaf already on its vertex with no payload and every subtree
+    none of whose leaves moved.
     None for a count of vertices other than the count of leaves, or a
     vertex off its leaf's topology.
     """
@@ -177,11 +170,8 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
                 node = _evolve(node, machine=_evolve(machine, state=MachineState(vertex)))
             built.append(node)
         elif done:
-            second, first = built.pop(), built.pop()
-            one, two = node.__match_args__  # the two fields: first, second or forward, backward
-            if first is not getattr(node, one) or second is not getattr(node, two):
-                node = _evolve(node, **{one: first, two: second})
-            built.append(node)
+            second = built.pop()
+            built[-1] = node._with(built[-1], second)
     return built[0] if used == len(vertices) else None
 
 
@@ -203,7 +193,7 @@ def _check_leaf_names(node: StateMachine) -> set[str]:
     """The leaf names of ``node``, raising on the first duplicate in walk order: the
     fallback of a build whose child handed up no set, or whose children's sets clash."""
     seen: set[str] = set()
-    for leaf in _iter_leaves(node):
+    for leaf in node.leaves():
         if leaf.name in seen:
             raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
         seen.add(leaf.name)
@@ -270,10 +260,11 @@ class Basic(StateMachine):
 
 @dataclass(frozen=True)
 class _Binary(StateMachine):
-    """A node over two subtrees, ``first`` and ``second``.
+    """A node over two subtrees, ``first`` and ``second``: every composite.
 
-    Subclasses add only ``step``; the generated ``__init__``, ``repr`` and
-    equality come from here and use the subclass's own name and type.
+    Subclasses add ``step``, and Feedback two read-only aliases of its
+    children; the generated ``__init__``, ``repr`` and equality come from
+    here and use the subclass's own name and type.
     """
 
     first: StateMachine
@@ -282,6 +273,12 @@ class _Binary(StateMachine):
     def __post_init__(self):
         _adopt_leaf_names(self, self.first, self.second)
 
+    def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
+        """``self`` if ``first`` and ``second`` are its own children, else an ``_evolve`` copy."""
+        if first is self.first and second is self.second:
+            return self
+        return _evolve(self, first=first, second=second)
+
 
 class Sequential(_Binary):
     """Feed each input through ``first``, then its output through ``second``."""
@@ -289,9 +286,7 @@ class Sequential(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         intermediate, first = self.first.step(value, config)
         output, second = self.second.step(intermediate, config)
-        if first is self.first and second is self.second:
-            return output, self
-        return output, _evolve(self, first=first, second=second)
+        return output, self._with(first, second)
 
 
 class Parallel(_Binary):
@@ -301,9 +296,7 @@ class Parallel(_Binary):
         a, c = value
         b, first = self.first.step(a, config)
         d, second = self.second.step(c, config)
-        if first is self.first and second is self.second:
-            return (b, d), self
-        return (b, d), _evolve(self, first=first, second=second)
+        return (b, d), self._with(first, second)
 
 
 class Alternative(_Binary):
@@ -315,19 +308,14 @@ class Alternative(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         if isinstance(value, Left):
             output, first = self.first.step(value.value, config)
-            if first is self.first:
-                return Left(output), self
-            return Left(output), _evolve(self, first=first)
+            return Left(output), self._with(first, self.second)
         if isinstance(value, Right):
             output, second = self.second.step(value.value, config)
-            if second is self.second:
-                return Right(output), self
-            return Right(output), _evolve(self, second=second)
+            return Right(output), self._with(self.first, second)
         raise TypeError(f"Alternative expects Left or Right, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Feedback(StateMachine):
+class Feedback(_Binary):
     """Loop two machines: forward outputs are emitted and also bounced back.
 
     Processing is breadth-first. Every forward output joins a FIFO queue;
@@ -338,17 +326,19 @@ class Feedback(StateMachine):
 
     Each step of either machine spends one unit of ``config.feedback_cap``;
     work still queued once the cap is spent raises :class:`FeedbackOverflow`.
+    The read-only ``forward`` and ``backward`` name ``first`` and ``second``.
     """
 
-    forward: StateMachine
-    backward: StateMachine
+    @property
+    def forward(self) -> StateMachine:
+        return self.first
 
-    def __post_init__(self):
-        _adopt_leaf_names(self, self.forward, self.backward)
+    @property
+    def backward(self) -> StateMachine:
+        return self.second
 
     def step(self, value, config=DEFAULT_CONFIG):
-        forward = self.forward
-        backward = self.backward
+        forward, backward = self.first, self.second
         collected: list[Any] = []
         inputs: deque[Any] = deque([value])  # waiting for the forward machine
         outputs: deque[Any] = deque()  # forward outputs waiting for the backward one
@@ -366,9 +356,7 @@ class Feedback(StateMachine):
                 break
         if inputs or outputs:
             raise FeedbackOverflow(config.feedback_cap)
-        if forward is self.forward and backward is self.backward:
-            return collected, self
-        return collected, _evolve(self, forward=forward, backward=backward)
+        return collected, self._with(forward, backward)
 
 
 class Kleisli(_Binary):
@@ -387,13 +375,11 @@ class Kleisli(_Binary):
             outputs, second = second.step(item, config)
             _require_list(outputs, "the second machine of Kleisli")
             collected.extend(outputs)
-        if first is self.first and second is self.second:
-            return collected, self
-        return collected, _evolve(self, first=first, second=second)
+        return collected, self._with(first, second)
 
 
-# the six kinds: Basic, the four _Binary nodes and Feedback; no tree holds any other node
-_KINDS = (Basic, _Binary, Feedback)
+# the six kinds: Basic and the five _Binary composites; no tree holds any other node
+_KINDS = (Basic, _Binary)
 
 
 def run_trace(

@@ -132,8 +132,10 @@ def test_feedback_outputs_all_come_from_forward_machine():
 
 def test_feedback_leaves_run_forward_then_backward():
     f1, f2, b1 = (emitter(name, lambda x: [x]) for name in ("f1", "f2", "b1"))
-    tree = Feedback(Sequential(f1, f2), b1)
+    forward = Sequential(f1, f2)
+    tree = Feedback(forward, b1)
     assert list(tree.leaves()) == [f1.machine, f2.machine, b1.machine]
+    assert tree.forward is forward and tree.backward is b1
 
 
 def test_feedback_overflow_at_cap():

@@ -40,12 +40,15 @@ from crem import (
     Feedback,
     Kleisli,
     MachineState,
+    Parallel,
+    Right,
     Sequential,
     StateMachine,
     StepResult,
     Topology,
     cli,
     identity_machine,
+    stateless,
     unrestricted_mealy,
 )
 from crem.cart import CartCommand, cart, cart_and_shipping, shipping, whole_cart_domain
@@ -403,6 +406,44 @@ def test_restore_refuses_what_the_tree_cannot_hold():
     assert moved.second is tree.second
 
 
+def leaf(name="m", edges=(("a", ("b",)),), vertex="a", act=lambda s, x: StepResult([x], s)):
+    return Basic(BaseMachine(name, Topology(edges), MachineState(vertex), act))
+
+
+def flip(name, out=lambda x: [x]):
+    """Leaf that moves between "off" and "on" on every step, with no payload."""
+
+    def act(state, value):
+        return StepResult(out(value), MachineState("on" if state.vertex == "off" else "off"))
+
+    return leaf(name, (("off", ("on",)), ("on", ("off",))), "off", act)
+
+
+def still(name, out=lambda x: [x]):
+    return Basic(stateless(name, out))
+
+
+@pytest.mark.parametrize(
+    "fresh, value, untouched",
+    [
+        (Sequential(flip("a", lambda x: x), still("b", lambda x: x)), 1, "second"),
+        (Parallel(still("a"), flip("b")), (1, 2), "first"),
+        (Alternative(flip("a"), flip("b")), Right(1), "first"),
+        (Kleisli(flip("a"), still("b")), 1, "second"),
+        (Feedback(still("a"), flip("b", lambda x: [])), 1, "first"),
+    ],
+    ids=["seq", "par", "alt", "kleisli", "feedback"],
+)
+def test_restore_on_every_composite_shares_what_did_not_move(fresh, value, untouched):
+    _, stepped = fresh.step(value)
+    restored = _restore_vertices(fresh, _leaf_vertices(stepped))
+    assert restored == stepped
+    assert getattr(restored, untouched) is getattr(fresh, untouched)
+    moved = "second" if untouched == "first" else "first"
+    assert getattr(restored, moved) != getattr(fresh, moved)
+    assert _restore_vertices(fresh, _leaf_vertices(fresh)) is fresh
+
+
 def test_no_snapshot_or_restore_through_a_hand_rolled_node():
     class Opaque(StateMachine):
         def __init__(self, inner):
@@ -449,10 +490,6 @@ PINNED_FINGERPRINTS = {
 def test_a_registered_machine_keeps_its_pinned_fingerprint(name):
     factory = cli.default_registry()[name].factory
     assert _fingerprint(factory()) == PINNED_FINGERPRINTS[name]
-
-
-def leaf(name="m", edges=(("a", ("b",)),), vertex="a", act=lambda s, x: StepResult([x], s)):
-    return Basic(BaseMachine(name, Topology(edges), MachineState(vertex), act))
 
 
 def test_the_fingerprint_names_kinds_leaf_names_edges_and_vertices():

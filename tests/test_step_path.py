@@ -210,8 +210,8 @@ def never_back(x):
         (Alternative(counts("a"), counts("b")), Right(1), "first"),
         (Kleisli(emit("a", lambda x: [x]), counts("b")), 1, "first"),
         (Kleisli(counts("a"), emit("b", lambda x: [x])), 1, "second"),
-        (Feedback(emit("a", lambda x: [x]), counts("b", never_back)), 1, "forward"),
-        (Feedback(counts("a"), emit("b", never_back)), 1, "backward"),
+        (Feedback(emit("a", lambda x: [x]), counts("b", never_back)), 1, "first"),
+        (Feedback(counts("a"), emit("b", never_back)), 1, "second"),
     ],
     ids=[f"{kind}-keeps-{side}" for kind in ("seq", "par", "alt", "kleisli", "feedback")
          for side in ("first", "second")],
@@ -402,16 +402,16 @@ def test_thousand_leaf_chain_round_trips_its_vertices(chain, default_recursion_l
 
 @pytest.fixture
 def leaves_walked(monkeypatch):
-    """Count the leaves ``compose._iter_leaves`` yields from now on."""
+    """Count the leaves ``StateMachine.leaves`` yields from now on."""
     walked = Counter()
-    original = compose._iter_leaves
+    original = StateMachine.leaves
 
     def counting(node):
         for leaf in original(node):
             walked["leaves"] += 1
             yield leaf
 
-    monkeypatch.setattr(compose, "_iter_leaves", counting)
+    monkeypatch.setattr(StateMachine, "leaves", counting)
     return walked
 
 
