@@ -23,7 +23,7 @@ from .compose import (
     rmap,
     split_choice,
 )
-from .machine import BaseMachine, MachineState, StepResult, stateless
+from .machine import BaseMachine, DisallowedTransition, MachineState, StepResult, stateless
 from .topology import Topology
 
 
@@ -71,7 +71,13 @@ def _table_machine(name: str, topology: Topology, initial: str, table: dict) -> 
     A pair the table does not list outputs ``[]`` and stays put. A stay
     returns the same state object, so the leaf and every node above it
     return themselves too, and a stay allocates nothing anywhere up the tree.
+    Every row's move is checked against the topology here, so a row the
+    topology forbids raises ``DisallowedTransition`` when the leaf is built,
+    not when an input first reaches it.
     """
+    for (source, _), (_, target) in table.items():
+        if not topology.allows(source, target):
+            raise DisallowedTransition(name, source, target)
 
     def act(state: MachineState, value) -> StepResult:
         outputs, vertex = table.get((state.vertex, value), ((), state.vertex))

@@ -1,13 +1,13 @@
 """Command line driver: list machines, render diagrams, run traces, replay logs.
 
-Input files carry one encoded command per line; blank lines and ``#``
-comments are skipped. With ``--log``, each processed input appends one
-record to a JSONL event log, which ``replay`` later re-runs against a
-fresh machine to verify that every logged output regenerates exactly.
-A ``run`` on an existing log resumes it the same way: the logged records
-are re-run and checked before anything new is appended. A log is checked in
-one pass, record by record, so its first fault in file order decides the
-exit code.
+Input files carry one encoded command per line, a line ending at ``\n``
+only; blank lines and ``#`` comments are skipped. With ``--log``, each
+processed input appends one record to a JSONL event log, which ``replay``
+later re-runs against a fresh machine to verify that every logged output
+regenerates exactly. A ``run`` on an existing log resumes it the same way:
+the logged records are re-run and checked before anything new is appended.
+A log is checked in one pass, record by record, so its first fault in file
+order decides the exit code.
 
 After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
 records the format version (2), the machine name, a topology fingerprint
@@ -28,14 +28,18 @@ every record; when a manifest exists it first refuses, with exit 3, a log
 whose manifest names another machine or topology.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
-as a write cut short leaves it. A resuming ``run`` removes it, once the
-lines before it check out, says so in one ``warning:`` line on stderr and
-goes on; ``replay`` exits 3 and calls it a torn tail. An unterminated last
-line that is valid JSON is checked as a record and ended with a newline
-before the run appends. A ``run --log`` holds an exclusive ``flock`` on the
-log from before it reads the log until its manifest is in place, so a
-second writer waits and then resumes after the first; ``replay`` reads the
-log and its manifest under a shared ``flock``, so it waits for a writer.
+as a write cut short leaves it. The one loop that checks the records judges
+it, once every line before it has checked out, so each line is decoded and
+parsed once. A resuming ``run`` removes it, says so in one ``warning:`` line
+on stderr and goes on; ``replay`` exits 3 and calls it a torn tail. An
+unterminated last line that is valid JSON is checked as a record and ended
+with a newline before the run appends. A session opens its log once: a
+``run --log`` opens it for appending, which creates a missing log, and holds
+an exclusive ``flock`` on that one handle from before it reads the log until
+its manifest is in place, so a second writer waits and then resumes after
+the first. It reads, removes a torn tail and appends through that handle.
+``replay`` reads the log and its manifest under a shared ``flock``, so it
+waits for a writer.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
@@ -59,7 +63,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 from . import cart as cart_domain
 from .cart import CartCommand, ShippingCommand
@@ -200,12 +204,13 @@ def _run_config(flag: int | None) -> RunConfig:
 
 
 def _read_command_lines(source: str) -> list[tuple[int, str]]:
-    try:
-        raw = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    """The numbered command lines of ``source``; a line ends at ``"\n"`` only, as in the log."""
+    try:  # not read_text, whose universal newlines would end a line at a lone "\r"
+        raw = sys.stdin.read() if source == "-" else Path(source).read_bytes().decode("utf-8")
     except UnicodeDecodeError as error:
         raise CodecError(f"input is not valid UTF-8: {error}") from None
     lines = []
-    for number, text in enumerate(raw.splitlines(), start=1):
+    for number, text in enumerate(raw.split("\n"), start=1):
         stripped = text.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -239,26 +244,28 @@ def _cmd_render(args, registry) -> int:
 
 
 def _replay(
-    machine: StateMachine, log: bytes, entry, config, seq: int = 0, first_line: int = 1
-) -> tuple[StateMachine, int]:
+    machine: StateMachine, log: bytes, entry, config, seq: int = 0
+) -> tuple[StateMachine, int, bytes]:
     """Check and re-run the records in the log bytes ``log`` in one pass, record by record.
 
-    ``log`` starts with record ``seq`` on log line ``first_line``; a line ends
-    at ``b"\n"`` only, as the manifest and the torn tail count lines. Each is
-    decoded, parsed, checked, stepped and compared before the next, so the
-    first fault in file order is the one raised. Returns the machine after
-    the last record, where new records continue, and the next seq.
+    ``log`` starts with record ``seq``, and the line of record ``seq`` is log
+    line ``seq + 1``; a line ends at ``b"\n"`` only, as the manifest counts
+    lines. Each is decoded, parsed, checked, stepped and compared before the
+    next, so the first fault in file order is the one raised. An unterminated
+    last line that is not valid JSON is a torn tail: it is returned, not
+    raised. Returns the machine after the last record, where new records
+    continue, the next seq and the torn tail (``b""`` if none).
     """
-    lines = log.split(b"\n")
-    if not lines[-1]:  # the empty rest after the last newline
-        lines.pop()
-    for number, line in enumerate(lines, start=first_line):
+    *lines, tail = log.split(b"\n")  # tail: b"" after a final newline, else an unterminated line
+    for index, line in enumerate([*lines, tail] if tail else lines):
         try:
             record = json.loads(line.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise MalformedLog(f"line {number}: not valid UTF-8") from None
-        except json.JSONDecodeError as error:
-            raise MalformedLog(f"line {number}: not valid JSON: {error}") from None
+        except ValueError as error:
+            if index == len(lines):  # the unterminated tail: torn, as a cut-short write leaves it
+                return machine, seq, line
+            if isinstance(error, UnicodeDecodeError):
+                raise MalformedLog(f"line {seq + 1}: not valid UTF-8") from None
+            raise MalformedLog(f"line {seq + 1}: not valid JSON: {error}") from None
         if (
             not isinstance(record, dict)
             or set(record) != {"seq", "input", "outputs"}
@@ -267,9 +274,9 @@ def _replay(
             or not isinstance(record["outputs"], list)
             or not all(isinstance(item, str) for item in record["outputs"])
         ):
-            raise MalformedLog(f"line {number}: not a valid event record")
+            raise MalformedLog(f"line {seq + 1}: not a valid event record")
         if record["seq"] != seq:
-            raise MalformedLog(f"line {number}: expected seq {seq}, found {record['seq']}")
+            raise MalformedLog(f"line {seq + 1}: expected seq {seq}, found {record['seq']}")
         try:
             value = entry.decode_input(record["input"])
         except CodecError as error:
@@ -282,35 +289,19 @@ def _replay(
                 f"logged {record['outputs']}, regenerated {encoded}"
             )
         seq += 1
-    return machine, seq
-
-
-def _split_torn_tail(data: bytes) -> tuple[bytes, bytes]:
-    """Split the log bytes into the lines to check and a torn tail (``b""`` if none).
-
-    A torn tail is a last line that is both unterminated and not valid
-    JSON, which is what a write cut short leaves behind.
-    """
-    if not data or data.endswith(b"\n"):
-        return data, b""
-    start = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[start:].decode("utf-8"))
-    except ValueError:
-        return data[:start], data[start:]
-    return data, b""
+    return machine, seq, b""
 
 
 @contextmanager
-def _locked_log(path: Path, exclusive: bool) -> Iterator[bytes]:
-    """Hold a lock on the log at ``path`` and yield its bytes.
+def _locked_log(path: Path, exclusive: bool) -> Iterator[tuple[BinaryIO, bytes]]:
+    """Hold a lock on the log at ``path`` and yield its one handle and its bytes.
 
-    A writer's lock is exclusive and creates a missing log; a reader's is shared.
+    A writer's handle appends, creates a missing log and holds an exclusive
+    lock; a reader's handle only reads and holds a shared one.
     """
-    create = os.O_CREAT if exclusive else 0
-    existed = not create or path.exists()
-    try:  # "rb" through an opener, as no mode of open() creates a file it only reads
-        handle = open(path, "rb", opener=lambda name, flags: os.open(name, flags | create, 0o666))
+    existed = not exclusive or path.exists()
+    try:
+        handle = open(path, "a+b" if exclusive else "rb")
     except OSError as error:
         if existed:
             raise MalformedLog(f"cannot read log {path}: {error}") from error
@@ -318,10 +309,11 @@ def _locked_log(path: Path, exclusive: bool) -> Iterator[bytes]:
     with handle:  # closing it releases the lock
         fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
         try:
+            handle.seek(0)  # "a+b" opens at the end
             data = handle.read()
         except OSError as error:
             raise MalformedLog(f"cannot read log {path}: {error}") from error
-        yield data
+        yield handle, data
 
 
 def _manifest_path(log: Path) -> Path:
@@ -369,27 +361,29 @@ def _write_manifest(log: Path, manifest: dict) -> None:
 
 
 def _restore(
-    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str, body: bytes
-) -> tuple[StateMachine, int, int, Any] | None:
-    """Resume from the manifest: ``(machine, seq, bytes covered, their sha256)``, or None.
+    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str, log: bytes
+) -> tuple[StateMachine, int, int, Any]:
+    """Where to resume ``log``: ``(machine, seq, bytes covered, their sha256)``.
 
     The manifest must name this machine and topology, and must cover a
-    prefix of ``body`` that ends a line, holds as many lines as it has
+    prefix of ``log`` that ends a line, holds as many lines as it has
     records and hashes to its ``sha256``; its vertices must then fit the
-    fresh tree's leaves.
+    fresh tree's leaves. Otherwise the resume starts afresh, from
+    ``(fresh, 0, 0, sha256())``.
     """
+    start = fresh, 0, 0, hashlib.sha256()
     if manifest is None or manifest["machine"] != name or manifest["fingerprint"] != fingerprint:
-        return None
+        return start
     size = manifest["bytes"]
     # the prefix is empty or ends a line, and holds one line per record (no hash covers that)
-    if body.rfind(b"\n", 0, size) != size - 1 or manifest["records"] != body.count(b"\n", 0, size):
-        return None
-    digest = hashlib.sha256(memoryview(body)[:size])
+    if log.rfind(b"\n", 0, size) != size - 1 or manifest["records"] != log.count(b"\n", 0, size):
+        return start
+    digest = hashlib.sha256(memoryview(log)[:size])
     if digest.hexdigest() != manifest["sha256"]:
-        return None
+        return start
     machine = _restore_vertices(fresh, manifest["vertices"])
     if machine is None:
-        return None
+        return start
     return machine, manifest["records"], size, digest
 
 
@@ -403,35 +397,31 @@ def _cmd_run(args, registry) -> int:
         return EXIT_OK
 
     path = Path(args.log)
-    with _locked_log(path, exclusive=True) as data:
-        body, torn = _split_torn_tail(data)
+    with _locked_log(path, exclusive=True) as (log, data):
         fingerprint = _fingerprint(machine)
-        resumed = _restore(machine, _read_manifest(path), args.machine, fingerprint, body)
-        if resumed is None:
-            resumed = machine, 0, 0, hashlib.sha256()
-        machine, seq, start, digest = resumed
-        machine, seq = _replay(machine, body[start:], entry, config, seq, seq + 1)
-        digest.update(memoryview(body)[start:])
+        manifest = _read_manifest(path)
+        machine, seq, start, digest = _restore(machine, manifest, args.machine, fingerprint, data)
+        machine, seq, torn = _replay(machine, data[start:], entry, config, seq)
+        checked = len(data) - len(torn)
+        digest.update(memoryview(data)[start:checked])
+        if torn:
+            log.truncate(checked)
+            print(
+                f"warning: {path}: removed a torn tail at line {seq + 1} "
+                f"({len(torn)} bytes, unterminated and not valid JSON)",
+                file=sys.stderr,
+            )
+        elif data and not data.endswith(b"\n"):  # never glue a record onto it
+            log.write(b"\n")
+            digest.update(b"\n")
 
-        with path.open("a+b") as log:
-            if torn:
-                log.truncate(len(body))
-                print(
-                    f"warning: {path}: removed a torn tail at line {seq + 1} "
-                    f"({len(torn)} bytes, unterminated and not valid JSON)",
-                    file=sys.stderr,
-                )
-            elif body and not body.endswith(b"\n"):  # never glue a record onto it
-                log.write(b"\n")
-                digest.update(b"\n")
+        def append(record: bytes) -> None:
+            log.write(record)
+            log.flush()
+            digest.update(record)
 
-            def append(record: bytes) -> None:
-                log.write(record)
-                log.flush()
-                digest.update(record)
-
-            machine, seq = _run_commands(machine, lines, entry, config, seq, append)
-            size = log.seek(0, os.SEEK_END)
+        machine, seq = _run_commands(machine, lines, entry, config, seq, append)
+        size = log.seek(0, os.SEEK_END)
 
         vertices = _leaf_vertices(machine)
         if vertices is not None:
@@ -483,10 +473,9 @@ def _cmd_replay(args, registry) -> int:
     machine = entry.factory()
     config = _run_config(args.feedback_cap)
     path = Path(args.log)
-    with _locked_log(path, exclusive=False) as data:  # a run in progress finishes first
+    with _locked_log(path, exclusive=False) as (_, data):  # a run in progress finishes first
         _check_identity(path, args.machine, machine)
-    body, torn = _split_torn_tail(data)
-    _, seq = _replay(machine, body, entry, config)
+    _, seq, torn = _replay(machine, data, entry, config)
     if torn:
         raise MalformedLog(
             f"line {seq + 1}: torn tail ({len(torn)} bytes, unterminated and not valid JSON)"

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crem import (
+    DisallowedTransition,
     Feedback,
     FeedbackOverflow,
     Kleisli,
@@ -34,6 +35,8 @@ from crem.cart import (
     ShippingCommand,
     ShippingEvent,
     ShippingInfo,
+    _chain,
+    _table_machine,
     cart,
     cart_and_shipping,
     payment_complete_policy,
@@ -195,6 +198,17 @@ def test_table_leaf_stay_keeps_its_state_object(leaf, start, value):
     machine = replace(leaf().machine, state=MachineState(start))
     _, stepped = machine.step(value)
     assert stepped.state is machine.state
+
+
+def test_a_table_row_the_topology_forbids_fails_at_build():
+    # a -> c skips b: the table is refused when it is built, before any input reaches the row
+    table = {("a", "go"): (("went",), "b"), ("a", "jump"): ((), "c")}
+    with pytest.raises(DisallowedTransition) as caught:
+        _table_machine("skipper", _chain("a", "b", "c"), "a", table)
+    error = caught.value
+    assert (error.machine, error.source, error.target) == ("skipper", "a", "c")
+    del table[("a", "jump")]
+    _table_machine("skipper", _chain("a", "b", "c"), "a", table)  # every other row builds
 
 
 def test_cart_and_shipping_pay_starts_shipping():

@@ -127,6 +127,28 @@ def test_run_codec_error_reports_line(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\x85", "\x1e"], ids=["line-separator", "next-line", "record-separator"]
+)
+def test_a_command_line_ends_only_at_newline(separator, tmp_path, capsys):
+    # str.splitlines would end a line at each of these and count Bogus as line 3
+    commands = tmp_path / "cmds.txt"
+    commands.write_text(f"PayCart{separator}\nBogus\n", encoding="utf-8")
+    assert cli.main(["run", "cart", "--input", str(commands)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "[CartPaymentInitiated]\n"
+    assert captured.err == "error: line 2: 'Bogus' is not a CartCommand\n"
+
+
+def test_run_reads_a_crlf_command_file(tmp_path, capsys):
+    commands = tmp_path / "cmds.txt"
+    commands.write_bytes(b"# paid\r\nPayCart\r\n\r\nMarkCartAsPaid\r\nBogus\r\n")
+    assert cli.main(["run", "cart", "--input", str(commands)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "[CartPaymentInitiated]\n[CartPaymentCompleted]\n"
+    assert captured.err == "error: line 5: 'Bogus' is not a CartCommand\n"
+
+
 def test_run_writes_event_log(tmp_path, capsys):
     commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
@@ -312,6 +334,19 @@ def test_a_log_line_ends_only_at_newline(line, tmp_path, capsys):
     assert json.loads(log.read_bytes().split(b"\n")[1])["seq"] == 1
     assert cli.main(["replay", "cart", "--log", str(log)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit"
+)
+def test_replay_calls_a_line_python_cannot_parse_not_valid_json(tmp_path, capsys):
+    # an integer past Python's digit limit raises a plain ValueError inside json.loads
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(json.dumps(PAID).encode() + b'\n{"seq": ' + b"1" * 5000 + b"}\n")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed log: line 2: not valid JSON: Exceeds the limit")
+    assert len(err.splitlines()) == 1
 
 
 def test_replay_rejects_boolean_seq(tmp_path, capsys):

@@ -12,6 +12,7 @@ foreign manifest falls back to the full check of the log.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import fcntl
 import hashlib
@@ -26,6 +27,7 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -615,6 +617,77 @@ def test_an_earlier_fault_beats_the_torn_tail_and_the_log_is_left_alone(tmp_path
     assert call("replay", "cart", "--log", log)[0] == cli.EXIT_DIVERGED
 
 
+@pytest.mark.parametrize("with_manifest", [True, False])
+def test_an_unterminated_line_that_is_not_utf8_is_a_torn_tail(tmp_path, with_manifest):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    if not with_manifest:
+        manifest_of(log).unlink()
+    whole = log.read_bytes()
+    torn = b'{"input": "\xff", "outputs": [], "seq": 1}'  # a record, but for one byte
+    log.write_bytes(whole + torn)
+    assert call("replay", "cart", "--log", log) == (
+        cli.EXIT_CODEC,
+        "",
+        f"error: malformed log: line 2: torn tail ({len(torn)} bytes, "
+        "unterminated and not valid JSON)\n",
+    )
+    code, out, err = run("cart", log, ["MarkCartAsPaid"])
+    assert (code, out) == (0, "[CartPaymentCompleted]\n")
+    assert err == (
+        f"warning: {log}: removed a torn tail at line 2 "
+        f"({len(torn)} bytes, unterminated and not valid JSON)\n"
+    )
+    assert log.read_bytes().startswith(whole)
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+@pytest.mark.parametrize("tail", [b"[]", b'{"seq": 1}', b"7"])
+def test_an_unterminated_line_that_is_json_but_no_record_is_refused(tmp_path, tail):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    log.write_bytes(log.read_bytes() + tail)
+    tampered = log.read_bytes()
+    refused = (cli.EXIT_CODEC, "", "error: malformed log: line 2: not a valid event record\n")
+    assert run("cart", log, ["MarkCartAsPaid"]) == refused
+    assert log.read_bytes() == tampered
+    assert call("replay", "cart", "--log", log) == refused
+
+
+# -- one handle per session ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def opens_of(path: Path):
+    """Collects the mode of every ``open`` or ``Path.open`` of ``path`` inside the block."""
+    modes, real = [], io.open
+
+    def counting(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            modes.append(mode)
+        return real(file, mode, *args, **kwargs)
+
+    with mock.patch.object(builtins, "open", counting), mock.patch.object(io, "open", counting):
+        yield modes
+
+
+@pytest.mark.parametrize("before", ["absent", "with-manifest", "without-manifest", "torn"])
+def test_a_session_opens_its_log_once(tmp_path, before):
+    log = tmp_path / "log.jsonl"
+    if before != "absent":
+        assert run("cart", log, ["PayCart"])[0] == 0
+    if before == "without-manifest":
+        manifest_of(log).unlink()
+    if before == "torn":
+        log.write_bytes(log.read_bytes() + TORN)
+    with opens_of(log) as modes:
+        assert run("cart", log, ["MarkCartAsPaid"])[0] == 0
+    assert modes == ["a+b"]
+    with opens_of(log) as modes:
+        assert call("replay", "cart", "--log", log) == (0, "", "")
+    assert modes == ["rb"]
+
+
 # -- one writer at a time --------------------------------------------------------
 
 
@@ -688,6 +761,29 @@ def test_replay_locks_nothing_into_being_and_names_what_it_cannot_read(tmp_path,
     assert (code, out) == (cli.EXIT_CODEC, "")
     assert err == f"error: malformed log: cannot read log {log}: {reason}: '{log}'\n"
     assert log.exists() == existed
+
+
+def test_a_writer_creates_no_missing_directory(tmp_path):
+    log = tmp_path / "absent" / "log.jsonl"
+    source = tmp_path / "commands.txt"
+    source.write_text("PayCart\n", encoding="utf-8")
+    assert call("run", "cart", "--input", source, "--log", log) == (
+        cli.EXIT_USAGE,
+        "",
+        f"error: [Errno 2] No such file or directory: '{log}'\n",
+    )
+    assert not log.parent.exists()
+
+
+def test_a_writer_names_a_log_it_cannot_open(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.mkdir()
+    assert run("cart", log, ["PayCart"]) == (
+        cli.EXIT_CODEC,
+        "",
+        f"error: malformed log: cannot read log {log}: [Errno 21] Is a directory: '{log}'\n",
+    )
+    assert not manifest_of(log).exists()
 
 
 def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):
