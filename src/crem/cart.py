@@ -16,7 +16,6 @@ from .compose import (
     Basic,
     Feedback,
     Kleisli,
-    Left,
     Right,
     StateMachine,
     fanin,
@@ -217,12 +216,8 @@ def shipping_info() -> StateMachine:
 
 
 def _tag_sides(branch):
-    """Push the branch tag inside the branch's list of messages."""
-    if isinstance(branch, Left):
-        return [Left(item) for item in branch.value]
-    if isinstance(branch, Right):
-        return [Right(item) for item in branch.value]
-    raise TypeError(f"expected Left or Right, got {branch!r}")
+    """Push the branch tag (an Alternative's Left or Right) inside its list of messages."""
+    return [type(branch)(item) for item in branch.value]
 
 
 def _wrap_right(items):

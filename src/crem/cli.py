@@ -15,17 +15,18 @@ records the format version (2), the machine name, a topology fingerprint
 leaf's name, edges and initial vertex), the count of records, the length
 and sha256 of the log bytes that run checked or wrote, and the leaf
 vertices after them. It is written to a temporary file and then renamed
-into place. A resuming ``run`` whose manifest matches the version, machine
-and fingerprint, and covers a prefix that ends a line, holds one line per
-record and matches its hash, restores those vertices into a fresh tree and
-re-runs only the records after that prefix. That is the trade: only a run
-that checked or wrote exactly those bytes writes a manifest, so a matching
-hash stands for "checked as ``replay`` does". Any mismatch, an unreadable
-manifest or vertices the tree cannot hold fall back to checking the whole
-log. No manifest is written for a tree with a leaf whose payload is not
-None when the run ends. ``replay`` re-runs
-every record; when a manifest exists it first refuses, with exit 3, a log
-whose manifest names another machine or topology.
+into place. One rule names a log's writer: a well-formed manifest naming
+another machine or topology makes ``run`` and ``replay`` alike exit 3
+before they re-run or write anything; deleting ``LOG.crem`` adopts the log.
+A resuming ``run`` whose manifest covers a prefix that ends a line, holds
+one line per record and matches its hash, restores those vertices into a
+fresh tree and re-runs only the records after that prefix. That is the
+trade: only a run that checked or wrote exactly those bytes writes a
+manifest, so a matching hash stands for "checked as ``replay`` does". Any
+other mismatch, an unreadable manifest or vertices the tree cannot hold
+fall back to checking the whole log. No manifest is written for a tree
+with a leaf whose payload is not None when the run ends. ``replay``
+re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. The one loop that checks the records judges
@@ -59,7 +60,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -331,8 +332,12 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_manifest(log: Path) -> dict | None:
-    """The manifest beside ``log``, or None if it is absent, unreadable or malformed."""
+def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
+    """The manifest beside ``log``, or None if it is absent, unreadable or malformed.
+
+    A well-formed one naming another machine than ``name`` or another topology
+    than ``fingerprint`` raises ``MalformedLog``: it names another writer.
+    """
     try:
         manifest = json.loads(_manifest_path(log).read_bytes())
     except (OSError, ValueError):
@@ -347,6 +352,12 @@ def _read_manifest(log: Path) -> dict | None:
         or not all(isinstance(vertex, str) for vertex in manifest["vertices"])
     ):
         return None
+    if (manifest["machine"], manifest["fingerprint"]) != (name, fingerprint):
+        raise MalformedLog(
+            f"{log} was written by machine {manifest['machine']!r} "
+            f"(topology {manifest['fingerprint'][:12]}), not by {name!r} "
+            f"(topology {fingerprint[:12]})"
+        )
     return manifest
 
 
@@ -356,23 +367,24 @@ def _write_manifest(log: Path, manifest: dict) -> None:
     try:
         temp.write_bytes(json.dumps(manifest, sort_keys=True).encode())
         os.replace(temp, target)
-    except OSError:
-        pass  # no manifest only costs time: the next run checks the whole log
+    except OSError:  # no manifest only costs time: the next run checks the whole log
+        with suppress(OSError):
+            temp.unlink()  # and leaves no stray copy of it
 
 
 def _restore(
-    fresh: StateMachine, manifest: dict | None, name: str, fingerprint: str, log: bytes
+    fresh: StateMachine, manifest: dict | None, log: bytes
 ) -> tuple[StateMachine, int, int, Any]:
     """Where to resume ``log``: ``(machine, seq, bytes covered, their sha256)``.
 
-    The manifest must name this machine and topology, and must cover a
-    prefix of ``log`` that ends a line, holds as many lines as it has
-    records and hashes to its ``sha256``; its vertices must then fit the
-    fresh tree's leaves. Otherwise the resume starts afresh, from
-    ``(fresh, 0, 0, sha256())``.
+    ``_read_manifest`` has already refused a manifest naming another
+    writer. The manifest must cover a prefix of ``log`` that ends a line,
+    holds as many lines as it has records and hashes to its ``sha256``; its
+    vertices must then fit the fresh tree's leaves. Otherwise the resume
+    starts afresh, from ``(fresh, 0, 0, sha256())``.
     """
     start = fresh, 0, 0, hashlib.sha256()
-    if manifest is None or manifest["machine"] != name or manifest["fingerprint"] != fingerprint:
+    if manifest is None:
         return start
     size = manifest["bytes"]
     # the prefix is empty or ends a line, and holds one line per record (no hash covers that)
@@ -399,8 +411,8 @@ def _cmd_run(args, registry) -> int:
     path = Path(args.log)
     with _locked_log(path, exclusive=True) as (log, data):
         fingerprint = _fingerprint(machine)
-        manifest = _read_manifest(path)
-        machine, seq, start, digest = _restore(machine, manifest, args.machine, fingerprint, data)
+        manifest = _read_manifest(path, args.machine, fingerprint)
+        machine, seq, start, digest = _restore(machine, manifest, data)
         machine, seq, torn = _replay(machine, data[start:], entry, config, seq)
         checked = len(data) - len(torn)
         digest.update(memoryview(data)[start:checked])
@@ -454,27 +466,13 @@ def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[St
     return machine, seq
 
 
-def _check_identity(log: Path, name: str, fresh: StateMachine) -> None:
-    """Refuse a log whose manifest names another machine or topology than ``name``'s."""
-    manifest = _read_manifest(log)
-    if manifest is None:
-        return
-    fingerprint = _fingerprint(fresh)
-    if (manifest["machine"], manifest["fingerprint"]) != (name, fingerprint):
-        raise MalformedLog(
-            f"{log} was written by machine {manifest['machine']!r} "
-            f"(topology {manifest['fingerprint'][:12]}), not by {name!r} "
-            f"(topology {fingerprint[:12]})"
-        )
-
-
 def _cmd_replay(args, registry) -> int:
     entry = _lookup(registry, args.machine)
     machine = entry.factory()
     config = _run_config(args.feedback_cap)
     path = Path(args.log)
     with _locked_log(path, exclusive=False) as (_, data):  # a run in progress finishes first
-        _check_identity(path, args.machine, machine)
+        _read_manifest(path, args.machine, _fingerprint(machine))
     _, seq, torn = _replay(machine, data, entry, config)
     if torn:
         raise MalformedLog(

@@ -6,8 +6,9 @@ and the leaf vertices after them. A later ``run`` that finds the manifest
 matching re-steps only the records after it. These tests pin that down
 with a counting wrapper on ``BaseMachine.step`` instead of timings, show
 with a Hypothesis state machine that any split of the commands into runs
-leaves the bytes one unsplit run leaves, and show that every damaged or
-foreign manifest falls back to the full check of the log.
+leaves the bytes one unsplit run leaves, and show that every damaged
+manifest falls back to the full check of the log, while one naming another
+machine or topology makes ``run`` and ``replay`` alike refuse the log.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def clean_env(monkeypatch):
     monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
 
 
-def call(*argv) -> tuple[int, str, str]:
+def call(*argv, registry=None) -> tuple[int, str, str]:
     """``cli.main`` with its stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(arg) for arg in argv])
+        code = cli.main([str(arg) for arg in argv], registry)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -210,8 +211,6 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
         "vertex-off-topology": changed(vertices=["Nowhere"] + manifest["vertices"][1:]),
         "vertex-missing": changed(vertices=manifest["vertices"][:-1]),
         "vertex-extra": changed(vertices=manifest["vertices"] + ["Done"]),
-        "fingerprint": changed(fingerprint="0" * 64),
-        "other-machine": changed(machine="cart"),
         "version": changed(version=cli.MANIFEST_VERSION + 1),
         "sha256": changed(sha256="0" * 64),
         "bytes-past-the-end": changed(bytes=manifest["bytes"] + 1),
@@ -232,7 +231,7 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("kind", [
-    "vertex-off-topology", "vertex-missing", "vertex-extra", "fingerprint", "other-machine",
+    "vertex-off-topology", "vertex-missing", "vertex-extra",
     "version", "sha256", "bytes-past-the-end", "bytes-mid-line", "records-as-bool",
     "records-short", "records-long", "version-1", "unknown-field", "not-json", "not-utf-8",
     "a-list", "empty",
@@ -528,35 +527,89 @@ def test_run_and_replay_render_no_diagram(tmp_path, monkeypatch):
     assert call("replay", "cart-and-shipping", "--log", log) == (0, "", "")
 
 
-# -- machine identity on replay --------------------------------------------------
+# -- one writer identity for run and replay ---------------------------------------
 
 
-def test_replay_refuses_a_log_written_by_another_machine(tmp_path):
+def session(kind, machine, log, registry=None) -> tuple[int, str, str]:
+    """``replay``, or a ``run`` of one ``PayCart``, on ``log`` as ``machine``."""
+    if kind == "replay":
+        return call("replay", machine, "--log", log, registry=registry)
+    source = Path(log).with_name("commands.txt")
+    source.write_text("PayCart\n", encoding="utf-8")
+    return call("run", machine, "--input", source, "--log", log, registry=registry)
+
+
+def written(log: Path) -> tuple[bytes, bytes]:
+    return log.read_bytes(), manifest_of(log).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["run", "replay"])
+def test_run_and_replay_refuse_a_log_written_by_another_machine(kind, tmp_path):
     log = tmp_path / "log.jsonl"
     assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
-    code, out, err = call("replay", "whole-cart-domain", "--log", log)
+    before = written(log)
+    code, out, err = session(kind, "whole-cart-domain", log)
     assert (code, out) == (cli.EXIT_CODEC, "")
     assert err.startswith(f"error: malformed log: {log} was written by machine 'cart' ")
     assert "not by 'whole-cart-domain'" in err
     assert len(err.splitlines()) == 1
+    assert written(log) == before  # refused before anything is re-run or written
     assert call("replay", "cart", "--log", log) == (0, "", "")
     manifest_of(log).unlink()  # without a manifest nothing names the writer
-    assert call("replay", "whole-cart-domain", "--log", log) == (0, "", "")
+    code, _, err = session(kind, "whole-cart-domain", log)
+    assert (code, err) == (0, "")
 
 
-def test_replay_refuses_a_log_written_by_another_topology(tmp_path):
+@pytest.mark.parametrize("kind", ["run", "replay"])
+def test_run_and_replay_refuse_a_log_written_by_another_topology(kind, tmp_path):
     log = tmp_path / "log.jsonl"
     assert run("cart", log, ["PayCart"])[0] == 0
+    before = written(log)
     registry = cli.default_registry()
     registry["cart"] = replace(
         registry["cart"], factory=lambda: Sequential(cart(), identity_machine("echo"))
     )
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        assert cli.main(["replay", "cart", "--log", str(log)], registry) == cli.EXIT_CODEC
-    message = err.getvalue()
+    code, out, message = session(kind, "cart", log, registry)
+    assert (code, out) == (cli.EXIT_CODEC, "")
     assert "written by machine 'cart'" in message and "not by 'cart'" in message
     assert len(message.splitlines()) == 1
+    assert written(log) == before
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_a_run_cannot_relabel_a_log_another_machine_wrote(tmp_path):
+    log = tmp_path / "log.jsonl"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
+    assert call("replay", "whole-cart-domain", "--log", log)[0] == cli.EXIT_CODEC
+    assert call("run", "whole-cart-domain", "--input", empty, "--log", log)[0] == cli.EXIT_CODEC
+    assert call("replay", "whole-cart-domain", "--log", log)[0] == cli.EXIT_CODEC
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_a_manifest_that_cannot_be_renamed_into_place_leaves_no_copy(tmp_path, leaf_steps):
+    machine = "whole-cart-domain"
+    commands = commands_for(machine, 20)
+    log, reference = tmp_path / "log.jsonl", tmp_path / "reference" / "log.jsonl"
+    reference.parent.mkdir()
+    manifest_of(log).mkdir()  # os.replace cannot put a file over a directory
+    done = run(machine, log, commands)
+    assert done == run(machine, reference, commands)
+    assert (done[0], done[2]) == (0, "")
+    assert log.read_bytes() == reference.read_bytes()
+    assert manifest_of(log).is_dir()
+    assert not manifest_of(log).with_name(manifest_of(log).name + ".tmp").exists()
+
+    def resume(target: Path):
+        before = leaf_steps[0]
+        done = run(machine, target, ["PayCart"])
+        return done, leaf_steps[0] - before, target.read_bytes()
+
+    manifest_of(reference).unlink()  # so the reference checks its whole log too
+    resumed = resume(log)
+    assert resumed == resume(reference)
+    assert (resumed[0][0], resumed[0][2]) == (0, "")
 
 
 # -- torn tails ------------------------------------------------------------------
