@@ -14,19 +14,21 @@ records the format version (2), the machine name, a topology fingerprint
 (the sha256 of one walk of the fresh tree: each node's kind, and each
 leaf's name, edges and initial vertex), the count of records, the length
 and sha256 of the log bytes that run checked or wrote, and the leaf
-vertices after them. It is written to a temporary file and then renamed
-into place. One rule names a log's writer: a well-formed manifest naming
-another machine or topology makes ``run`` and ``replay`` alike exit 3
-before they re-run or write anything; deleting ``LOG.crem`` adopts the log.
-A resuming ``run`` whose manifest covers a prefix that ends a line, holds
-one line per record and matches its hash, restores those vertices into a
-fresh tree and re-runs only the records after that prefix. That is the
-trade: only a run that checked or wrote exactly those bytes writes a
-manifest, so a matching hash stands for "checked as ``replay`` does". Any
-other mismatch, an unreadable manifest or vertices the tree cannot hold
-fall back to checking the whole log. No manifest is written for a tree
-with a leaf whose payload is not None when the run ends. ``replay``
-re-runs every record.
+vertices after them. It is written in place under the log's lock, and
+read under that lock before a run restores from it: a manifest cut short
+or zero-filled is not valid JSON, and an old one covers a prefix of the
+log, so a crash mid-write only costs a full check. One rule names a log's
+writer: a well-formed manifest naming another machine or topology makes
+``run`` and ``replay`` alike exit 3 before they re-run, write or create
+anything; deleting ``LOG.crem`` adopts the log. A resuming ``run`` whose
+manifest covers a prefix that ends a line, holds one line per record and
+matches its hash, restores those vertices into a fresh tree and re-runs
+only the records after that prefix. That is the trade: only a run that
+checked or wrote exactly those bytes writes a manifest, so a matching hash
+stands for "checked as ``replay`` does". Any other mismatch, an unreadable
+manifest or vertices the tree cannot hold fall back to checking the whole
+log. No manifest is written for a tree with a leaf whose payload is not
+None when the run ends. ``replay`` re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. The one loop that checks the records judges
@@ -362,14 +364,8 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
 
 
 def _write_manifest(log: Path, manifest: dict) -> None:
-    target = _manifest_path(log)
-    temp = target.with_name(target.name + ".tmp")
-    try:
-        temp.write_bytes(json.dumps(manifest, sort_keys=True).encode())
-        os.replace(temp, target)
-    except OSError:  # no manifest only costs time: the next run checks the whole log
-        with suppress(OSError):
-            temp.unlink()  # and leaves no stray copy of it
+    with suppress(OSError):  # no manifest only costs time: the next run checks the whole log
+        _manifest_path(log).write_bytes(json.dumps(manifest, sort_keys=True).encode())
 
 
 def _restore(
@@ -409,8 +405,10 @@ def _cmd_run(args, registry) -> int:
         return EXIT_OK
 
     path = Path(args.log)
+    fingerprint = _fingerprint(machine)
+    if not path.exists():  # refuse another writer's manifest before the open creates the log
+        _read_manifest(path, args.machine, fingerprint)
     with _locked_log(path, exclusive=True) as (log, data):
-        fingerprint = _fingerprint(machine)
         manifest = _read_manifest(path, args.machine, fingerprint)
         machine, seq, start, digest = _restore(machine, manifest, data)
         machine, seq, torn = _replay(machine, data[start:], entry, config, seq)

@@ -264,6 +264,33 @@ def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, le
     assert call("replay", machine, "--log", log) == (0, "", "")
 
 
+def test_a_manifest_cut_short_at_any_byte_falls_back_silently(tmp_path, leaf_steps):
+    machine = "cart-and-shipping"
+    log = tmp_path / "log.jsonl"
+    assert run(machine, log, commands_for(machine, 8, seed=3))[0] == 0
+    original, manifest = log.read_bytes(), manifest_of(log).read_bytes()
+    fingerprint = _fingerprint(cart_and_shipping())
+
+    manifest_of(log).unlink()
+    before = leaf_steps[0]
+    expected = run(machine, log, ["cart PayCart"])
+    full = leaf_steps[0] - before
+    expected_bytes = log.read_bytes()
+    assert (expected[0], expected[2]) == (0, "")
+
+    for size in range(len(manifest)):  # every prefix the write can stop at, the empty one too
+        log.write_bytes(original)
+        manifest_of(log).write_bytes(manifest[:size])
+        assert cli._read_manifest(log, machine, fingerprint) is None
+        before = leaf_steps[0]
+        assert run(machine, log, ["cart PayCart"]) == expected
+        assert leaf_steps[0] - before == full
+        assert log.read_bytes() == expected_bytes
+        rewritten = cli._read_manifest(log, machine, fingerprint)
+        assert rewritten is not None and rewritten["version"] == 2
+        assert rewritten["records"] == 9
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_flipped_byte_under_the_manifest_is_caught_as_without_one(data):
@@ -588,12 +615,25 @@ def test_a_run_cannot_relabel_a_log_another_machine_wrote(tmp_path):
     assert call("replay", "cart", "--log", log) == (0, "", "")
 
 
+def test_a_refused_run_creates_no_log(tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    log.unlink()
+    before = manifest_of(log).read_bytes()
+    code, out, err = session("run", "whole-cart-domain", log)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    assert err.startswith(f"error: malformed log: {log} was written by machine 'cart' ")
+    assert len(err.splitlines()) == 1
+    assert not log.exists()
+    assert manifest_of(log).read_bytes() == before
+
+
 def test_a_manifest_that_cannot_be_renamed_into_place_leaves_no_copy(tmp_path, leaf_steps):
     machine = "whole-cart-domain"
     commands = commands_for(machine, 20)
     log, reference = tmp_path / "log.jsonl", tmp_path / "reference" / "log.jsonl"
     reference.parent.mkdir()
-    manifest_of(log).mkdir()  # os.replace cannot put a file over a directory
+    manifest_of(log).mkdir()  # writing the manifest fails on a directory, and the run goes on
     done = run(machine, log, commands)
     assert done == run(machine, reference, commands)
     assert (done[0], done[2]) == (0, "")
