@@ -20,7 +20,9 @@ second parent) sends the check back to a walk over the new node's leaves, as
 does any clash, so the error always names the first duplicate in walk order.
 The children give their sets up only once the new node holds its own, so a
 refused build leaves its children as they were. Stepping moves the already
-validated nodes forward through a private copy, which shares the root's set,
+validated nodes forward through a positional copy: ``object.__new__``, one
+``__dict__.update`` from the old node, then the changed fields assigned by
+item, with no ``__init__`` and no keyword dict. The copy shares the root's set,
 so a step costs only the leaf steps it makes; a later build can only grow
 that set into a superset of the copy's names, which at worst sends a build
 of the copy through the walk and never hides a duplicate. Steps and restores
@@ -70,11 +72,16 @@ class TraceError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Execution limits. ``feedback_cap`` bounds loop iterations per input."""
+    """Execution limits. ``feedback_cap``, an ``int`` of at least 1 (not a ``bool``),
+    bounds loop iterations per input."""
 
     feedback_cap: int = 1000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.feedback_cap, int) or isinstance(self.feedback_cap, bool):
+            raise TypeError(
+                f"feedback_cap must be an int, got {type(self.feedback_cap).__name__}"
+            )
         if self.feedback_cap < 1:
             raise ValueError("feedback_cap must be at least 1")
 
@@ -255,7 +262,11 @@ class Basic(StateMachine):
         output, machine = self.machine.step(value)
         if machine is self.machine:
             return output, self
-        return output, _evolve(self, machine=machine)
+        copy = object.__new__(type(self))  # a positional copy, as in BaseMachine.step
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["machine"] = machine
+        return output, copy
 
 
 @dataclass(frozen=True)
@@ -274,10 +285,18 @@ class _Binary(StateMachine):
         _adopt_leaf_names(self, self.first, self.second)
 
     def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
-        """``self`` if ``first`` and ``second`` are its own children, else an ``_evolve`` copy."""
+        """``self`` if ``first`` and ``second`` are its own children, else a positional copy.
+
+        The copy takes ``self``'s whole ``__dict__``, so a root's leaf-name set is shared.
+        """
         if first is self.first and second is self.second:
             return self
-        return _evolve(self, first=first, second=second)
+        copy = object.__new__(type(self))
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["first"] = first
+        fields["second"] = second
+        return copy
 
 
 class Sequential(_Binary):
@@ -290,10 +309,16 @@ class Sequential(_Binary):
 
 
 class Parallel(_Binary):
-    """Step both children on the two halves of a pair; first steps first."""
+    """Step both children on the two halves of a pair; first steps first.
+
+    Any two-item iterable is a pair; any other input raises ``TypeError``.
+    """
 
     def step(self, value, config=DEFAULT_CONFIG):
-        a, c = value
+        try:
+            a, c = value
+        except (TypeError, ValueError):
+            raise TypeError(f"Parallel expects a pair, got {value!r}") from None
         b, first = self.first.step(a, config)
         d, second = self.second.step(c, config)
         return (b, d), self._with(first, second)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,12 @@ def test_parallel_component_independence():
     alone = run_trace(counter("left"), lefts)
     assert [b for b, _ in paired] == alone
     assert [d for _, d in paired] == run_trace(counter("right"), rights)
+
+
+@pytest.mark.parametrize("value", [1, (1, 2, 3)], ids=["not-iterable", "three-items"])
+def test_parallel_rejects_a_non_pair_naming_itself(value):
+    with pytest.raises(TypeError, match=rf"^Parallel expects a pair, got {re.escape(repr(value))}$"):
+        Parallel(counter("l"), counter("r")).step(value)
 
 
 def test_alternative_routes_left_and_right():
@@ -338,6 +346,12 @@ def counterish():
 def test_run_config_validates_cap():
     with pytest.raises(ValueError):
         RunConfig(feedback_cap=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_run_config_refuses_a_cap_that_is_not_an_int(cap):
+    with pytest.raises(TypeError, match="^feedback_cap must be an int, got "):
+        RunConfig(feedback_cap=cap)
 
 
 small_traces = st.lists(st.integers(min_value=0, max_value=99), max_size=12)

@@ -225,6 +225,51 @@ def test_a_move_rebuilds_only_its_path(tree, value, stayed):
     assert stepped == public_copy(stepped)
 
 
+def nodes(tree):
+    """Every node of ``tree`` in pre-order, each ``Basic`` followed by its machine."""
+    for node, done in compose._walk(tree):
+        if not done:
+            yield node
+            if isinstance(node, Basic):
+                yield node.machine
+
+
+def wrap(x):
+    return [x]
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda: ring("a", []), 1),
+        (lambda: Sequential(Sequential(ring("a", []), emit("b", wrap)), emit("c", list)), 1),
+        (lambda: Parallel(Sequential(ring("a", []), emit("b", wrap)), emit("c", wrap)), (1, 2)),
+        (lambda: Alternative(Sequential(ring("a", []), emit("b", wrap)), emit("c", wrap)), Left(1)),
+        (lambda: Feedback(Sequential(ring("a", []), emit("b", wrap)), emit("c", never_back)), 1),
+        (lambda: Kleisli(Sequential(ring("a", []), emit("b", wrap)), emit("c", wrap)), 1),
+    ],
+    ids=[kind.__name__ for kind in NODE_KINDS],
+)
+def test_a_stepped_node_keeps_its_type_and_keys(make, value):
+    tree = make()
+    before = [(node, dict(node.__dict__)) for node in nodes(tree)]
+    _, stepped = tree.step(value)
+    assert [leaf.state.vertex for leaf in stepped.leaves()][0] == "r1"  # a leaf moved
+    for (old, fields_before), new in zip(before, nodes(stepped), strict=True):
+        assert type(new) is type(old)
+        assert new.__dict__.keys() == old.__dict__.keys()
+        # the original kept every field, by identity
+        assert old.__dict__.keys() == fields_before.keys()
+        assert all(old.__dict__[key] is field for key, field in fields_before.items())
+    # only the root holds the leaf names, and its copy shares them
+    holders = [node for node in nodes(stepped) if "_leaf_names" in node.__dict__]
+    if isinstance(tree, Basic):
+        assert holders == []
+    else:
+        assert holders == [stepped]
+        assert stepped.__dict__["_leaf_names"] is tree.__dict__["_leaf_names"]
+
+
 def test_a_cart_move_rebuilds_only_its_path():
     tree = Alternative(cart(), Sequential(shipping(), identity_machine("c")))
     _, moved = tree.step(Left(CartCommand.PayCart))
