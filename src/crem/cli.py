@@ -4,8 +4,13 @@ Input files carry one encoded command per line, a line ending at ``\n``
 only; blank lines and ``#`` comments are skipped. With ``--log``, each
 processed input appends one record to a JSONL event log, which ``replay``
 later re-runs against a fresh machine to verify that every logged output
-regenerates exactly. A ``run`` on an existing log resumes it the same way:
-the logged records are re-run and checked before anything new is appended.
+regenerates exactly. ``run`` writes each record in one canonical form, the
+bytes ``json.dumps(record, sort_keys=True)`` gives: keys sorted, ``", "``
+and ``": "`` as separators, non-ASCII characters escaped. ``replay`` and a
+resume accept any JSON object with exactly the keys ``input``, ``outputs``
+and ``seq``. Each record is flushed before the next command runs. A ``run``
+on an existing log resumes it the same way: the logged records are re-run
+and checked before anything new is appended.
 A log is checked in one pass, record by record, so its first fault in file
 order decides the exit code.
 
@@ -65,6 +70,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
@@ -448,7 +454,13 @@ def _cmd_run(args, registry) -> int:
 
 
 def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[StateMachine, int]:
-    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on."""
+    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on.
+
+    A record is formatted directly as the bytes ``json.dumps(record,
+    sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
+    A codec that returns anything but a ``str`` raises ``CodecError`` before
+    its command prints or writes anything.
+    """
     for number, text in lines:
         try:
             value = entry.decode_input(text)
@@ -456,12 +468,28 @@ def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[St
             raise CodecError(f"line {number}: {error}") from None
         outputs, machine = machine.step(value, config)
         encoded = [entry.encode_output(item) for item in outputs]
-        print(f"[{', '.join(encoded)}]")
+        code = entry.encode_input(value) if append is not None else ""
+        try:  # join and _quote raise TypeError on an item that is not a str
+            shown = ", ".join(encoded)
+            if append is not None:
+                quoted = ", ".join(map(_quote, encoded))
+                record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
+        except TypeError:
+            raise _not_text(number, code, encoded) from None
+        print(f"[{shown}]")
         if append is not None:
-            record = {"seq": seq, "input": entry.encode_input(value), "outputs": encoded}
-            append(json.dumps(record, sort_keys=True).encode() + b"\n")
+            append(record.encode())
             seq += 1
     return machine, seq
+
+
+def _not_text(number: int, code: Any, encoded: list) -> CodecError:
+    """The error for input line ``number``, whose input or outputs encoded to a non-``str``."""
+    culprit, bad = next(
+        (("encode_output", item) for item in encoded if not isinstance(item, str)),
+        ("encode_input", code),
+    )
+    return CodecError(f"line {number}: {culprit} returned {type(bad).__name__} {bad!r}, not a str")
 
 
 def _cmd_replay(args, registry) -> int:

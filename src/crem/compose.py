@@ -363,11 +363,15 @@ class Feedback(_Binary):
         return self.second
 
     def step(self, value, config=DEFAULT_CONFIG):
-        forward, backward = self.first, self.second
-        collected: list[Any] = []
-        inputs: deque[Any] = deque([value])  # waiting for the forward machine
-        outputs: deque[Any] = deque()  # forward outputs waiting for the backward one
-        for _ in range(config.feedback_cap):
+        produced, forward = self.first.step(value, config)  # spends the cap's first unit
+        _require_list(produced, "the forward machine of Feedback")
+        if not produced:  # nothing to bounce back: the loop would stop here
+            return [], self._with(forward, self.second)
+        backward = self.second
+        collected = list(produced)
+        inputs: deque[Any] = deque()  # waiting for the forward machine
+        outputs: deque[Any] = deque(produced)  # forward outputs waiting for the backward one
+        for _ in range(config.feedback_cap - 1):
             if inputs:
                 produced, forward = forward.step(inputs.popleft(), config)
                 _require_list(produced, "the forward machine of Feedback")

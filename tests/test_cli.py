@@ -1,14 +1,19 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crem import cli
-from crem.cart import CartCommand, ShippingCommand
+from crem import Basic, BaseMachine, MachineState, StepResult, Topology, cli
+from crem.cart import CartCommand, CartEvent, ShippingCommand
 
 
 @pytest.fixture(autouse=True)
@@ -439,6 +444,76 @@ def test_run_maps_disallowed_transition_to_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: machine 'flipflop': transition 'b' -> 'a' is not allowed by the topology\n"
     )
+
+
+@pytest.mark.parametrize(
+    "codec,seven_for",
+    [
+        ("encode_input", CartCommand.MarkCartAsPaid),
+        ("encode_output", CartEvent.CartPaymentCompleted),
+    ],
+)
+def test_a_codec_that_returns_no_str_exits_3_before_its_line(codec, seven_for, tmp_path, capsys):
+    entry = cli.default_registry()["cart"]
+    encode = getattr(entry, codec)
+    registry = {"cart": replace(entry, **{codec: lambda v: 7 if v is seven_for else encode(v)})}
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)], registry) == 3
+    assert capsys.readouterr() == (
+        "[CartPaymentInitiated]\n",
+        f"error: line 2: {codec} returned int 7, not a str\n",
+    )
+    # the log keeps the records before that line
+    first = b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
+    assert log.read_bytes() == first
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+
+
+# quotes, backslashes, control and line-separator characters, and non-ASCII ones
+TRICKY = st.sampled_from(list('"\\\x00\x1f\x7f\t\r\x85\u2028\u2029é\U0001f600'))
+TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",), exclude_characters="\n"))
+
+
+def echo_entry(table):
+    """A one-vertex machine whose outputs are ``table[text]``, every codec the identity."""
+
+    def same(text):
+        return text
+
+    def act(state, text):
+        return StepResult(table[text], state)
+
+    def factory():
+        return Basic(BaseMachine("echo", Topology((("s", ()),)), MachineState("s"), act))
+
+    return cli.RegistryEntry(factory, same, same, same)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=st.dictionaries(
+        TEXT.filter(lambda text: text.strip() and not text.strip().startswith("#")),
+        st.lists(TEXT | st.just("\n"), max_size=3),
+        min_size=1,
+    ),
+    data=st.data(),
+)
+def test_run_writes_each_record_as_sorted_key_json_dumps(table, data):
+    commands = data.draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=8))
+    echo = echo_entry(table)
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+        source = Path(scratch, "cmds.txt")
+        source.write_bytes("".join(f"{text}\n" for text in commands).encode("utf-8"))
+        log = Path(scratch, "log.jsonl")
+        argv = ["run", "echo", "--input", str(source), "--log", str(log)]
+        assert cli.main(argv, {"echo": echo}) == 0
+        expected = [
+            json.dumps({"seq": seq, "input": text, "outputs": table[text]}, sort_keys=True) + "\n"
+            for seq, text in enumerate(commands)
+        ]
+        assert log.read_bytes() == "".join(expected).encode("ascii")
+        assert cli.main(["replay", "echo", "--log", str(log)], {"echo": echo}) == 0
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,36 @@ def test_feedback_with_silent_forward_machine():
     assert output == []
 
 
+def test_feedback_at_cap_one_settles_only_a_silent_forward_step():
+    echo = emitter("echo", lambda x: [x])
+    one = RunConfig(feedback_cap=1)
+    output, _ = Feedback(emitter("mute", lambda _: []), echo).step(9, one)
+    assert output == []
+    with pytest.raises(FeedbackOverflow) as err:
+        Feedback(emitter("once", lambda x: [x]), echo).step(9, one)
+    assert err.value.cap == 1
+
+
+def test_feedback_spends_one_unit_of_the_cap_per_step():
+    # 3, 2, 1, 0 take four forward and four backward steps
+    forward = emitter("fwd", lambda n: [n])
+    backward = emitter("bwd", lambda n: [n - 1] if n > 0 else [])
+    output, _ = Feedback(forward, backward).step(3, RunConfig(feedback_cap=8))
+    assert output == [3, 2, 1, 0]
+    with pytest.raises(FeedbackOverflow):
+        Feedback(forward, backward).step(3, RunConfig(feedback_cap=7))
+
+
+@pytest.mark.parametrize("shared", [[], ["x"]], ids=["empty", "one-item"])
+def test_feedback_never_hands_out_the_forward_machines_list(shared):
+    expected = list(shared)
+    tree = Feedback(emitter("fwd", lambda _: shared), emitter("mute", lambda _: []))
+    output, _ = tree.step(9)
+    assert output == expected and output is not shared
+    output.append("mutated")  # the caller owns the list it got
+    assert shared == expected
+
+
 def test_feedback_outputs_all_come_from_forward_machine():
     forward = emitter("fwd", lambda v: [("fwd", v)] if not isinstance(v, tuple) else [])
     backward = emitter("bwd", lambda v: [("bwd", v)])
