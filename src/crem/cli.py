@@ -19,21 +19,23 @@ records the format version (2), the machine name, a topology fingerprint
 (the sha256 of one walk of the fresh tree: each node's kind, and each
 leaf's name, edges and initial vertex), the count of records, the length
 and sha256 of the log bytes that run checked or wrote, and the leaf
-vertices after them. It is written in place under the log's lock, and
-read under that lock before a run restores from it: a manifest cut short
-or zero-filled is not valid JSON, and an old one covers a prefix of the
-log, so a crash mid-write only costs a full check. One rule names a log's
-writer: a well-formed manifest naming another machine or topology makes
-``run`` and ``replay`` alike exit 3 before they re-run, write or create
-anything; deleting ``LOG.crem`` adopts the log. A resuming ``run`` whose
-manifest covers a prefix that ends a line, holds one line per record and
-matches its hash, restores those vertices into a fresh tree and re-runs
-only the records after that prefix. That is the trade: only a run that
-checked or wrote exactly those bytes writes a manifest, so a matching hash
-stands for "checked as ``replay`` does". Any other mismatch, an unreadable
-manifest or vertices the tree cannot hold fall back to checking the whole
-log. No manifest is written for a tree with a leaf whose payload is not
-None when the run ends. ``replay`` re-runs every record.
+vertices after them. A run that stops at a failing command (exit 3, 4 or
+5) writes it too, for the last record it appended; a run whose check of
+the existing log fails writes none. It is written in place under the log's
+lock, and read under that lock before a run restores from it: a manifest
+cut short or zero-filled is not valid JSON, and an old one covers a prefix
+of the log, so a crash mid-write only costs a full check. One rule names a
+log's writer: a well-formed manifest naming another machine or topology
+makes ``run`` and ``replay`` alike exit 3 before they re-run, write or
+create anything; deleting ``LOG.crem`` adopts the log. A resuming ``run``
+whose manifest covers a prefix that ends a line, holds one line per record
+and matches its hash, restores those vertices into a fresh tree and
+re-runs only the records after that prefix. That is the trade: only a run
+that checked or wrote exactly those bytes writes a manifest, so a matching
+hash stands for "checked as ``replay`` does". Any other mismatch, an
+unreadable manifest or vertices the tree cannot hold fall back to checking
+the whole log. No manifest is written for a tree with a leaf whose payload
+is not None when the run ends. ``replay`` re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. The one loop that checks the records judges
@@ -430,36 +432,42 @@ def _cmd_run(args, registry) -> int:
         elif data and not data.endswith(b"\n"):  # never glue a record onto it
             log.write(b"\n")
             digest.update(b"\n")
+        done = machine, seq, log.seek(0, os.SEEK_END)  # machine, seq, size at the last record
 
-        def append(record: bytes) -> None:
+        def append(record: bytes, stepped: StateMachine) -> None:
+            nonlocal done
             log.write(record)
             log.flush()
             digest.update(record)
+            done = stepped, done[1] + 1, done[2] + len(record)
 
-        machine, seq = _run_commands(machine, lines, entry, config, seq, append)
-        size = log.seek(0, os.SEEK_END)
-
-        vertices = _leaf_vertices(machine)
-        if vertices is not None:
-            _write_manifest(path, {
-                "version": MANIFEST_VERSION,
-                "machine": args.machine,
-                "fingerprint": fingerprint,
-                "records": seq,
-                "bytes": size,
-                "sha256": digest.hexdigest(),
-                "vertices": vertices,
-            })
+        try:
+            _run_commands(machine, lines, entry, config, seq, append)
+        finally:  # a command that fails (exit 3, 4 or 5) leaves what was appended covered
+            machine, seq, size = done
+            vertices = _leaf_vertices(machine)
+            if vertices is not None:
+                _write_manifest(path, {
+                    "version": MANIFEST_VERSION,
+                    "machine": args.machine,
+                    "fingerprint": fingerprint,
+                    "records": seq,
+                    "bytes": size,
+                    "sha256": digest.hexdigest(),
+                    "vertices": vertices,
+                })
     return EXIT_OK
 
 
-def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[StateMachine, int]:
-    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on.
+def _run_commands(machine, lines, entry, config, seq=0, append=None) -> None:
+    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on,
+    with the machine after that command.
 
     A record is formatted directly as the bytes ``json.dumps(record,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
     A codec that returns anything but a ``str`` raises ``CodecError`` before
-    its command prints or writes anything.
+    its command prints or writes anything, so ``append`` never sees the
+    machine that command stepped to.
     """
     for number, text in lines:
         try:
@@ -478,9 +486,8 @@ def _run_commands(machine, lines, entry, config, seq=0, append=None) -> tuple[St
             raise _not_text(number, code, encoded) from None
         print(f"[{shown}]")
         if append is not None:
-            append(record.encode())
+            append(record.encode(), machine)
             seq += 1
-    return machine, seq
 
 
 def _not_text(number: int, code: Any, encoded: list) -> CodecError:

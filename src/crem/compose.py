@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .machine import BaseMachine, MachineState, _evolve, _on_topology, stateless
+from .machine import BaseMachine, MachineState, UnknownVertex, stateless
 
 
 class DuplicateLeafName(ValueError):
@@ -157,24 +157,28 @@ def _leaf_vertices(tree: StateMachine) -> list[str] | None:
 def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachine | None:
     """``tree`` with its leaves, in ``leaves()`` order, moved onto ``vertices``.
 
-    The inverse of :func:`_leaf_vertices`. Each vertex is checked against its leaf's
-    topology as ``BaseMachine`` construction checks it, and the tree is rebuilt as a step
-    rebuilds it, keeping every leaf already on its vertex with no payload and every subtree
-    none of whose leaves moved.
-    None for a count of vertices other than the count of leaves, or a
-    vertex off its leaf's topology.
+    The inverse of :func:`_leaf_vertices`. A leaf that must move, because its vertex
+    differs or its payload is not None, is built anew through the ``Basic`` and
+    ``BaseMachine`` constructors, so the one check that a vertex is on its topology
+    decides; a leaf that stays keeps the vertex its constructor already checked. The
+    tree is rebuilt as a step rebuilds it, keeping every subtree none of whose leaves
+    moved. None for a count of vertices other than the count of leaves, or a vertex off
+    its leaf's topology.
     """
     used = 0  # vertices handed out so far
     built: list[StateMachine] = []  # rebuilt subtrees, children before parents
     for node, done in _walk(tree):
         if isinstance(node, Basic):
-            machine = node.machine
-            if used == len(vertices) or not _on_topology(machine.topology, vertices[used]):
+            if used == len(vertices):
                 return None
             vertex = vertices[used]
             used += 1
-            if machine.state.vertex != vertex or machine.state.payload is not None:
-                node = _evolve(node, machine=_evolve(machine, state=MachineState(vertex)))
+            m = node.machine
+            if m.state.vertex != vertex or m.state.payload is not None:
+                try:
+                    node = Basic(BaseMachine(m.name, m.topology, MachineState(vertex), m.action))
+                except UnknownVertex:
+                    return None
             built.append(node)
         elif done:
             second = built.pop()
@@ -273,9 +277,8 @@ class Basic(StateMachine):
 class _Binary(StateMachine):
     """A node over two subtrees, ``first`` and ``second``: every composite.
 
-    Subclasses add ``step``, and Feedback two read-only aliases of its
-    children; the generated ``__init__``, ``repr`` and equality come from
-    here and use the subclass's own name and type.
+    Subclasses add only ``step``; the generated ``__init__``, ``repr`` and
+    equality come from here and use the subclass's own name and type.
     """
 
     first: StateMachine
@@ -351,16 +354,8 @@ class Feedback(_Binary):
 
     Each step of either machine spends one unit of ``config.feedback_cap``;
     work still queued once the cap is spent raises :class:`FeedbackOverflow`.
-    The read-only ``forward`` and ``backward`` name ``first`` and ``second``.
+    ``first`` is the forward machine and ``second`` the backward one.
     """
-
-    @property
-    def forward(self) -> StateMachine:
-        return self.first
-
-    @property
-    def backward(self) -> StateMachine:
-        return self.second
 
     def step(self, value, config=DEFAULT_CONFIG):
         produced, forward = self.first.step(value, config)  # spends the cap's first unit

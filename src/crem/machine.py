@@ -68,10 +68,11 @@ class BaseMachine:
     def __post_init__(self) -> None:
         if not self.name:
             raise EmptyName("machine name must be non-empty")
-        if not _on_topology(self.topology, self.state.vertex):
-            raise UnknownVertex(
-                f"vertex {self.state.vertex!r} is not in the topology of {self.name!r}"
-            )
+        vertex = self.state.vertex  # on the topology: a source or a target of one of its edges
+        if not any(
+            vertex == source or vertex in targets for source, targets in self.topology.edges
+        ):
+            raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:
         """Run the action once, enforcing the topology on the implied move."""
@@ -82,31 +83,12 @@ class BaseMachine:
             return output, self
         # an allowed move lands on a vertex of the topology: nothing to recheck, so copy
         # positionally, with no __init__ and no keyword dict; inline, since a call to a
-        # shared copy helper costs about half of what the positional copy saves
+        # copy helper would cost about half of what the positional copy saves
         copy = object.__new__(type(self))
         fields = copy.__dict__
         fields.update(self.__dict__)
         fields["state"] = next_state
         return output, copy
-
-
-def _on_topology(topology: Topology, vertex: str) -> bool:
-    """True if ``vertex`` is a source or a target of one of ``topology``'s edges."""
-    return any(vertex == source or vertex in targets for source, targets in topology.edges)
-
-
-def _evolve(value, **changes):
-    """Copy of an already validated frozen dataclass with ``changes`` applied.
-
-    Unlike :func:`dataclasses.replace` it skips ``__init__`` and
-    ``__post_init__``, so the caller must keep the invariants itself. It
-    serves only ``compose._restore_vertices``, which runs once per resume;
-    the step path copies its nodes positionally, inline, in
-    :meth:`BaseMachine.step`, ``Basic.step`` and ``_Binary._with``.
-    """
-    copy = object.__new__(type(value))
-    copy.__dict__.update(value.__dict__, **changes)
-    return copy
 
 
 def stateless(name: str, func: Callable[[Any], Any]) -> BaseMachine:

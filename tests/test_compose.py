@@ -173,7 +173,7 @@ def test_feedback_leaves_run_forward_then_backward():
     forward = Sequential(f1, f2)
     tree = Feedback(forward, b1)
     assert list(tree.leaves()) == [f1.machine, f2.machine, b1.machine]
-    assert tree.forward is forward and tree.backward is b1
+    assert tree.first is forward and tree.second is b1
 
 
 def test_feedback_overflow_at_cap():

@@ -155,6 +155,82 @@ def test_no_manifest_for_a_leaf_with_a_payload(tmp_path):
     assert [json.loads(line)["seq"] for line in log.read_text().splitlines()] == [0, 1, 2, 3]
 
 
+# -- a run that stops at a failing command -------------------------------------
+
+
+def gate():
+    """Leaf on ``a -> b -> c``: "next" moves on, "back" tries the undeclared edge to ``a``."""
+
+    def act(state, value):
+        target = "a" if value == "back" else {"a": "b", "b": "c"}[state.vertex]
+        return StepResult([value], MachineState(target))
+
+    topology = Topology((("a", ("b",)), ("b", ("c",))))
+    return Basic(BaseMachine("gate", topology, MachineState("a"), act))
+
+
+def echo_loop():
+    """Feedback over a leaf that flips off/on: "quiet" emits nothing, "loop" never settles."""
+    flipper = flip("toggle", lambda x: [x] if x == "loop" else [])
+    return Feedback(flipper, still("echo"))
+
+
+FAILED_RUNS = {
+    # machine, registry, the first run's commands, the second's, its exit, vertices after
+    "exit-3-decode": ("cart", None, ["PayCart"], ["MarkCartAsPaid", "Bogus"],
+                      cli.EXIT_CODEC, ["PaymentCompleteVertex"]),
+    # "bad" steps to "on" before its output fails to encode: its machine is not saved
+    "exit-3-encode": ("flip", {"flip": cli.RegistryEntry(
+        lambda: flip("flip"), str.strip, str, lambda x: 0 if x == "bad" else x,
+    )}, ["x"], ["y", "bad"], cli.EXIT_CODEC, ["off"]),
+    "exit-4": ("gate", {"gate": cli.RegistryEntry(gate, str.strip, str, str)},
+               ["next"], ["next", "back"], cli.EXIT_TOPOLOGY, ["c"]),
+    "exit-5": ("loop", {"loop": cli.RegistryEntry(echo_loop, str.strip, str, repr)},
+               ["quiet"], ["quiet", "loop"], cli.EXIT_FEEDBACK, ["off", "Unit"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAILED_RUNS))
+def test_a_failed_run_writes_the_manifest_of_what_it_appended(kind, tmp_path, leaf_steps):
+    machine, registry, first, second, exit_code, vertices = FAILED_RUNS[kind]
+    log = tmp_path / "log.jsonl"
+    source = tmp_path / "commands.txt"
+
+    def session(commands):
+        source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+        return call("run", machine, "--input", source, "--log", log, registry=registry)
+
+    assert session(first)[0] == 0
+    code, _, err = session(second)
+    assert code == exit_code
+    assert err.startswith("error: ")
+    data = log.read_bytes()
+    assert data.count(b"\n") == 2
+    manifest = json.loads(manifest_of(log).read_bytes())
+    assert manifest["records"] == 2
+    assert manifest["bytes"] == len(data)
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["vertices"] == vertices
+    # the next resume trusts the manifest: it re-steps neither logged record
+    before = leaf_steps[0]
+    assert session([]) == (0, "", "")
+    assert leaf_steps[0] - before == 0
+    assert log.read_bytes() == data
+    assert manifest_of(log).read_bytes() == json.dumps(manifest, sort_keys=True).encode()
+    assert call("replay", machine, "--log", log, registry=registry) == (0, "", "")
+
+
+def test_a_run_whose_log_fails_its_check_writes_no_manifest(tmp_path):
+    log = tmp_path / "log.jsonl"
+    diverged = {"seq": 0, "input": "PayCart", "outputs": ["CartPaymentCompleted"]}
+    log.write_bytes(json.dumps(diverged).encode() + b"\n")
+    assert run("cart", log, ["PayCart"])[0] == cli.EXIT_DIVERGED
+    assert not manifest_of(log).exists()
+    log.write_bytes(b"not json\n")
+    assert run("cart", log, ["PayCart"])[0] == cli.EXIT_CODEC
+    assert not manifest_of(log).exists()
+
+
 # -- resume re-steps only the tail ---------------------------------------------
 
 
@@ -418,8 +494,30 @@ def test_restore_is_the_inverse_of_the_snapshot_and_shares_what_did_not_move():
     assert _leaf_vertices(restored) == _leaf_vertices(tree)
     assert _restore_vertices(fresh, _leaf_vertices(fresh)) is fresh
     # the policy side holds stateless leaves only: its subtree is the fresh tree's own
-    assert restored.first.backward is fresh.first.backward
-    assert restored.first.forward is not fresh.first.forward
+    assert restored.first.second is fresh.first.second
+    assert restored.first.first is not fresh.first.first
+
+
+class EqualsAnything:
+    """A payload that compares equal to everything, None included."""
+
+    def __eq__(self, other):
+        return True
+
+
+@pytest.mark.parametrize("payload", [7, EqualsAnything()], ids=["int", "equals-anything"])
+def test_restore_onto_a_leaf_with_a_payload_builds_it_anew_without_one(payload):
+    carrying = BaseMachine("m", Topology((("a", ("b",)),)), MachineState("a", payload),
+                           lambda s, x: StepResult([x], s))
+    fresh = Sequential(Basic(carrying), still("c"))
+    restored = _restore_vertices(fresh, ["a", "Unit"])
+    assert restored.first is not fresh.first
+    assert restored.first.machine.state.payload is None
+    assert restored.first.machine.state.vertex == "a"
+    assert restored.first.machine.action is carrying.action
+    assert restored.second is fresh.second
+    assert _restore_vertices(fresh, ["b", "Unit"]).first.machine.state == MachineState("b")
+    assert _restore_vertices(fresh, ["Nowhere", "Unit"]) is None
 
 
 def test_restore_refuses_what_the_tree_cannot_hold():

@@ -344,8 +344,8 @@ def rebuild(node, leaves):
         leaf = next(leaves)
         return Basic(BaseMachine(leaf.name, leaf.topology, leaf.state, leaf.action))
     if isinstance(node, Feedback):
-        forward = rebuild(node.forward, leaves)
-        return Feedback(forward, rebuild(node.backward, leaves))
+        forward = rebuild(node.first, leaves)
+        return Feedback(forward, rebuild(node.second, leaves))
     first = rebuild(node.first, leaves)
     return type(node)(first, rebuild(node.second, leaves))
 
