@@ -1,7 +1,8 @@
 """Command line driver: list machines, render diagrams, run traces, replay logs.
 
-Input files carry one encoded command per line, a line ending at ``\n``
-only; blank lines and ``#`` comments are skipped. With ``--log``, each
+A command file, or stdin for ``--input -``, is read as UTF-8 bytes and
+carries one encoded command per line, a line ending at ``\n`` only; blank
+lines and ``#`` comments are skipped. With ``--log``, each
 processed input appends one record to a JSONL event log, which ``replay``
 later re-runs against a fresh machine to verify that every logged output
 regenerates exactly. ``run`` writes each record in one canonical form, the
@@ -216,8 +217,9 @@ def _run_config(flag: int | None) -> RunConfig:
 
 def _read_command_lines(source: str) -> list[tuple[int, str]]:
     """The numbered command lines of ``source``; a line ends at ``"\n"`` only, as in the log."""
-    try:  # not read_text, whose universal newlines would end a line at a lone "\r"
-        raw = sys.stdin.read() if source == "-" else Path(source).read_bytes().decode("utf-8")
+    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+    try:  # stdin too is read as bytes: text's universal newlines end a line at a lone "\r"
+        raw = data.decode("utf-8")
     except UnicodeDecodeError as error:
         raise CodecError(f"input is not valid UTF-8: {error}") from None
     lines = []
@@ -409,7 +411,8 @@ def _cmd_run(args, registry) -> int:
     machine = entry.factory()
     lines = _read_command_lines(args.input)
     if not args.log:
-        _run_commands(machine, lines, entry, config)
+        for _ in _run_commands(machine, lines, entry, config):
+            pass
         return EXIT_OK
 
     path = Path(args.log)
@@ -432,19 +435,14 @@ def _cmd_run(args, registry) -> int:
         elif data and not data.endswith(b"\n"):  # never glue a record onto it
             log.write(b"\n")
             digest.update(b"\n")
-        done = machine, seq, log.seek(0, os.SEEK_END)  # machine, seq, size at the last record
-
-        def append(record: bytes, stepped: StateMachine) -> None:
-            nonlocal done
-            log.write(record)
-            log.flush()
-            digest.update(record)
-            done = stepped, done[1] + 1, done[2] + len(record)
-
+        size = log.seek(0, os.SEEK_END)  # machine, seq and size stay at the last record written
         try:
-            _run_commands(machine, lines, entry, config, seq, append)
+            for record, stepped in _run_commands(machine, lines, entry, config, seq):
+                log.write(record)
+                log.flush()
+                digest.update(record)
+                machine, seq, size = stepped, seq + 1, size + len(record)
         finally:  # a command that fails (exit 3, 4 or 5) leaves what was appended covered
-            machine, seq, size = done
             vertices = _leaf_vertices(machine)
             if vertices is not None:
                 _write_manifest(path, {
@@ -459,14 +457,14 @@ def _cmd_run(args, registry) -> int:
     return EXIT_OK
 
 
-def _run_commands(machine, lines, entry, config, seq=0, append=None) -> None:
-    """Decode, step and print each command; ``append`` gets its log record from ``seq`` on,
+def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes, StateMachine]]:
+    """Decode, step and print each command, then yield its log record, from ``seq`` on,
     with the machine after that command.
 
     A record is formatted directly as the bytes ``json.dumps(record,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
     A codec that returns anything but a ``str`` raises ``CodecError`` before
-    its command prints or writes anything, so ``append`` never sees the
+    its command prints or yields anything, so the caller never sees the
     machine that command stepped to.
     """
     for number, text in lines:
@@ -476,18 +474,16 @@ def _run_commands(machine, lines, entry, config, seq=0, append=None) -> None:
             raise CodecError(f"line {number}: {error}") from None
         outputs, machine = machine.step(value, config)
         encoded = [entry.encode_output(item) for item in outputs]
-        code = entry.encode_input(value) if append is not None else ""
+        code = entry.encode_input(value)
         try:  # join and _quote raise TypeError on an item that is not a str
             shown = ", ".join(encoded)
-            if append is not None:
-                quoted = ", ".join(map(_quote, encoded))
-                record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
+            quoted = ", ".join(map(_quote, encoded))
+            record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
         except TypeError:
             raise _not_text(number, code, encoded) from None
         print(f"[{shown}]")
-        if append is not None:
-            append(record.encode(), machine)
-            seq += 1
+        yield record.encode(), machine
+        seq += 1
 
 
 def _not_text(number: int, code: Any, encoded: list) -> CodecError:

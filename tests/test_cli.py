@@ -110,7 +110,7 @@ def test_run_skips_blanks_and_comments(tmp_path, capsys):
 
 
 def test_run_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("PayCart\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"PayCart\n")))
     assert cli.main(["run", "cart", "--input", "-"]) == 0
     assert capsys.readouterr().out == "[CartPaymentInitiated]\n"
 
@@ -307,6 +307,24 @@ def test_run_input_that_is_not_utf8_exits_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("encoding", ["utf-8:surrogateescape", "latin-1"])
+def test_stdin_that_is_not_utf8_exits_3_as_a_file_does(encoding):
+    # stdin is read as bytes, whatever text encoding the interpreter gives it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
+    done = subprocess.run(
+        [sys.executable, "-m", "crem", "run", "cart", "--input", "-"],
+        input=b"PayCart\n\xff\n",
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr.startswith(b"error: input is not valid UTF-8")
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_replay_log_that_is_not_utf8_exits_3(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     record = {"seq": 0, "input": "PayCart", "outputs": ["CartPaymentInitiated"]}
@@ -453,21 +471,27 @@ def test_run_maps_disallowed_transition_to_exit_4(tmp_path, capsys):
         ("encode_output", CartEvent.CartPaymentCompleted),
     ],
 )
-def test_a_codec_that_returns_no_str_exits_3_before_its_line(codec, seven_for, tmp_path, capsys):
+@pytest.mark.parametrize("logged", [True, False], ids=["log", "no-log"])
+def test_a_codec_that_returns_no_str_exits_3_before_its_line(
+    codec, seven_for, logged, tmp_path, capsys
+):
     entry = cli.default_registry()["cart"]
     encode = getattr(entry, codec)
     registry = {"cart": replace(entry, **{codec: lambda v: 7 if v is seven_for else encode(v)})}
     commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
-    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)], registry) == 3
+    argv = ["run", "cart", "--input", commands] + (["--log", str(log)] if logged else [])
+    assert cli.main(argv, registry) == 3
     assert capsys.readouterr() == (
         "[CartPaymentInitiated]\n",
         f"error: line 2: {codec} returned int 7, not a str\n",
     )
-    # the log keeps the records before that line
-    first = b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
-    assert log.read_bytes() == first
-    assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+    if logged:  # the log keeps the records before that line
+        first = b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
+        assert log.read_bytes() == first
+        assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+    else:
+        assert not log.exists()
 
 
 # quotes, backslashes, control and line-separator characters, and non-ASCII ones

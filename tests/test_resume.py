@@ -229,6 +229,37 @@ def test_a_run_whose_log_fails_its_check_writes_no_manifest(tmp_path):
     log.write_bytes(b"not json\n")
     assert run("cart", log, ["PayCart"])[0] == cli.EXIT_CODEC
     assert not manifest_of(log).exists()
+    # a logged PayCart needs more feedback iterations than a cap of 1 allows
+    log.unlink()
+    assert run("whole-cart-domain", log, ["PayCart"])[0] == 0
+    manifest_of(log).unlink()
+    source = log.with_name("commands.txt")
+    resumed = call("run", "whole-cart-domain", "--input", source, "--log", log, "--feedback-cap", 1)
+    assert resumed[0] == cli.EXIT_FEEDBACK
+    assert not manifest_of(log).exists()
+
+
+def test_a_run_whose_first_command_fails_writes_the_manifest_of_the_checked_log(
+    tmp_path, leaf_steps
+):
+    # no record is appended, so the manifest covers exactly the log the resume checked
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart", "MarkCartAsPaid"])[0] == 0
+    manifest_of(log).unlink()
+    data = log.read_bytes()
+    assert run("cart", log, ["Bogus"]) == (
+        cli.EXIT_CODEC, "", "error: line 1: 'Bogus' is not a CartCommand\n"
+    )
+    assert log.read_bytes() == data
+    manifest = json.loads(manifest_of(log).read_bytes())
+    assert manifest["records"] == 2
+    assert manifest["bytes"] == len(data)
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["vertices"] == ["PaymentCompleteVertex"]
+    # the next resume trusts the manifest: it re-steps neither logged record
+    before = leaf_steps[0]
+    assert run("cart", log, []) == (0, "", "")
+    assert leaf_steps[0] - before == 0
 
 
 # -- resume re-steps only the tail ---------------------------------------------

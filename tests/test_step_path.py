@@ -343,9 +343,6 @@ def rebuild(node, leaves):
     if isinstance(node, Basic):
         leaf = next(leaves)
         return Basic(BaseMachine(leaf.name, leaf.topology, leaf.state, leaf.action))
-    if isinstance(node, Feedback):
-        forward = rebuild(node.first, leaves)
-        return Feedback(forward, rebuild(node.second, leaves))
     first = rebuild(node.first, leaves)
     return type(node)(first, rebuild(node.second, leaves))
 
