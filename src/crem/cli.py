@@ -26,17 +26,17 @@ the existing log fails writes none. It is written in place under the log's
 lock, and read under that lock before a run restores from it: a manifest
 cut short or zero-filled is not valid JSON, and an old one covers a prefix
 of the log, so a crash mid-write only costs a full check. One rule names a
-log's writer: a well-formed manifest naming another machine or topology
-makes ``run`` and ``replay`` alike exit 3 before they re-run, write or
-create anything; deleting ``LOG.crem`` adopts the log. A resuming ``run``
-whose manifest covers a prefix that ends a line, holds one line per record
-and matches its hash, restores those vertices into a fresh tree and
-re-runs only the records after that prefix. That is the trade: only a run
-that checked or wrote exactly those bytes writes a manifest, so a matching
-hash stands for "checked as ``replay`` does". Any other mismatch, an
-unreadable manifest or vertices the tree cannot hold fall back to checking
-the whole log. No manifest is written for a tree with a leaf whose payload
-is not None when the run ends. ``replay`` re-runs every record.
+log's writer: a manifest of any version naming another machine, or of
+version 2 another topology, makes ``run`` and ``replay`` exit 3 before they
+re-run, write or create anything; deleting ``LOG.crem`` adopts the log. A
+resuming ``run`` whose manifest covers a prefix that ends a line, holds one
+line per record and matches its hash, restores those vertices into a fresh
+tree and re-runs only the records after that prefix. That is the trade: only
+a run that checked or wrote exactly those bytes writes a manifest, so a
+matching hash stands for "checked as ``replay`` does". Any other mismatch,
+an unreadable manifest or vertices the tree cannot hold fall back to
+checking the whole log. No manifest is written for a tree with a leaf whose
+payload is not None when the run ends. ``replay`` re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. The one loop that checks the records judges
@@ -347,16 +347,23 @@ _MANIFEST_FIELDS = {
 def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
     """The manifest beside ``log``, or None if it is absent, unreadable or malformed.
 
-    A well-formed one naming another machine than ``name`` or another topology
-    than ``fingerprint`` raises ``MalformedLog``: it names another writer.
+    The writer is judged first: a JSON object of any version naming another ``machine``,
+    or of version 2 another ``fingerprint`` (1 hashed the diagram), raises ``MalformedLog``.
     """
     try:
         manifest = json.loads(_manifest_path(log).read_bytes())
     except (OSError, ValueError):
         return None
+    if not isinstance(manifest, dict):
+        return None
+    writer = manifest.get("machine")
+    written = manifest.get("fingerprint") if manifest.get("version") == MANIFEST_VERSION else None
+    if isinstance(writer, str) and (writer != name or written not in (None, fingerprint)):
+        topology = "" if written is None else f" (topology {str(written)[:12]})"
+        raise MalformedLog(f"{log} was written by machine {writer!r}{topology}, "
+                           f"not by {name!r} (topology {fingerprint[:12]})")
     if (
-        not isinstance(manifest, dict)
-        or set(manifest) != set(_MANIFEST_FIELDS)
+        set(manifest) != set(_MANIFEST_FIELDS)
         or any(type(manifest[key]) is not kind for key, kind in _MANIFEST_FIELDS.items())
         or manifest["version"] != MANIFEST_VERSION
         or manifest["records"] < 0
@@ -364,12 +371,6 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
         or not all(isinstance(vertex, str) for vertex in manifest["vertices"])
     ):
         return None
-    if (manifest["machine"], manifest["fingerprint"]) != (name, fingerprint):
-        raise MalformedLog(
-            f"{log} was written by machine {manifest['machine']!r} "
-            f"(topology {manifest['fingerprint'][:12]}), not by {name!r} "
-            f"(topology {fingerprint[:12]})"
-        )
     return manifest
 
 

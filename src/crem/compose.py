@@ -3,11 +3,11 @@
 Trees are immutable; stepping returns the output and a new tree. The six
 node kinds are the Basic leaf and five composites, Sequential, Parallel,
 Alternative, Feedback and Kleisli, each over two subtrees ``first`` and
-``second``; a tree holds no other: a composite refuses any other child with
-a ``TypeError`` when it is built, and every walk refuses any other root, so
-everything that walks a tree is total over trees. Feedback and Kleisli
-require list-shaped outputs from their children because they route
-individual elements onward.
+``second``; a tree holds no other, nor a subclass of these: a composite
+refuses any other child with a ``TypeError`` when it is built, and every walk
+refuses any other root, so everything that walks a tree is total over trees.
+Feedback and Kleisli require list-shaped outputs from their children because
+they route individual elements onward.
 
 Leaf names are checked once, when a node is built through its public
 constructor, and the check costs only the work that node adds: a new
@@ -20,16 +20,15 @@ second parent) sends the check back to a walk over the new node's leaves, as
 does any clash, so the error always names the first duplicate in walk order.
 The children give their sets up only once the new node holds its own, so a
 refused build leaves its children as they were. Stepping moves the already
-validated nodes forward through a positional copy: ``object.__new__``, one
-``__dict__.update`` from the old node, then the changed fields assigned by
-item, with no ``__init__`` and no keyword dict. The copy shares the root's set,
-so a step costs only the leaf steps it makes; a later build can only grow
-that set into a superset of the copy's names, which at worst sends a build
-of the copy through the walk and never hides a duplicate. Steps and restores
-rebuild a composite by one rule, ``_Binary._with``: a node whose children
-all came back as the very same objects is returned as it is, so a stay
-allocates nothing and a move rebuilds only its path from the root; every
-subtree it did not touch is shared by the old and new tree.
+validated nodes forward through a positional copy: ``object.__new__``, then
+the node's fields and nothing else assigned by item, with no ``__init__``
+and no keyword dict. So each set has one owner, the root a constructor
+built, and a tree a step or restore made is walked like a reused subtree
+when built into another. Steps and restores rebuild a composite by one rule,
+``_Binary._with``: a node whose children all came back as the very same
+objects is returned as it is, so a stay allocates nothing and a move
+rebuilds only its path from the root; every subtree it did not touch is
+shared by the old and new tree.
 
 Feedback scheduling is FIFO: the forward machine's outputs are both
 accumulated and queued; each queued element goes through the backward
@@ -125,11 +124,10 @@ def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
     """The one traversal of a composition tree, with an explicit stack, not recursion.
 
     Yields ``(node, False)`` for every node in pre-order, left to right, and ``(node, True)``
-    for each composite once its children are done. A node is a ``Basic`` leaf or a
-    ``_Binary`` composite with children ``first`` and ``second``; a root of any other type
-    raises ``TypeError``, and every child was checked when its parent was built.
+    for each composite once its children are done. A root of any class but the six kinds
+    raises ``TypeError``; every child was checked when its parent was built.
     """
-    if not isinstance(tree, _KINDS):
+    if type(tree) not in _KINDS:
         raise TypeError(f"not a composition tree node: {type(tree).__name__}")
     stack = [(tree, False)]
     while stack:
@@ -221,14 +219,15 @@ def _handed_up_names(child: StateMachine) -> set[str] | None:
 
     A composite's set is only read here; the parent removes it once the build
     succeeds, so a subtree's set lives only on its current root and memory
-    stays linear in the tree's size. A child that is not one of the six
-    kinds raises ``TypeError``: this closes the tree.
+    stays linear in the tree's size. A child whose class is not exactly one
+    of the six kinds raises ``TypeError``: this closes the tree.
     """
-    if isinstance(child, Basic):
+    kind = type(child)
+    if kind is Basic:
         return {child.machine.name}
-    if isinstance(child, _KINDS):
+    if kind in _KINDS:
         return child.__dict__.get(_LEAF_NAMES)
-    raise TypeError(f"not a composition tree node: {type(child).__name__}")
+    raise TypeError(f"not a composition tree node: {kind.__name__}")
 
 
 def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
@@ -266,10 +265,8 @@ class Basic(StateMachine):
         output, machine = self.machine.step(value)
         if machine is self.machine:
             return output, self
-        copy = object.__new__(type(self))  # a positional copy, as in BaseMachine.step
-        fields = copy.__dict__
-        fields.update(self.__dict__)
-        fields["machine"] = machine
+        copy = object.__new__(type(self))  # a positional copy of the one field
+        copy.__dict__["machine"] = machine
         return output, copy
 
 
@@ -288,15 +285,11 @@ class _Binary(StateMachine):
         _adopt_leaf_names(self, self.first, self.second)
 
     def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
-        """``self`` if ``first`` and ``second`` are its own children, else a positional copy.
-
-        The copy takes ``self``'s whole ``__dict__``, so a root's leaf-name set is shared.
-        """
+        """``self`` if ``first`` and ``second`` are its children, else a copy of just those two."""
         if first is self.first and second is self.second:
             return self
         copy = object.__new__(type(self))
         fields = copy.__dict__
-        fields.update(self.__dict__)
         fields["first"] = first
         fields["second"] = second
         return copy
@@ -402,8 +395,8 @@ class Kleisli(_Binary):
         return collected, self._with(first, second)
 
 
-# the six kinds: Basic and the five _Binary composites; no tree holds any other node
-_KINDS = (Basic, _Binary)
+# the six kinds, by exact class: no tree holds any other node, nor a subclass of these
+_KINDS = (Basic, Sequential, Parallel, Alternative, Feedback, Kleisli)
 
 
 def run_trace(

@@ -168,12 +168,12 @@ def _layout(tree: StateMachine) -> tuple[list[_Item], list[_Edge]]:
         if isinstance(node, Basic):
             items.append(("leaf", depth, node.machine))
             reps.append(node.machine)
-        elif isinstance(node, (Parallel, Alternative)) and not done:
+        elif type(node) in _BRACKET_LABELS and not done:
             items.append(("open", depth, (_BRACKET_LABELS[type(node)], next(brackets))))
             depth += 1
         elif done:
             second = reps.pop()  # the first child's representative stays, as the node's
-            if isinstance(node, (Parallel, Alternative)):
+            if type(node) in _BRACKET_LABELS:
                 depth -= 1
                 items.append(("close", depth, None))
             elif isinstance(node, Feedback):

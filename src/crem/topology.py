@@ -21,13 +21,14 @@ class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
     Construction checks every label and normalizes the groups in one pass:
-    an empty label raises :class:`EmptyVertexLabel`, duplicate source groups
-    are merged and duplicate targets dropped, first appearance winning for
-    both, so a topology written with duplicate groups is equal to its normal
-    form. That order is part of the value because it drives rendering. The
-    groups are stored as tuples; ``edges`` that already are the normal tuple
-    are kept as they are. :meth:`allows` is a single lookup in a per-source
-    index built on first use.
+    targets given as one ``str`` raise ``TypeError``, an empty label raises
+    :class:`EmptyVertexLabel`, duplicate source groups are merged and
+    duplicate targets dropped, first appearance winning for both, so a
+    topology written with duplicate groups is equal to its normal form. That
+    order is part of the value because it drives rendering. The groups are
+    stored as tuples; ``edges`` that already are the normal tuple are kept as
+    they are. :meth:`allows` is a single lookup in a per-source index built
+    on first use.
     """
 
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -35,7 +36,10 @@ class Topology:
     def __post_init__(self) -> None:
         merged: dict[str, tuple[str, ...]] = {}
         for source, targets in self.edges:
-            targets = tuple(targets)
+            if not isinstance(targets, tuple):
+                if isinstance(targets, str):  # a bare label would split into its characters
+                    raise TypeError(f"the targets of {source!r} must be labels, not a str")
+                targets = tuple(targets)
             if not source or not all(targets):
                 raise EmptyVertexLabel("vertex labels must be non-empty")
             if source in merged:

@@ -733,6 +733,31 @@ def test_run_and_replay_refuse_a_log_written_by_another_topology(kind, tmp_path)
     assert call("replay", "cart", "--log", log) == (0, "", "")
 
 
+@pytest.mark.parametrize("kind", ["run", "replay"])
+@pytest.mark.parametrize("manifest", ["version-1", "version-3", "machine-only"])
+def test_a_manifest_of_any_version_naming_another_machine_is_refused(manifest, kind, tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
+    current = json.loads(manifest_of(log).read_bytes())
+    foreign = {
+        "version-1": {**current, "version": 1},
+        "version-3": {**current, "version": cli.MANIFEST_VERSION + 1},
+        "machine-only": {"machine": "cart"},
+    }[manifest]
+    manifest_of(log).write_bytes(json.dumps(foreign).encode())
+    before = written(log)
+    code, out, err = session(kind, "whole-cart-domain", log)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    # no fingerprint of this version's kind is compared, so the message names none of it
+    fingerprint = _fingerprint(whole_cart_domain())[:12]
+    assert err == (
+        f"error: malformed log: {log} was written by machine 'cart', "
+        f"not by 'whole-cart-domain' (topology {fingerprint})\n"
+    )
+    assert written(log) == before  # refused before anything is re-run or written
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
 def test_a_run_cannot_relabel_a_log_another_machine_wrote(tmp_path):
     log = tmp_path / "log.jsonl"
     empty = tmp_path / "empty.txt"

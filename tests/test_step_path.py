@@ -252,22 +252,28 @@ def wrap(x):
 )
 def test_a_stepped_node_keeps_its_type_and_keys(make, value):
     tree = make()
+    names = vars(tree).get(compose._LEAF_NAMES)
     before = [(node, dict(node.__dict__)) for node in nodes(tree)]
     _, stepped = tree.step(value)
     assert next(stepped.leaves()).state.vertex == "r1"  # the ring leaf moved
     for (old, fields_before), new in zip(before, nodes(stepped), strict=True):
         assert type(new) is type(old)
-        assert new.__dict__.keys() == old.__dict__.keys()
+        if isinstance(new, StateMachine):  # a tree node's keys are its fields, nothing more
+            assert new.__dict__.keys() == {field.name for field in fields(new)}
+        else:
+            assert new.__dict__.keys() == old.__dict__.keys()
         # the original kept every field, by identity
         assert old.__dict__.keys() == fields_before.keys()
         assert all(old.__dict__[key] is field for key, field in fields_before.items())
-    # only the root holds the leaf names, and its copy shares them
-    holders = [node for node in nodes(stepped) if "_leaf_names" in node.__dict__]
+    # no stepped node holds leaf names: the original root keeps its own set
+    assert [node for node in nodes(stepped) if compose._LEAF_NAMES in vars(node)] == []
+    holders = [node for node in nodes(tree) if compose._LEAF_NAMES in vars(node)]
     if isinstance(tree, Basic):
-        assert holders == []
+        assert holders == [] and names is None
     else:
-        assert holders == [stepped]
-        assert stepped.__dict__["_leaf_names"] is tree.__dict__["_leaf_names"]
+        assert holders == [tree]
+        assert vars(tree)[compose._LEAF_NAMES] is names
+        assert names == {leaf.name for leaf in tree.leaves()}
 
 
 def test_a_cart_move_rebuilds_only_its_path():
@@ -485,10 +491,10 @@ def test_a_stepped_root_and_its_copy_both_build_as_children(leaves_walked):
     root = Sequential(ring("a", log), ring("b", log))
     _, stepped = root.step(0)
     assert stepped is not root and log == ["a", "b"]
-    # the copy shares the root's set, which the first build grows in place to {a, b, c}
+    # the root hands up its set, which the first build grows in place to {a, b, c}
     first = Sequential(root, identity_machine("c"))
     assert leaves_walked["leaves"] == 0
-    # so the copy hands up a superset that clashes with "c": the build walks and succeeds
+    # the copy holds no set, so like a reused subtree its build walks the leaves once
     second = Sequential(stepped, identity_machine("c"))
     assert leaves_walked["leaves"] == 3
     for tree in (first, second):
@@ -500,6 +506,46 @@ def test_a_stepped_root_and_its_copy_both_build_as_children(leaves_walked):
     with duplicate("a"):
         Parallel(first, identity_machine("a"))
     assert [leaf.name for leaf in Sequential(first, identity_machine("d")).leaves()] == list("abcd")
+
+
+def test_a_moved_tree_holds_no_name_set_and_builds_by_one_walk(leaves_walked):
+    log = []
+    root = Sequential(ring("a", log), ring("b", log))
+    _, moved = root.step(0)
+    restored = compose._restore_vertices(root, ["r1", "r2"])
+    for tree in (moved, restored):
+        assert tree is not root
+        assert [node for node in nodes(tree) if compose._LEAF_NAMES in vars(node)] == []
+    grown = Sequential(root, identity_machine("c"))
+    assert vars(grown)[compose._LEAF_NAMES] == {"a", "b", "c"}
+    # the root's set grew, and nothing reachable from the moved tree names "c"
+    assert not any("c" in vars(node).get(compose._LEAF_NAMES, ()) for node in nodes(moved))
+    assert [leaf.name for leaf in moved.leaves()] == ["a", "b"]
+    walked = leaves_walked["leaves"]
+    built = Sequential(moved, identity_machine("d"))
+    assert leaves_walked["leaves"] == walked + 3  # one walk of the new node's leaves
+    assert vars(built)[compose._LEAF_NAMES] == {"a", "b", "d"}
+    assert [leaf.state.vertex for leaf in built.leaves()] == ["r1", "r1", "Unit"]
+    with duplicate("a"):
+        Sequential(restored, identity_machine("a"))
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS, ids=[kind.__name__ for kind in NODE_KINDS])
+def test_a_subclass_of_a_node_kind_is_refused_like_a_foreign_node(kind):
+    subclass = type(f"Sub{kind.__name__}", (kind,), {})
+    if kind is Basic:
+        node = subclass(identity_machine("a").machine)
+    else:
+        node = subclass(identity_machine("a"), identity_machine("b"))
+    with not_a_node(subclass.__name__):
+        Sequential(node, identity_machine("c"))
+    with not_a_node(subclass.__name__):
+        list(node.leaves())
+    for format in ("dot", "mermaid"):
+        with not_a_node(subclass.__name__):
+            render_flow(node, format)
+    with not_a_node(subclass.__name__):
+        compose._fingerprint(node)
 
 
 class Wrapped(StateMachine):

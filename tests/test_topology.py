@@ -42,6 +42,22 @@ def test_construction_rejects_empty_labels():
         Topology((("A", ("",)),))
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        (("closed", "open"), ("open", ("closed",))),
+        [("open", ["closed"]), ("closed", "")],
+    ],
+    ids=["tuple", "list"],
+)
+def test_a_bare_string_as_targets_is_refused(edges):
+    # tuple("open") would read as the four labels o, p, e, n
+    source = next(source for source, targets in edges if isinstance(targets, str))
+    message = f"the targets of {source!r} must be labels, not a str"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Topology(edges)
+
+
 def test_duplicate_groups_equal_their_normal_form():
     duplicated = Topology((("A", ("B", "B")), ("C", ("A",)), ("A", ("C", "B"))))
     normal = Topology((("A", ("B", "C")), ("C", ("A",))))
