@@ -16,26 +16,33 @@ A log is checked in one pass, record by record, so its first fault in file
 order decides the exit code.
 
 After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
-records the format version (2), the machine name, a topology fingerprint
+records the format version (3), the machine name, a topology fingerprint
 (the sha256 of one walk of the fresh tree: each node's kind, and each
 leaf's name, edges and initial vertex), the count of records, the length
-and sha256 of the log bytes that run checked or wrote, and the leaf
-vertices after them. A run that stops at a failing command (exit 3, 4 or
-5) writes it too, for the last record it appended; a run whose check of
-the existing log fails writes none. It is written in place under the log's
-lock, and read under that lock before a run restores from it: a manifest
-cut short or zero-filled is not valid JSON, and an old one covers a prefix
-of the log, so a crash mid-write only costs a full check. One rule names a
-log's writer: a manifest of any version naming another machine, or of
-version 2 another topology, makes ``run`` and ``replay`` exit 3 before they
-re-run, write or create anything; deleting ``LOG.crem`` adopts the log. A
-resuming ``run`` whose manifest covers a prefix that ends a line, holds one
-line per record and matches its hash, restores those vertices into a fresh
-tree and re-runs only the records after that prefix. That is the trade: only
-a run that checked or wrote exactly those bytes writes a manifest, so a
-matching hash stands for "checked as ``replay`` does". Any other mismatch,
-an unreadable manifest or vertices the tree cannot hold fall back to
-checking the whole log. No manifest is written for a tree with a leaf whose
+and sha256 of the log bytes that run checked or wrote, the leaf vertices
+after them, and ``check``: the sha256 of ``json.dumps`` of all that, keys
+sorted. A run that stops at a failing command (exit 3, 4 or 5) writes it
+too, for the last record it appended; a run whose check of the existing
+log fails writes none. It is written in place under the log's lock, by one
+``pwrite`` at offset 0 and an ``ftruncate`` to its length, and read under
+that lock before a run restores from it. A write cut short, or an
+overwrite torn between the new manifest and the old one, can still parse,
+joining new fields to old ones, but it fails its check, so a crash
+mid-write only costs a full check: nothing of a version 3 manifest, its
+writer included, is read before its check holds. One rule names a log's
+writer: a manifest of any version naming another machine, or of version 2
+or 3 another topology (both hash the same walk), makes ``run`` and
+``replay`` exit 3 before they re-run, write or create anything; deleting
+``LOG.crem`` adopts the log. A resuming ``run`` whose manifest's vertices
+fit a fresh tree reads the prefix it covers once, in ``_PREFIX_CHUNK``
+pieces, hashing it and counting its lines. If that prefix ends a line,
+holds one line per record and matches its hash, the run restores those
+vertices, reads only the bytes after the prefix into memory and re-runs
+only their records. That is the trade: only a run that checked or wrote
+exactly those bytes writes a manifest, so a matching hash stands for
+"checked as ``replay`` does". Any other mismatch, an unreadable, torn or
+older manifest, or vertices the tree cannot hold fall back to checking
+the whole log. No manifest is written for a tree with a leaf whose
 payload is not None when the run ends. ``replay`` re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
@@ -103,7 +110,7 @@ EXIT_DIVERGED = 6
 
 ENV_FEEDBACK_CAP = "CREM_FEEDBACK_CAP"
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 class CodecError(ValueError):
@@ -306,8 +313,17 @@ def _replay(
 
 
 @contextmanager
-def _locked_log(path: Path, exclusive: bool) -> Iterator[tuple[BinaryIO, bytes]]:
-    """Hold a lock on the log at ``path`` and yield its one handle and its bytes.
+def _reading(path: Path) -> Iterator[None]:
+    """Turn an ``OSError`` raised while reading the log at ``path`` into ``MalformedLog``."""
+    try:
+        yield
+    except OSError as error:
+        raise MalformedLog(f"cannot read log {path}: {error}") from error
+
+
+@contextmanager
+def _locked_log(path: Path, exclusive: bool) -> Iterator[BinaryIO]:
+    """Hold a lock on the log at ``path`` and yield its one handle, at offset 0.
 
     A writer's handle appends, creates a missing log and holds an exclusive
     lock; a reader's handle only reads and holds a shared one.
@@ -321,12 +337,9 @@ def _locked_log(path: Path, exclusive: bool) -> Iterator[tuple[BinaryIO, bytes]]
         raise
     with handle:  # closing it releases the lock
         fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        try:
+        with _reading(path):
             handle.seek(0)  # "a+b" opens at the end
-            data = handle.read()
-        except OSError as error:
-            raise MalformedLog(f"cannot read log {path}: {error}") from error
-        yield handle, data
+        yield handle
 
 
 def _manifest_path(log: Path) -> Path:
@@ -343,12 +356,26 @@ _MANIFEST_FIELDS = {
     "vertices": list,
 }
 
+# the versions whose fingerprint hashes the walk of the fresh tree (1 hashed the DOT diagram)
+_WALK_FINGERPRINTS = (2, 3)
+
+# how much of the covered prefix a resume holds in memory at once while it hashes it
+_PREFIX_CHUNK = 1 << 16
+
+
+def _check(manifest: dict) -> str:
+    """The ``check`` field: the sha256 of the canonical manifest without that field."""
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
 
 def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
-    """The manifest beside ``log``, or None if it is absent, unreadable or malformed.
+    """The manifest beside ``log`` without its ``check``, or None if it is absent,
+    unreadable, malformed, of another version or fails its check.
 
-    The writer is judged first: a JSON object of any version naming another ``machine``,
-    or of version 2 another ``fingerprint`` (1 hashed the diagram), raises ``MalformedLog``.
+    A version 3 manifest is read only once its ``check`` holds: a torn overwrite can
+    join new fields to old ones, or shift one by a byte, and still parse. Then the
+    writer is judged: a JSON object of any version naming another ``machine``, or of
+    version 2 or 3 another ``fingerprint``, raises ``MalformedLog``.
     """
     try:
         manifest = json.loads(_manifest_path(log).read_bytes())
@@ -356,8 +383,11 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
         return None
     if not isinstance(manifest, dict):
         return None
+    if manifest.get("version") == MANIFEST_VERSION:
+        if manifest.pop("check", None) != _check(manifest):
+            return None  # torn or tampered: none of its fields is read, the writer's included
     writer = manifest.get("machine")
-    written = manifest.get("fingerprint") if manifest.get("version") == MANIFEST_VERSION else None
+    written = manifest.get("fingerprint") if manifest.get("version") in _WALK_FINGERPRINTS else None
     if isinstance(writer, str) and (writer != name or written not in (None, fingerprint)):
         topology = "" if written is None else f" (topology {str(written)[:12]})"
         raise MalformedLog(f"{log} was written by machine {writer!r}{topology}, "
@@ -375,35 +405,49 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
 
 
 def _write_manifest(log: Path, manifest: dict) -> None:
+    """Write ``manifest`` and its ``check`` over ``LOG.crem`` in place: no truncation to
+    zero, no temporary file, no rename. A write cut short fails the check when read."""
+    data = json.dumps({**manifest, "check": _check(manifest)}, sort_keys=True).encode()
     with suppress(OSError):  # no manifest only costs time: the next run checks the whole log
-        _manifest_path(log).write_bytes(json.dumps(manifest, sort_keys=True).encode())
+        fd = os.open(_manifest_path(log), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            os.pwrite(fd, data, 0)
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 def _restore(
-    fresh: StateMachine, manifest: dict | None, log: bytes
+    fresh: StateMachine, manifest: dict | None, log: BinaryIO
 ) -> tuple[StateMachine, int, int, Any]:
-    """Where to resume ``log``: ``(machine, seq, bytes covered, their sha256)``.
+    """Where to resume the log read through ``log``: ``(machine, seq, bytes covered, their
+    sha256)``, with ``log`` left at that many bytes.
 
     ``_read_manifest`` has already refused a manifest naming another
-    writer. The manifest must cover a prefix of ``log`` that ends a line,
-    holds as many lines as it has records and hashes to its ``sha256``; its
-    vertices must then fit the fresh tree's leaves. Otherwise the resume
-    starts afresh, from ``(fresh, 0, 0, sha256())``.
+    writer. The manifest's vertices must fit the fresh tree's leaves; it
+    must then cover a prefix of the log that ends a line, holds as many
+    lines as it has records and hashes to its ``sha256``. The prefix is read
+    once, ``_PREFIX_CHUNK`` bytes at a time, hashed and its lines counted.
+    Otherwise the resume starts afresh, from ``(fresh, 0, 0, sha256())`` at offset 0.
     """
     start = fresh, 0, 0, hashlib.sha256()
     if manifest is None:
         return start
-    size = manifest["bytes"]
-    # the prefix is empty or ends a line, and holds one line per record (no hash covers that)
-    if log.rfind(b"\n", 0, size) != size - 1 or manifest["records"] != log.count(b"\n", 0, size):
-        return start
-    digest = hashlib.sha256(memoryview(log)[:size])
-    if digest.hexdigest() != manifest["sha256"]:
-        return start
     machine = _restore_vertices(fresh, manifest["vertices"])
     if machine is None:
         return start
-    return machine, manifest["records"], size, digest
+    digest, lines, last, left = hashlib.sha256(), 0, b"\n", manifest["bytes"]
+    while left and (chunk := log.read(min(left, _PREFIX_CHUNK))):
+        digest.update(chunk)
+        lines += chunk.count(b"\n")
+        last, left = chunk[-1:], left - len(chunk)
+    # the prefix is in the file, is empty or ends a line, and holds one line per record
+    if left or last != b"\n" or lines != manifest["records"] or (
+        digest.hexdigest() != manifest["sha256"]
+    ):
+        log.seek(0)
+        return start
+    return machine, manifest["records"], manifest["bytes"], digest
 
 
 def _cmd_run(args, registry) -> int:
@@ -420,14 +464,16 @@ def _cmd_run(args, registry) -> int:
     fingerprint = _fingerprint(machine)
     if not path.exists():  # refuse another writer's manifest before the open creates the log
         _read_manifest(path, args.machine, fingerprint)
-    with _locked_log(path, exclusive=True) as (log, data):
+    with _locked_log(path, exclusive=True) as log:
         manifest = _read_manifest(path, args.machine, fingerprint)
-        machine, seq, start, digest = _restore(machine, manifest, data)
-        machine, seq, torn = _replay(machine, data[start:], entry, config, seq)
+        with _reading(path):
+            machine, seq, start, digest = _restore(machine, manifest, log)
+            data = log.read()  # the bytes after the prefix the manifest vouched for
+        machine, seq, torn = _replay(machine, data, entry, config, seq)
         checked = len(data) - len(torn)
-        digest.update(memoryview(data)[start:checked])
+        digest.update(memoryview(data)[:checked])
         if torn:
-            log.truncate(checked)
+            log.truncate(start + checked)
             print(
                 f"warning: {path}: removed a torn tail at line {seq + 1} "
                 f"({len(torn)} bytes, unterminated and not valid JSON)",
@@ -501,8 +547,10 @@ def _cmd_replay(args, registry) -> int:
     machine = entry.factory()
     config = _run_config(args.feedback_cap)
     path = Path(args.log)
-    with _locked_log(path, exclusive=False) as (_, data):  # a run in progress finishes first
+    with _locked_log(path, exclusive=False) as log:  # a run in progress finishes first
         _read_manifest(path, args.machine, _fingerprint(machine))
+        with _reading(path):
+            data = log.read()
     _, seq, torn = _replay(machine, data, entry, config)
     if torn:
         raise MalformedLog(

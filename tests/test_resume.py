@@ -2,19 +2,21 @@
 
 A ``run --log`` leaves a manifest beside the log: the machine, a topology
 fingerprint, how many records and bytes it checked or wrote, their sha256,
-and the leaf vertices after them. A later ``run`` that finds the manifest
-matching re-steps only the records after it. These tests pin that down
-with a counting wrapper on ``BaseMachine.step`` instead of timings, show
-with a Hypothesis state machine that any split of the commands into runs
-leaves the bytes one unsplit run leaves, and show that every damaged
-manifest falls back to the full check of the log, while one naming another
-machine or topology makes ``run`` and ``replay`` alike refuse the log.
+the leaf vertices after them, and a ``check`` over all of that. A later
+``run`` that finds the manifest matching re-steps only the records after
+it. These tests pin that down with a counting wrapper on
+``BaseMachine.step`` instead of timings, show with a Hypothesis state
+machine that any split of the commands into runs leaves the bytes one
+unsplit run leaves, and show that every damaged or torn manifest falls back
+to the full check of the log, while one naming another machine or topology
+makes ``run`` and ``replay`` alike refuse the log.
 """
 
 from __future__ import annotations
 
 import builtins
 import contextlib
+import errno
 import fcntl
 import hashlib
 import io
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -93,6 +96,12 @@ def manifest_of(log: Path) -> Path:
     return log.with_name(log.name + ".crem")
 
 
+def signed(manifest: dict) -> dict:
+    """``manifest`` with the ``check`` a run writes: the sha256 of its canonical JSON without it."""
+    body = {key: value for key, value in manifest.items() if key != "check"}
+    return {**body, "check": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()}
+
+
 def commands_for(machine, count, seed=7) -> list[str]:
     rng = random.Random(seed)
     return [rng.choice(VOCABULARY[machine]) for _ in range(count)]
@@ -136,6 +145,8 @@ def test_run_writes_a_manifest_beside_the_log(tmp_path):
     _, tree = whole_cart_domain().step(CartCommand.PayCart)
     assert manifest["vertices"] == _leaf_vertices(tree)
     assert manifest["fingerprint"] == cli._fingerprint(whole_cart_domain())
+    assert manifest == signed(manifest)
+    assert manifest_of(log).read_bytes() == json.dumps(manifest, sort_keys=True).encode()
     assert not manifest_of(log).with_name(manifest_of(log).name + ".tmp").exists()
 
 
@@ -311,9 +322,10 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
     manifest = json.loads(manifest_of(log).read_bytes())
     mid_line = manifest["bytes"] - 2  # inside the last record, its sha256 matching
 
-    def changed(**fields) -> bytes:
-        return json.dumps({**manifest, **fields}).encode()
+    def changed(**fields) -> bytes:  # re-signed, so each kind fails on its own field
+        return json.dumps(signed({**manifest, **fields})).encode()
 
+    unsigned = {key: value for key, value in manifest.items() if key != "check"}
     return {
         "vertex-off-topology": changed(vertices=["Nowhere"] + manifest["vertices"][1:]),
         "vertex-missing": changed(vertices=manifest["vertices"][:-1]),
@@ -329,6 +341,9 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
         "records-short": changed(records=manifest["records"] - 1),
         "records-long": changed(records=manifest["records"] + 1),
         "version-1": changed(version=1),  # the format whose fingerprint hashed the DOT diagram
+        "version-2": json.dumps({**unsigned, "version": 2}).encode(),  # the format with no check
+        "check-wrong": json.dumps({**manifest, "check": "0" * 64}).encode(),
+        "check-missing": json.dumps(unsigned).encode(),
         "unknown-field": changed(extra=1),
         "not-json": b"{not json",
         "not-utf-8": b"\xff\xfe",
@@ -340,8 +355,8 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("kind", [
     "vertex-off-topology", "vertex-missing", "vertex-extra",
     "version", "sha256", "bytes-past-the-end", "bytes-mid-line", "records-as-bool",
-    "records-short", "records-long", "version-1", "unknown-field", "not-json", "not-utf-8",
-    "a-list", "empty",
+    "records-short", "records-long", "version-1", "version-2", "check-wrong", "check-missing",
+    "unknown-field", "not-json", "not-utf-8", "a-list", "empty",
 ])
 def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, leaf_steps):
     machine = "whole-cart-domain"
@@ -367,7 +382,7 @@ def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, le
     # the run wrote a good manifest over the bad one
     rewritten = json.loads(manifest_of(log).read_bytes())
     assert rewritten["records"] == len(commands) + 1
-    assert rewritten["version"] == cli.MANIFEST_VERSION == 2
+    assert rewritten["version"] == cli.MANIFEST_VERSION == 3
     assert call("replay", machine, "--log", log) == (0, "", "")
 
 
@@ -394,8 +409,144 @@ def test_a_manifest_cut_short_at_any_byte_falls_back_silently(tmp_path, leaf_ste
         assert leaf_steps[0] - before == full
         assert log.read_bytes() == expected_bytes
         rewritten = cli._read_manifest(log, machine, fingerprint)
-        assert rewritten is not None and rewritten["version"] == 2
+        assert rewritten is not None and rewritten["version"] == 3
         assert rewritten["records"] == 9
+
+
+def test_a_re_signed_manifest_is_trusted_as_written(tmp_path, leaf_steps):
+    # the kinds above fail on their field alone: unchanged and re-signed, the manifest holds
+    machine = "whole-cart-domain"
+    log = tmp_path / "log.jsonl"
+    assert run(machine, log, commands_for(machine, 50))[0] == 0
+    manifest = json.loads(manifest_of(log).read_bytes())
+    manifest_of(log).write_bytes(json.dumps(signed(manifest)).encode())
+    fingerprint = _fingerprint(whole_cart_domain())
+    assert cli._read_manifest(log, machine, fingerprint) == {
+        key: value for key, value in manifest.items() if key != "check"
+    }
+    before = leaf_steps[0]
+    assert run(machine, log, []) == (0, "", "")
+    assert leaf_steps[0] - before == 0
+
+
+TORN_OVERWRITES = {
+    # the runs before the one whose manifest overwrites theirs, and that run's commands:
+    # a shipped, unpaid cart names longer vertices than a paid one
+    "old-longer": (["ship StartShipping"], ["cart PayCart"]),
+    "old-shorter": (["ship StartShipping", "cart PayCart"], ["ship MarkAsDelivered"]),
+}
+
+
+@pytest.mark.parametrize("case", list(TORN_OVERWRITES))
+def test_a_torn_overwrite_of_the_manifest_falls_back_silently(case, tmp_path, leaf_steps):
+    machine = "cart-and-shipping"
+    earlier, last = TORN_OVERWRITES[case]
+    log = tmp_path / "log.jsonl"
+    for command in earlier:
+        assert run(machine, log, [command])[0] == 0
+    old = manifest_of(log).read_bytes()
+    assert run(machine, log, last)[0] == 0
+    new, original = manifest_of(log).read_bytes(), log.read_bytes()
+    assert (len(old) > len(new)) == (case == "old-longer")
+    fingerprint = _fingerprint(cart_and_shipping())
+
+    manifest_of(log).unlink()
+    before = leaf_steps[0]
+    expected = run(machine, log, ["cart MarkCartAsPaid"])
+    full = leaf_steps[0] - before
+    expected_bytes = log.read_bytes()
+    assert (expected[0], expected[2]) == (0, "")
+
+    # every split an overwrite in place can stop at, and the new manifest with the old
+    # one's tail behind it, as when the truncation never ran
+    joined = {new[:split] + old[split:] for split in range(len(new) + 1)}
+    joined.add(new + old[len(new):])
+    wholes = [json.loads(old), json.loads(new)]
+
+    def whole(manifest: bytes) -> bool:
+        with contextlib.suppress(ValueError):
+            return json.loads(manifest) in wholes
+        return False
+
+    # a split inside the bytes both share, or one that only drops a separator's space,
+    # leaves one of the two whole: it is read as written, which is not torn
+    for manifest in filter(whole, joined):
+        manifest_of(log).write_bytes(manifest)
+        assert signed(cli._read_manifest(log, machine, fingerprint)) in wholes
+    torn = sorted(manifest for manifest in joined if not whole(manifest))
+    assert len(torn) > 100
+    assert new + old[len(new):] in torn or len(old) <= len(new)
+    for manifest in torn:
+        log.write_bytes(original)
+        manifest_of(log).write_bytes(manifest)
+        assert cli._read_manifest(log, machine, fingerprint) is None
+        before = leaf_steps[0]
+        assert run(machine, log, ["cart MarkCartAsPaid"]) == expected
+        assert leaf_steps[0] - before == full
+        assert log.read_bytes() == expected_bytes
+        assert manifest_of(log).read_bytes() == json.dumps(
+            signed(json.loads(manifest_of(log).read_bytes())), sort_keys=True
+        ).encode()
+
+
+SETTLE = ["ship StartShipping", "cart PayCart", "ship MarkAsDelivered", "cart MarkCartAsPaid"]
+
+
+def big_log(log: Path, records: int) -> int:
+    """Write a ``cart-and-shipping`` log of ``records`` records and its manifest, unchecked.
+
+    Past its first four records the cart is paid and delivered, and every
+    command leaves it where it is and emits nothing, so the manifest is
+    written here, from the bytes, instead of by a run that steps them all.
+    Returns the log's length.
+    """
+    machine = "cart-and-shipping"
+    assert run(machine, log, SETTLE)[0] == 0
+    vertices = json.loads(manifest_of(log).read_bytes())["vertices"]
+    idle = VOCABULARY[machine]
+    data = log.read_bytes() + "".join(
+        json.dumps({"input": idle[seq % 4], "outputs": [], "seq": seq}, sort_keys=True) + "\n"
+        for seq in range(len(SETTLE), records)
+    ).encode()
+    log.write_bytes(data)
+    manifest_of(log).write_bytes(json.dumps(signed({
+        "version": cli.MANIFEST_VERSION,
+        "machine": machine,
+        "fingerprint": _fingerprint(cart_and_shipping()),
+        "records": records,
+        "bytes": len(data),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "vertices": vertices,
+    }), sort_keys=True).encode())
+    return len(data)
+
+
+def test_a_resume_holds_no_more_of_the_log_in_memory_as_the_prefix_grows(tmp_path, leaf_steps):
+    machine = "cart-and-shipping"
+    entry = cli.default_registry()[machine]
+    _, settled = steps_of(leaf_steps, entry.factory(), map(entry.decode_input, SETTLE))
+    one, _ = steps_of(leaf_steps, settled, [entry.decode_input("cart PayCart")])
+
+    def peak(records: int) -> tuple[int, int]:
+        log = tmp_path / f"log-{records}.jsonl"
+        size = big_log(log, records)
+        before = leaf_steps[0]
+        tracemalloc.start()
+        try:
+            done = run(machine, log, ["cart PayCart"])
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert done == (0, "[]\n", "")
+        assert leaf_steps[0] - before == one  # the manifest was trusted: nothing re-stepped
+        assert log.stat().st_size > size
+        return size, traced
+
+    small, small_peak = peak(40_000)
+    large, large_peak = peak(160_000)
+    assert small > 2_000_000 and large > 3 * small
+    assert large_peak < small_peak + 100_000  # flat in the prefix
+    assert large_peak < small // 4  # and far below even the smaller log
 
 
 @settings(max_examples=60, deadline=None)
@@ -734,25 +885,54 @@ def test_run_and_replay_refuse_a_log_written_by_another_topology(kind, tmp_path)
 
 
 @pytest.mark.parametrize("kind", ["run", "replay"])
-@pytest.mark.parametrize("manifest", ["version-1", "version-3", "machine-only"])
+@pytest.mark.parametrize(
+    "manifest", ["version-1", "version-2", "version-3", "version-4", "machine-only"]
+)
 def test_a_manifest_of_any_version_naming_another_machine_is_refused(manifest, kind, tmp_path):
     log = tmp_path / "log.jsonl"
     assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
     current = json.loads(manifest_of(log).read_bytes())
     foreign = {
         "version-1": {**current, "version": 1},
-        "version-3": {**current, "version": cli.MANIFEST_VERSION + 1},
+        "version-2": {**current, "version": 2},
+        "version-3": current,
+        "version-4": {**current, "version": cli.MANIFEST_VERSION + 1},
         "machine-only": {"machine": "cart"},
     }[manifest]
     manifest_of(log).write_bytes(json.dumps(foreign).encode())
     before = written(log)
     code, out, err = session(kind, "whole-cart-domain", log)
     assert (code, out) == (cli.EXIT_CODEC, "")
-    # no fingerprint of this version's kind is compared, so the message names none of it
+    # versions 2 and 3 hash the walk of the tree, so only they name the writer's topology
+    writer = f" (topology {current['fingerprint'][:12]})" if manifest in (
+        "version-2", "version-3"
+    ) else ""
     fingerprint = _fingerprint(whole_cart_domain())[:12]
     assert err == (
-        f"error: malformed log: {log} was written by machine 'cart', "
+        f"error: malformed log: {log} was written by machine 'cart'{writer}, "
         f"not by 'whole-cart-domain' (topology {fingerprint})\n"
+    )
+    assert written(log) == before  # refused before anything is re-run or written
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+@pytest.mark.parametrize("kind", ["run", "replay"])
+def test_a_version_2_manifest_of_another_topology_is_refused(kind, tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    manifest = json.loads(manifest_of(log).read_bytes())
+    del manifest["check"]  # version 2 had none
+    manifest_of(log).write_bytes(json.dumps({**manifest, "version": 2}, sort_keys=True).encode())
+    before = written(log)
+    registry = cli.default_registry()
+    other = lambda: Sequential(cart(), identity_machine("echo"))  # noqa: E731
+    registry["cart"] = replace(registry["cart"], factory=other)
+    code, out, err = session(kind, "cart", log, registry)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    assert err == (
+        f"error: malformed log: {log} was written by machine 'cart' "
+        f"(topology {manifest['fingerprint'][:12]}), "
+        f"not by 'cart' (topology {_fingerprint(other())[:12]})\n"
     )
     assert written(log) == before  # refused before anything is re-run or written
     assert call("replay", "cart", "--log", log) == (0, "", "")
@@ -804,6 +984,65 @@ def test_a_manifest_that_cannot_be_renamed_into_place_leaves_no_copy(tmp_path, l
     resumed = resume(log)
     assert resumed == resume(reference)
     assert (resumed[0][0], resumed[0][2]) == (0, "")
+
+
+@contextlib.contextmanager
+def descriptors_of(path: Path):
+    """Collects every ``os.open`` of ``path`` inside the block and every ``os.close``."""
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def tracked_open(file, *args, **kwargs):
+        fd = real_open(file, *args, **kwargs)
+        if os.fspath(file) == str(path):
+            opened.append(fd)
+        return fd
+
+    def tracked_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    with mock.patch.object(os, "open", tracked_open), mock.patch.object(os, "close", tracked_close):
+        yield opened, closed
+
+
+@pytest.mark.parametrize("failing, first", [
+    ("pwrite", []),  # the manifest file is created empty: nothing written
+    ("ftruncate", ["ship StartShipping"]),  # its longer old manifest leaves its tail behind
+], ids=["pwrite", "ftruncate"])
+def test_a_failed_manifest_write_costs_the_next_run_a_full_check(
+    failing, first, tmp_path, leaf_steps
+):
+    machine = "cart-and-shipping"
+    log, reference = tmp_path / "log.jsonl", tmp_path / "reference" / "log.jsonl"
+    reference.parent.mkdir()
+    for target in (log, reference):
+        for command in first:
+            assert run(machine, target, [command])[0] == 0
+    commands = ["cart PayCart", "ship StartShipping"]
+    expected = run(machine, reference, commands)
+    assert (expected[0], expected[2]) == (0, "")
+
+    def fail(*args):
+        raise OSError(errno.EIO, f"{failing} failed")
+
+    with descriptors_of(manifest_of(log)) as (opened, closed), mock.patch.object(os, failing, fail):
+        assert run(machine, log, commands) == expected
+    assert len(opened) == 1 and set(opened) <= set(closed)  # the descriptor was closed
+    assert log.read_bytes() == reference.read_bytes()
+    fingerprint = _fingerprint(cart_and_shipping())
+    assert cli._read_manifest(log, machine, fingerprint) is None
+
+    def resume(target: Path):
+        before = leaf_steps[0]
+        done = run(machine, target, ["ship MarkAsDelivered"])
+        return done, leaf_steps[0] - before, target.read_bytes()
+
+    manifest_of(reference).unlink()  # so the reference checks its whole log
+    resumed = resume(log)
+    assert resumed == resume(reference)
+    assert (resumed[0][0], resumed[0][2]) == (0, "")
+    assert cli._read_manifest(log, machine, fingerprint)["records"] == len(first) + 3
 
 
 # -- torn tails ------------------------------------------------------------------
