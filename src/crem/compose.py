@@ -30,18 +30,17 @@ objects is returned as it is, so a stay allocates nothing and a move
 rebuilds only its path from the root; every subtree it did not touch is
 shared by the old and new tree.
 
-Feedback scheduling is FIFO: the forward machine's outputs are both
-accumulated and queued; each queued element goes through the backward
-machine, whose outputs are fed back into the forward machine immediately,
-in order. The accumulated forward outputs, in production order, are the
-result. A configurable budget bounds the loop, since nothing else
+Feedback scheduling is FIFO over one list: the forward machine's outputs,
+in production order, are the result, and its unread tail is the queue. Each
+element in turn goes through the backward machine, whose outputs are fed
+back into the forward machine immediately, in order, and what that produces
+is appended. A configurable budget bounds the loop, since nothing else
 guarantees it terminates.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -339,40 +338,38 @@ class Alternative(_Binary):
 class Feedback(_Binary):
     """Loop two machines: forward outputs are emitted and also bounced back.
 
-    Processing is breadth-first. Every forward output joins a FIFO queue;
-    each queued element is run through the backward machine, and each of
-    the backward outputs is immediately run through the forward machine,
-    whose new outputs are appended to both the result and the queue. One
-    external input yields the forward outputs in production order.
+    Processing is breadth-first. The result list is also the FIFO queue:
+    each of its elements, in order, is run through the backward machine,
+    and each of the backward outputs is immediately run through the forward
+    machine, whose new outputs are appended to the result. One external
+    input yields the forward outputs in production order.
 
     Each step of either machine spends one unit of ``config.feedback_cap``;
-    work still queued once the cap is spent raises :class:`FeedbackOverflow`.
+    a step due once the cap is spent raises :class:`FeedbackOverflow`.
     ``first`` is the forward machine and ``second`` the backward one.
     """
 
     def step(self, value, config=DEFAULT_CONFIG):
         produced, forward = self.first.step(value, config)  # spends the cap's first unit
         _require_list(produced, "the forward machine of Feedback")
-        if not produced:  # nothing to bounce back: the loop would stop here
+        if not produced:  # a silent forward step settles at once, as the loop would
             return [], self._with(forward, self.second)
         backward = self.second
-        collected = list(produced)
-        inputs: deque[Any] = deque()  # waiting for the forward machine
-        outputs: deque[Any] = deque(produced)  # forward outputs waiting for the backward one
-        for _ in range(config.feedback_cap - 1):
-            if inputs:
-                produced, forward = forward.step(inputs.popleft(), config)
+        budget = config.feedback_cap - 1
+        collected = list(produced)  # the result; its unread tail is the backward queue
+        for bounced in collected:  # a list iterator re-reads the length, so it sees extends
+            if not budget:
+                raise FeedbackOverflow(config.feedback_cap)
+            budget -= 1
+            reinjected, backward = backward.step(bounced, config)
+            _require_list(reinjected, "the backward machine of Feedback")
+            for item in reinjected:
+                if not budget:
+                    raise FeedbackOverflow(config.feedback_cap)
+                budget -= 1
+                produced, forward = forward.step(item, config)
                 _require_list(produced, "the forward machine of Feedback")
                 collected.extend(produced)
-                outputs.extend(produced)
-            elif outputs:
-                reinjected, backward = backward.step(outputs.popleft(), config)
-                _require_list(reinjected, "the backward machine of Feedback")
-                inputs.extend(reinjected)
-            else:
-                break
-        if inputs or outputs:
-            raise FeedbackOverflow(config.feedback_cap)
         return collected, self._with(forward, backward)
 
 

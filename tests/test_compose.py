@@ -1,7 +1,8 @@
 import re
+from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crem import (
@@ -188,6 +189,114 @@ def test_feedback_overflow_at_cap():
 def test_feedback_requires_list_outputs():
     with pytest.raises(TypeError):
         Feedback(emitter("scalar", lambda x: x), emitter("echo", lambda x: [x])).step(1)
+
+
+LIST_SHAPE_ERRORS = {
+    "feedback-forward-first": (
+        Feedback(emitter("scalar", lambda x: x), emitter("echo", lambda x: [x])),
+        "the forward machine of Feedback must produce a list, got int",
+    ),
+    "feedback-forward-reinjected": (
+        Feedback(
+            emitter("once", lambda x: [x + 1] if x == 0 else (x,)), emitter("echo", lambda x: [x])
+        ),
+        "the forward machine of Feedback must produce a list, got tuple",
+    ),
+    "feedback-backward": (
+        Feedback(emitter("echo", lambda x: [x]), emitter("none", lambda x: None)),
+        "the backward machine of Feedback must produce a list, got NoneType",
+    ),
+    "kleisli-first": (
+        Kleisli(emitter("scalar", lambda x: x), emitter("echo", lambda x: [x])),
+        "the first machine of Kleisli must produce a list, got int",
+    ),
+    "kleisli-second": (
+        Kleisli(emitter("echo", lambda x: [x]), emitter("text", lambda x: str(x))),
+        "the second machine of Kleisli must produce a list, got str",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LIST_SHAPE_ERRORS))
+def test_each_list_shaped_child_names_itself_when_it_returns_no_list(case):
+    tree, message = LIST_SHAPE_ERRORS[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        tree.step(0)
+
+
+# -- Feedback against the two-queue scheduler it replaced -----------------------
+
+
+def fanning(name, fans, log):
+    """A counting leaf: its n-th step logs ``(name, input)`` and emits ``fans[n % len(fans)]``
+    outputs ``(name, n, 0)``, ``(name, n, 1)``, ..."""
+
+    def act(steps, value):
+        log.append((name, value))
+        return [(name, steps, j) for j in range(fans[steps % len(fans)])], steps + 1
+
+    return Basic(unrestricted_mealy(name, 0, act))
+
+
+def two_queue_feedback(value, cap, steps, forward, backward):
+    """The reference: Feedback's FIFO rule as a scheduler over two deques.
+
+    ``steps`` maps a leaf name to its step count, and ``forward`` and ``backward``
+    are ``(name, fans, log)`` as :func:`fanning` takes them. Returns the outputs, or
+    None if work is still queued once the cap is spent."""
+
+    def run(leaf, item):
+        name, fans, log = leaf
+        log.append((name, item))
+        n = steps[name]
+        steps[name] = n + 1
+        return [(name, n, j) for j in range(fans[n % len(fans)])]
+
+    collected = run(forward, value)
+    inputs, outputs = deque(), deque(collected)
+    for _ in range(cap - 1):
+        if inputs:
+            produced = run(forward, inputs.popleft())
+            collected.extend(produced)
+            outputs.extend(produced)
+        elif outputs:
+            inputs.extend(run(backward, outputs.popleft()))
+        else:
+            break
+    return None if inputs or outputs else collected
+
+
+fans = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    forward_fans=fans,
+    backward_fans=fans,
+    cap=st.integers(min_value=1, max_value=60),
+    inputs=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
+)
+# fwd, bwd, then the cap runs out on the third of three reinjected items
+@example(forward_fans=[1], backward_fans=[3], cap=4, inputs=[0])
+def test_feedback_matches_the_two_queue_scheduler(forward_fans, backward_fans, cap, inputs):
+    config = RunConfig(feedback_cap=cap)
+    log, expected_log = [], []
+    tree = Feedback(fanning("fwd", forward_fans, log), fanning("bwd", backward_fans, log))
+    steps = {"fwd": 0, "bwd": 0}
+    forward = ("fwd", forward_fans, expected_log)
+    backward = ("bwd", backward_fans, expected_log)
+    for value in inputs:
+        expected = two_queue_feedback(value, cap, steps, forward, backward)
+        if expected is None:
+            with pytest.raises(FeedbackOverflow) as err:
+                tree.step(value, config)
+            assert err.value.cap == cap
+            assert log == expected_log
+            return
+        output, tree = tree.step(value, config)
+        assert output == expected
+        assert log == expected_log
+        assert [leaf.state.payload for leaf in tree.leaves()] == [steps["fwd"], steps["bwd"]]
 
 
 def test_kleisli_flat_maps_and_threads_state():

@@ -147,7 +147,6 @@ def test_run_writes_a_manifest_beside_the_log(tmp_path):
     assert manifest["fingerprint"] == cli._fingerprint(whole_cart_domain())
     assert manifest == signed(manifest)
     assert manifest_of(log).read_bytes() == json.dumps(manifest, sort_keys=True).encode()
-    assert not manifest_of(log).with_name(manifest_of(log).name + ".tmp").exists()
 
 
 def test_no_manifest_for_a_leaf_with_a_payload(tmp_path):
@@ -962,7 +961,9 @@ def test_a_refused_run_creates_no_log(tmp_path):
     assert manifest_of(log).read_bytes() == before
 
 
-def test_a_manifest_that_cannot_be_renamed_into_place_leaves_no_copy(tmp_path, leaf_steps):
+def test_a_directory_at_the_manifest_path_fails_only_the_write_and_the_resume_checks_all(
+    tmp_path, leaf_steps
+):
     machine = "whole-cart-domain"
     commands = commands_for(machine, 20)
     log, reference = tmp_path / "log.jsonl", tmp_path / "reference" / "log.jsonl"
@@ -973,7 +974,6 @@ def test_a_manifest_that_cannot_be_renamed_into_place_leaves_no_copy(tmp_path, l
     assert (done[0], done[2]) == (0, "")
     assert log.read_bytes() == reference.read_bytes()
     assert manifest_of(log).is_dir()
-    assert not manifest_of(log).with_name(manifest_of(log).name + ".tmp").exists()
 
     def resume(target: Path):
         before = leaf_steps[0]
@@ -1172,6 +1172,39 @@ def test_a_session_opens_its_log_once(tmp_path, before):
     with opens_of(log) as modes:
         assert call("replay", "cart", "--log", log) == (0, "", "")
     assert modes == ["rb"]
+
+
+class UnreadableHandle:
+    """The locked log's handle, but every ``read`` fails as a failing disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def read(self, *args):
+        raise OSError(errno.EIO, "Input/output error")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+@pytest.mark.parametrize("kind", ["run", "replay"])
+def test_a_log_that_cannot_be_read_is_malformed(kind, tmp_path, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    assert run("whole-cart-domain", log, ["PayCart", "MarkCartAsPaid"])[0] == 0
+    before = written(log)
+    real = cli._locked_log
+
+    @contextlib.contextmanager
+    def unreadable(path, exclusive):
+        with real(path, exclusive) as handle:
+            yield UnreadableHandle(handle)
+
+    monkeypatch.setattr(cli, "_locked_log", unreadable)
+    code, out, err = session(kind, "whole-cart-domain", log)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    assert err.startswith(f"error: malformed log: cannot read log {log}: [Errno 5] ")
+    assert len(err.splitlines()) == 1
+    assert written(log) == before
 
 
 # -- one writer at a time --------------------------------------------------------

@@ -586,7 +586,7 @@ def test_duplicate_name_under_hand_rolled_child_is_rejected():
         )
 
 
-def test_hand_rolled_child_leaves_keep_their_order(leaves_walked):
+def test_a_refused_hand_rolled_wrapper_takes_nothing_from_the_subtree_it_wraps(leaves_walked):
     inner = Sequential(identity_machine("b"), identity_machine("c"))
     with not_a_node("Wrapped"):
         Sequential(identity_machine("a"), Wrapped(inner))
@@ -656,7 +656,7 @@ def test_replaced_tree_is_checked():
         Sequential(renamed, identity_machine("d"))
 
 
-def test_hand_rolled_child_duplicates_are_named_in_walk_order():
+def test_hand_rolled_children_are_refused_and_reused_subtrees_name_duplicates_in_walk_order():
     # a hand-rolled child is refused whatever leaves it lists, duplicates too
     with not_a_node("Bag"):
         Sequential(identity_machine("a"), Bag("b", "c", "b", "a"))
