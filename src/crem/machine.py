@@ -68,10 +68,8 @@ class BaseMachine:
     def __post_init__(self) -> None:
         if not self.name:
             raise EmptyName("machine name must be non-empty")
-        vertex = self.state.vertex  # on the topology: a source or a target of one of its edges
-        if not any(
-            vertex == source or vertex in targets for source, targets in self.topology.edges
-        ):
+        vertex = self.state.vertex
+        if vertex not in self.topology._vertices:  # the order vertices() returns
             raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:

@@ -3,7 +3,8 @@
 A topology is a list of directed edges grouped by source vertex. Staying on
 the current vertex is always permitted and never listed; only genuine moves
 between distinct vertices need an explicit edge. A topology has one form:
-it is checked and normalized once, when it is built.
+it is checked and normalized once, when it is built, and the same pass
+records its vertex order, which renders and machine checks then read.
 """
 
 from __future__ import annotations
@@ -27,29 +28,61 @@ class Topology:
     topology written with duplicate groups is equal to its normal form. That
     order is part of the value because it drives rendering. The groups are
     stored as tuples; ``edges`` that already are the normal tuple are kept as
-    they are. :meth:`allows` is a single lookup in a per-source index built
-    on first use.
+    they are. Labels are checked once, over all of them, yet of two faults the
+    one in the earlier group is reported, as a check per group would.
+
+    The same pass records the vertex order that :meth:`vertices` returns; it
+    is derived from ``edges``, so it is no field and takes no part in ``==``,
+    ``hash`` or ``repr``. :meth:`allows` is a single lookup in a per-source
+    index built on first use.
     """
 
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         merged: dict[str, tuple[str, ...]] = {}
-        for source, targets in self.edges:
-            if not isinstance(targets, tuple):
-                if isinstance(targets, str):  # a bare label would split into its characters
-                    raise TypeError(f"the targets of {source!r} must be labels, not a str")
-                targets = tuple(targets)
-            if not source or not all(targets):
-                raise EmptyVertexLabel("vertex labels must be non-empty")
-            if source in merged:
-                targets = merged[source] + targets
-            if len(set(targets)) != len(targets):
-                targets = tuple(dict.fromkeys(targets))
-            merged[source] = targets
-        edges = tuple(merged.items())
-        if edges != self.edges:  # an already normal tuple is kept, not rebuilt
+        # every label in first-appearance order; a target maps to the last group that
+        # listed it, so a target repeated inside its own group is one lookup
+        order: dict[str, object] = {}
+        normal = isinstance(self.edges, tuple)  # the groups as written are the normal ones
+        remerged = False
+        try:
+            for group in self.edges:
+                source, targets = group
+                if not isinstance(targets, tuple):
+                    if isinstance(targets, str):  # a bare label would split into its characters
+                        raise TypeError(f"the targets of {source!r} must be labels, not a str")
+                    targets = tuple(targets)
+                    normal = False
+                elif not isinstance(group, tuple):
+                    normal = False
+                if source not in order:
+                    order[source] = None
+                repeated = False
+                for target in targets:
+                    if order.get(target) is group:
+                        repeated = True
+                    order[target] = group
+                if source in merged:
+                    targets = tuple(dict.fromkeys(merged[source] + targets))
+                    remerged = True
+                elif repeated:
+                    targets = tuple(dict.fromkeys(targets))
+                    normal = False
+                merged[source] = targets
+        finally:
+            # every label is checked once, here, so an empty one is reported ahead of
+            # whatever fault a later group raised
+            if not all(order):
+                raise EmptyVertexLabel("vertex labels must be non-empty") from None
+        if remerged or not normal:  # an already normal tuple is kept, not rebuilt
+            edges = tuple(merged.items())
             object.__setattr__(self, "edges", edges)
+            if remerged:  # a merged group lists its targets later than they were written
+                order = dict.fromkeys(
+                    vertex for source, targets in edges for vertex in (source, *targets)
+                )
+        object.__setattr__(self, "_vertices", tuple(order))
 
     def normalize(self) -> Topology:
         """The topology itself: construction already normalized it."""
@@ -68,13 +101,11 @@ class Topology:
         return dict(self.edges)
 
     def vertices(self) -> tuple[str, ...]:
-        """All vertices (sources and targets) in first-appearance order."""
-        seen: dict[str, None] = {}
-        for source, targets in self.edges:
-            seen.setdefault(source)
-            for target in targets:
-                seen.setdefault(target)
-        return tuple(seen)
+        """All vertices (sources and targets) in first-appearance order.
+
+        Construction recorded this order; every call returns the same tuple.
+        """
+        return self._vertices
 
     def transitions(self) -> tuple[tuple[str, str], ...]:
         """Explicit edges flattened to ``(source, target)`` pairs."""

@@ -186,11 +186,6 @@ def test_feedback_overflow_at_cap():
     assert str(err.value) == "feedback loop exceeded 13 iterations without settling"
 
 
-def test_feedback_requires_list_outputs():
-    with pytest.raises(TypeError):
-        Feedback(emitter("scalar", lambda x: x), emitter("echo", lambda x: [x])).step(1)
-
-
 LIST_SHAPE_ERRORS = {
     "feedback-forward-first": (
         Feedback(emitter("scalar", lambda x: x), emitter("echo", lambda x: [x])),

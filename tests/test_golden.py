@@ -1,8 +1,9 @@
 """Byte-exact goldens: the sha256 of every diagram text the renderers print.
 
 The digests pin the output of ``render_flow`` for every registered machine
-and for two hand-built trees, and of ``render_base`` for every registered
-leaf and for leaves with awkward labels. The benchmark's seeded random
+and for four hand-built trees, and of ``render_base`` for every registered
+leaf, for leaves with awkward labels and for leaves written as raw groups
+that construction merges and deduplicates. The benchmark's seeded random
 trees are checked against the digests the benchmark itself keeps. Any
 change to diagram text, down to one byte, fails here; a deliberate change
 must update the digest.
@@ -101,6 +102,31 @@ def escapes_tree():
     )
 
 
+SHARED_TARGETS = ("r", "p")
+
+
+def merged_tree():
+    """Leaves written as raw groups: duplicate source groups, repeated targets,
+    self-loops and list shapes. Leaf ``merged`` lists ``E`` in its merged ``A``
+    group, so its vertex order (``A B E C D``) is not the order the groups were
+    written in (``A B C D E``); leaves ``shared`` and ``shared2`` hand one
+    targets tuple to two groups."""
+    return Parallel(
+        _leaf(
+            "merged",
+            (("A", ("B", "B")), ("C", ("D",)), ("A", ("E", "C", "A")), ("E", ("A", "A"))),
+            "E",
+        ),
+        Sequential(
+            _leaf("twice", [["x", ["y", "x", "y"]], ("y", ("z", "y")), ("x", ("w",))], "w"),
+            Alternative(
+                _leaf("shared", (("p", SHARED_TARGETS), ("q", SHARED_TARGETS)), "q"),
+                _leaf("shared2", (("q", SHARED_TARGETS), ("p", ("q",)), ("q", SHARED_TARGETS)), "r"),
+            ),
+        ),
+    )
+
+
 def _registered_leaves():
     for name in sorted(REGISTRY):
         for leaf in REGISTRY[name].factory().leaves():
@@ -114,12 +140,15 @@ def _cases():
     cases["flow/all-kinds"] = lambda fmt: render_flow(all_kinds_tree(), fmt)
     cases["flow/awkward"] = lambda fmt: render_flow(awkward_tree(), fmt)
     cases["flow/escapes"] = lambda fmt: render_flow(escapes_tree(), fmt)
+    cases["flow/merged"] = lambda fmt: render_flow(merged_tree(), fmt)
     for key, leaf in _registered_leaves():
         cases[f"base/{key}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     for index, leaf in enumerate(awkward_tree().leaves()):
         cases[f"base/awkward/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     for index, leaf in enumerate(escapes_tree().leaves()):
         cases[f"base/escapes/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
+    for index, leaf in enumerate(merged_tree().leaves()):
+        cases[f"base/merged/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     return {
         f"{key}.{fmt}": (lambda render=render, fmt=fmt: render(fmt))
         for key, render in cases.items()
@@ -218,6 +247,22 @@ GOLDEN = {
         "6e9fcfbc814a8d7130b7d312282c0075e1161312cddd21128b7eb4b8b2aee6b0",
     "base/escapes/3.mermaid":
         "cd18912e44facfafbd63a71308adb87a28eeac0436d561da2b46d876fdf82e09",
+    "base/merged/0.dot":
+        "c8547f09d1aa82c399a149f185ec414eb9d34523d92129c01dc011a5f69f0e39",
+    "base/merged/0.mermaid":
+        "066061831ca6799baa6aecccb6a02ad5ac7d506d29b4f9d4ee5d6954e146a9e5",
+    "base/merged/1.dot":
+        "1fa2a5dff275a7e416e5d748bbdbbd4a5ce30c7959dd8fb100a13cf17def3398",
+    "base/merged/1.mermaid":
+        "db00c8e9c004ff9a6395377028ac3a6bf7714147b1660d4f1fe2175ba31a07e9",
+    "base/merged/2.dot":
+        "3b2e35cd729e3ca10219fa8b48a1440f271db62a0e3cdb1be884188b64297874",
+    "base/merged/2.mermaid":
+        "599699f00cc7d58b60ac338917fe1037067b3547b037a15ab8da74567ee7aa1b",
+    "base/merged/3.dot":
+        "6b8375c54fd4f644dfb5eeb56673d0de0ff67b83380e5763fae21d63edc946eb",
+    "base/merged/3.mermaid":
+        "05860338c22f1f4adb6661f077781f243ec4d8a11e16a832e3bdeb637520f1d3",
     "base/shipping/shipping.dot":
         "60ee42c27f92d1c1005d19cef2f9d75ca856d065f3ca1a5bac4d6deb60df0dfb",
     "base/shipping/shipping.mermaid":
@@ -254,6 +299,10 @@ GOLDEN = {
         "fd8dbc189770d53c9fbc340ca8ed0385c2b29881910fa02b40e7e44094a1266e",
     "flow/escapes.mermaid":
         "87f6da9488daac7fe8af1f80d40ebb647f5569b406865908a879290666faca7f",
+    "flow/merged.dot":
+        "0b6bddee68d6bab62014c77be4f7a300ba31ef20dfb27374674cd07ebd1c25c1",
+    "flow/merged.mermaid":
+        "e562333def31f7067603b3b83038b396ed47dc363182768b3e880bdb5b9e33d9",
     "flow/shipping.dot":
         "da80af735eda0d4c1dcb5628ab9fe1be2b60c3892d795a212c9ee2ea79808475",
     "flow/shipping.mermaid":

@@ -165,9 +165,15 @@ def test_allows_leaves_the_value_unchanged(edges, a, b):
 
 
 def reference_normalize(edges):
-    """The label-by-label loop normalizing used to be; returns the normal edges."""
+    """The label-by-label loop normalizing used to be; returns the normal edges.
+
+    Group by group, a bare ``str`` of targets is refused before the group's labels
+    are checked, as construction refused it when each group checked its own labels.
+    """
     merged = {}
     for source, targets in edges:
+        if isinstance(targets, str):
+            raise TypeError(f"the targets of {source!r} must be labels, not a str")
         if not source:
             raise EmptyVertexLabel("vertex labels must be non-empty")
         bucket = merged.setdefault(source, [])
@@ -259,3 +265,132 @@ def test_initial_vertex_may_be_a_target_only():
     assert BaseMachine("m", topology, MachineState("B"), stay).state == MachineState("B")
     with pytest.raises(UnknownVertex, match="^vertex 'C' is not in the topology of 'm'$"):
         BaseMachine("m", topology, MachineState("C"), stay)
+
+
+# -- the recorded vertex order against the loop it replaced -------------------
+
+
+def reference_vertices(edges):
+    """The ``setdefault`` loop ``vertices()`` ran on every call before construction
+    recorded the order."""
+    seen = {}
+    for source, targets in edges:
+        seen.setdefault(source)
+        for target in targets:
+            seen.setdefault(target)
+    return tuple(seen)
+
+
+few_labels = st.sampled_from(["A", "B", "C", "D"])
+
+
+@st.composite
+def raw_groups(draw):
+    """Edges as written: sources that repeat (groups to merge), targets that repeat
+    inside a group, self-loops, list and tuple shapes, and one targets tuple handed
+    to several groups."""
+    shared = draw(st.lists(few_labels, max_size=4).map(tuple))
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        source = draw(few_labels)
+        targets = draw(
+            st.just(shared)
+            | st.lists(few_labels, max_size=5)
+            | st.lists(few_labels, max_size=5).map(lambda ts, s=source: (s, *ts, s))
+        )
+        groups.append(draw(st.sampled_from([(source, targets), [source, targets]])))
+    return draw(st.sampled_from([groups, tuple(groups)]))
+
+
+@given(raw_groups())
+def test_vertices_match_the_reference_loop_over_the_normal_edges(edges):
+    topology = Topology(edges)
+    assert topology.vertices() == reference_vertices(topology.edges)
+    assert topology.vertices() == reference_vertices(reference_normalize(edges))
+    assert topology.vertices() is topology.vertices()  # recorded once, not rebuilt
+
+
+@given(raw_groups())
+def test_edges_are_kept_exactly_when_they_equal_their_normal_form(edges):
+    assert (Topology(edges).edges is edges) == (reference_normalize(edges) == edges)
+
+
+def test_a_merged_group_orders_vertices_as_its_normal_form():
+    # written: A B C D E; merged, the A group lists E before C
+    raw = Topology((("A", ("B",)), ("C", ("D",)), ("A", ("E",))))
+    assert raw.edges == (("A", ("B", "E")), ("C", ("D",)))
+    assert raw.vertices() == ("A", "B", "E", "C", "D")
+
+
+def test_a_targets_tuple_shared_by_groups_is_no_repeat():
+    shared = ("B", "A")
+    topology = Topology((("A", shared), ("C", shared), ("B", shared)))
+    assert topology.edges == (("A", shared), ("C", shared), ("B", shared))
+    assert all(targets is shared for _, targets in topology.edges)
+    assert topology.vertices() == ("A", "B", "C")
+
+
+def test_self_loops_and_repeats_inside_a_group():
+    topology = Topology([["A", ["A", "B", "A", "B"]], ("B", ("B",))])
+    assert topology.edges == (("A", ("A", "B")), ("B", ("B",)))
+    assert topology.vertices() == ("A", "B")
+
+
+# -- which of two faults is reported ------------------------------------------
+
+EMPTY = (EmptyVertexLabel, "vertex labels must be non-empty")
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        ((("", ("B",)), ("A", "xy")), EMPTY),
+        ([("A", ["B", ""]), ("C", "xy")], EMPTY),
+        ((("A", ("B",)), ("A", ("",)), ("C", "xy")), EMPTY),
+        ((("A", ("",)), ("B",)), EMPTY),
+        ((("", ()), ("B", ("C",), "D")), EMPTY),
+        ((("", ()), 5), EMPTY),
+        ((("", ()), ("B", 5)), EMPTY),
+        ((("A", "xy"), ("", ("B",))), (TypeError, "the targets of 'A' must be labels, not a str")),
+        ((("", "xy"),), (TypeError, "the targets of '' must be labels, not a str")),
+        ((("A",), ("", ())), (ValueError, "not enough values to unpack (expected 2, got 1)")),
+    ],
+    ids=[
+        "empty-source-before-str",
+        "empty-target-before-str",
+        "empty-in-merged-group-before-str",
+        "empty-before-short-group",
+        "empty-before-long-group",
+        "empty-before-non-iterable-group",
+        "empty-before-non-iterable-targets",
+        "str-before-empty",
+        "str-beside-empty-source",
+        "short-group-before-empty",
+    ],
+)
+def test_the_first_of_two_faults_is_reported(edges, expected):
+    error, message = expected
+    with pytest.raises(Exception, match=f"^{re.escape(message)}$") as raised:
+        Topology(edges)
+    assert type(raised.value) is error
+
+
+faulty_groups = st.lists(
+    st.tuples(clashing_labels, st.lists(clashing_labels, max_size=3))
+    | st.tuples(clashing_labels, clashing_labels)  # a bare str as targets
+    | st.tuples(clashing_labels)  # not a pair
+    | st.tuples(clashing_labels, st.just(()), clashing_labels),
+    max_size=5,
+)
+
+
+@given(faulty_groups)
+def test_faults_are_reported_as_the_per_group_checks_reported_them(edges):
+    try:
+        expected = reference_normalize(edges)
+    except Exception as error:
+        with pytest.raises(Exception, match=f"^{re.escape(str(error))}$") as raised:
+            Topology(edges)
+        assert type(raised.value) is type(error)
+        return
+    assert Topology(edges).edges == expected
