@@ -9,9 +9,12 @@ regenerates exactly. ``run`` writes each record in one canonical form, the
 bytes ``json.dumps(record, sort_keys=True)`` gives: keys sorted, ``", "``
 and ``": "`` as separators, non-ASCII characters escaped. ``replay`` and a
 resume accept any JSON object with exactly the keys ``input``, ``outputs``
-and ``seq``. Each record is flushed before the next command runs. A ``run``
-on an existing log resumes it the same way: the logged records are re-run
-and checked before anything new is appended.
+and ``seq``. Each record is written in one unbuffered ``write``, whose byte
+count is checked, before the next command runs. A log that cannot be
+written, whether a record, the newline that ends a whole last line or the
+removal of a torn tail fails, makes ``run`` exit 3 with one ``error:`` line
+naming it. A ``run`` on an existing log resumes it the same way: the logged
+records are re-run and checked before anything new is appended.
 A log is checked in one pass, record by record, so its first fault in file
 order decides the exit code.
 
@@ -321,16 +324,29 @@ def _reading(path: Path) -> Iterator[None]:
         raise MalformedLog(f"cannot read log {path}: {error}") from error
 
 
+def _append(log: BinaryIO, path: Path, data: bytes) -> None:
+    """Append ``data`` to the log at ``path`` through its unbuffered handle ``log``, in
+    one ``write``; a failed or short write raises ``CodecError`` naming the log."""
+    try:
+        written = log.write(data)
+    except OSError as error:
+        raise CodecError(f"cannot write log {path}: {error}") from error
+    if written != len(data):
+        raise CodecError(f"cannot write log {path}: wrote {written} of {len(data)} bytes")
+
+
 @contextmanager
 def _locked_log(path: Path, exclusive: bool) -> Iterator[BinaryIO]:
     """Hold a lock on the log at ``path`` and yield its one handle, at offset 0.
 
     A writer's handle appends, creates a missing log and holds an exclusive
-    lock; a reader's handle only reads and holds a shared one.
+    lock; a reader's handle only reads and holds a shared one. Either is
+    unbuffered, so each ``write`` reaches the kernel at once and closing the
+    handle has nothing left to write.
     """
     existed = not exclusive or path.exists()
     try:
-        handle = open(path, "a+b" if exclusive else "rb")
+        handle = open(path, "a+b" if exclusive else "rb", buffering=0)
     except OSError as error:
         if existed:
             raise MalformedLog(f"cannot read log {path}: {error}") from error
@@ -473,20 +489,22 @@ def _cmd_run(args, registry) -> int:
         checked = len(data) - len(torn)
         digest.update(memoryview(data)[:checked])
         if torn:
-            log.truncate(start + checked)
+            try:
+                log.truncate(start + checked)
+            except OSError as error:
+                raise CodecError(f"cannot write log {path}: {error}") from error
             print(
                 f"warning: {path}: removed a torn tail at line {seq + 1} "
                 f"({len(torn)} bytes, unterminated and not valid JSON)",
                 file=sys.stderr,
             )
         elif data and not data.endswith(b"\n"):  # never glue a record onto it
-            log.write(b"\n")
+            _append(log, path, b"\n")
             digest.update(b"\n")
         size = log.seek(0, os.SEEK_END)  # machine, seq and size stay at the last record written
         try:
             for record, stepped in _run_commands(machine, lines, entry, config, seq):
-                log.write(record)
-                log.flush()
+                _append(log, path, record)  # in the file before the next command runs
                 digest.update(record)
                 machine, seq, size = stepped, seq + 1, size + len(record)
         finally:  # a command that fails (exit 3, 4 or 5) leaves what was appended covered

@@ -4,11 +4,13 @@ Trees are immutable; stepping returns the output and a new tree. The six
 node kinds are the Basic leaf and five composites, Sequential, Parallel,
 Alternative, Feedback and Kleisli, each over two subtrees ``first`` and
 ``second``; a tree holds no other, nor a subclass of these: a composite
-refuses any other child with a ``TypeError`` when it is built, and every walk
-refuses any other root, so everything that walks a tree is total over trees.
+refuses any other child with a ``TypeError`` when it is built, a ``Basic``
+anything but a ``BaseMachine``, and every walk refuses any other root, so
+everything that walks a tree is total over trees.
 Feedback and Kleisli require list-shaped outputs from their children because
 they route individual elements onward.
 
+``_Binary.__post_init__`` alone holds the rule for leaf names.
 Leaf names are checked once, when a node is built through its public
 constructor, and the check costs only the work that node adds: a new
 composite takes over the sets of leaf names its children were built with (a
@@ -197,17 +199,6 @@ def _fingerprint(tree: StateMachine) -> str:
     return hashlib.sha256(repr(walk).encode()).hexdigest()
 
 
-def _check_leaf_names(node: StateMachine) -> set[str]:
-    """The leaf names of ``node``, raising on the first duplicate in walk order: the
-    fallback of a build whose child handed up no set, or whose children's sets clash."""
-    seen: set[str] = set()
-    for leaf in node.leaves():
-        if leaf.name in seen:
-            raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
-        seen.add(leaf.name)
-    return seen
-
-
 # key of the leaf-name set in a composite's instance __dict__; not a field,
 # so ==, hash and repr never see it
 _LEAF_NAMES = "_leaf_names"
@@ -229,28 +220,6 @@ def _handed_up_names(child: StateMachine) -> set[str] | None:
     raise TypeError(f"not a composition tree node: {kind.__name__}")
 
 
-def _adopt_leaf_names(node: StateMachine, first: StateMachine, second: StateMachine) -> None:
-    """Check that ``node``'s children share no leaf name; store their union.
-
-    The children give their sets up only after ``node`` holds its own, so a
-    refused build leaves both children as they were.
-    """
-    first_names = _handed_up_names(first)
-    second_names = _handed_up_names(second)
-    if first_names is None or second_names is None or not first_names.isdisjoint(second_names):
-        # a set is missing or the sets clash: the walk names the first duplicate
-        names = _check_leaf_names(node)
-    elif len(first_names) >= len(second_names):  # add the smaller set into the larger, in place
-        names = first_names
-        names |= second_names
-    else:
-        names = second_names
-        names |= first_names
-    node.__dict__[_LEAF_NAMES] = names
-    first.__dict__.pop(_LEAF_NAMES, None)
-    second.__dict__.pop(_LEAF_NAMES, None)
-
-
 def _require_list(value: Any, where: str) -> None:
     if not isinstance(value, list):
         raise TypeError(f"{where} must produce a list, got {type(value).__name__}")
@@ -259,6 +228,10 @@ def _require_list(value: Any, where: str) -> None:
 @dataclass(frozen=True)
 class Basic(StateMachine):
     machine: BaseMachine
+
+    def __post_init__(self):
+        if not isinstance(self.machine, BaseMachine):
+            raise TypeError(f"Basic needs a BaseMachine, got {type(self.machine).__name__}")
 
     def step(self, value, config=DEFAULT_CONFIG):
         output, machine = self.machine.step(value)
@@ -281,7 +254,28 @@ class _Binary(StateMachine):
     second: StateMachine
 
     def __post_init__(self):
-        _adopt_leaf_names(self, self.first, self.second)
+        """The leaf-name rule, in one place: check that the children share no leaf name
+        and store their union. The children give their sets up only after ``self``
+        holds its own, so a refused build leaves both as they were."""
+        first, second = self.first, self.second
+        first_names = _handed_up_names(first)
+        second_names = _handed_up_names(second)
+        if first_names is None or second_names is None or not first_names.isdisjoint(second_names):
+            # a set is missing or the sets clash: a walk names the first duplicate in walk order
+            names = set()
+            for leaf in self.leaves():
+                if leaf.name in names:
+                    raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
+                names.add(leaf.name)
+        elif len(first_names) >= len(second_names):  # add the smaller set into the larger, in place
+            names = first_names
+            names |= second_names
+        else:
+            names = second_names
+            names |= first_names
+        self.__dict__[_LEAF_NAMES] = names
+        first.__dict__.pop(_LEAF_NAMES, None)
+        second.__dict__.pop(_LEAF_NAMES, None)
 
     def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
         """``self`` if ``first`` and ``second`` are its children, else a copy of just those two."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from crem import (
     Alternative,
     Basic,
+    BaseMachine,
     DuplicateLeafName,
     Feedback,
     FeedbackOverflow,
@@ -464,6 +465,32 @@ def test_a_child_outside_the_six_kinds_is_refused_at_construction(kind, name, si
         children.reverse()
     with pytest.raises(TypeError, match=f"^not a composition tree node: {name}$"):
         kind(*children)
+
+
+# a value that is no machine, a machine's topology, and tree nodes where their machine belongs
+NOT_MACHINES = {
+    "int": lambda: 1,
+    "NoneType": lambda: None,
+    "Topology": lambda: cart().machine.topology,
+    "Basic": cart,
+    "Sequential": lambda: Sequential(identity_machine("a"), identity_machine("b")),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_MACHINES))
+def test_basic_refuses_what_is_not_a_base_machine(name):
+    with pytest.raises(TypeError, match=f"^Basic needs a BaseMachine, got {name}$"):
+        Basic(NOT_MACHINES[name]())
+
+
+def test_basic_takes_a_subclass_of_base_machine():
+    class Named(BaseMachine):
+        pass
+
+    machine = cart().machine
+    leaf = Basic(Named(machine.name, machine.topology, machine.state, machine.action))
+    assert [type(m) for m in leaf.leaves()] == [Named]
+    assert run_trace(leaf, [PAY]) == [[CartEvent.CartPaymentInitiated]]
 
 
 def test_step_is_deterministic():

@@ -1207,6 +1207,107 @@ def test_a_log_that_cannot_be_read_is_malformed(kind, tmp_path, monkeypatch):
     assert written(log) == before
 
 
+class UnwritableHandle:
+    """The locked log's handle, but every ``write`` and ``truncate`` fails with ``error``
+    as a full or failing disk does; with ``error`` None, each ``write`` writes only the
+    first half of its bytes and returns that short count instead."""
+
+    def __init__(self, handle, error):
+        self._handle = handle
+        self._error = error
+
+    def write(self, data):
+        if self._error is not None:
+            raise self._error
+        return self._handle.write(data[: len(data) // 2])
+
+    def truncate(self, *args):
+        raise self._error
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+@contextlib.contextmanager
+def unwritable(monkeypatch, error):
+    """Inside the block, every session's log handle is an ``UnwritableHandle``."""
+    real = cli._locked_log
+
+    @contextlib.contextmanager
+    def locked(path, exclusive):
+        with real(path, exclusive) as handle:
+            yield UnwritableHandle(handle, error)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_locked_log", locked)
+        yield
+
+
+NO_SPACE = OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("error", [NO_SPACE, None], ids=["ENOSPC", "short-count"])
+def test_a_record_that_cannot_be_written_exits_3_and_names_the_log(error, tmp_path, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    before, manifest = written(log)
+    record = b'{"input": "MarkCartAsPaid", "outputs": ["CartPaymentCompleted"], "seq": 1}\n'
+    with unwritable(monkeypatch, error):
+        code, out, err = run("cart", log, ["MarkCartAsPaid", "PayCart"])
+    # the command printed before its record failed to append, and nothing ran after it
+    assert (code, out) == (cli.EXIT_CODEC, "[CartPaymentCompleted]\n")
+    reason = f"wrote {len(record) // 2} of {len(record)} bytes" if error is None else error
+    assert err == f"error: cannot write log {log}: {reason}\n"
+    # the manifest still covers the one whole record; the next run removes what was cut short
+    part = b"" if error else record[: len(record) // 2]
+    assert written(log) == (before + part, manifest)
+    code, out, err = run("cart", log, ["MarkCartAsPaid"])
+    assert (code, out) == (0, "[CartPaymentCompleted]\n")
+    assert err == (f"warning: {log}: removed a torn tail at line 2 ({len(part)} bytes, "
+                   "unterminated and not valid JSON)\n" if part else "")
+    assert log.read_bytes() == before + record
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+@pytest.mark.parametrize("tail, error", [
+    (b"", NO_SPACE),  # the newline that ends a whole last record cannot be written
+    (TORN, OSError(errno.EIO, "Input/output error")),  # the torn tail cannot be removed
+], ids=["unterminated", "torn"])
+def test_a_log_that_cannot_be_mended_exits_3_and_names_it(tail, error, tmp_path, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    manifest_of(log).unlink()
+    log.write_bytes(log.read_bytes().rstrip(b"\n") if not tail else log.read_bytes() + tail)
+    before = log.read_bytes()
+    with unwritable(monkeypatch, error):
+        code, out, err = run("cart", log, ["MarkCartAsPaid"])
+    assert (code, out, err) == (cli.EXIT_CODEC, "", f"error: cannot write log {log}: {error}\n")
+    assert log.read_bytes() == before
+    assert not manifest_of(log).exists()
+    assert run("cart", log, ["MarkCartAsPaid"])[:2] == (0, "[CartPaymentCompleted]\n")
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_each_record_is_in_the_file_before_the_next_command_runs(tmp_path):
+    log = tmp_path / "log.jsonl"
+    entry = cli.default_registry()["cart-and-shipping"]
+    in_file = []
+
+    def decode(text):  # read through a handle of its own, not the session's
+        in_file.append(log.read_bytes().count(b"\n") if log.exists() else 0)
+        return entry.decode_input(text)
+
+    registry = {"cart-and-shipping": replace(entry, decode_input=decode)}
+    source = tmp_path / "commands.txt"
+    for seed in (1, 2):  # a fresh log, then a resume from its manifest
+        commands = commands_for("cart-and-shipping", 5, seed=seed)
+        source.write_text("".join(c + "\n" for c in commands), encoding="utf-8")
+        code, _, err = call("run", "cart-and-shipping", "--input", source, "--log", log,
+                            registry=registry)
+        assert (code, err) == (0, "")
+    assert in_file == list(range(10))
+
+
 # -- one writer at a time --------------------------------------------------------
 
 

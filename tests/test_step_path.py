@@ -115,8 +115,6 @@ def validation_calls(monkeypatch):
             wrap(cls, "__init__", f"{cls.__name__}.__init__")
             if hasattr(cls, "__post_init__"):
                 wrap(cls, "__post_init__", f"{cls.__name__}.__post_init__")
-        wrap(compose, "_adopt_leaf_names", "_adopt_leaf_names")
-        wrap(compose, "_check_leaf_names", "_check_leaf_names")
         return counts
 
     return install
@@ -145,13 +143,14 @@ def test_cart_domain_step_validates_nothing(validation_calls):
     assert [leaf.state.vertex for leaf in domain.leaves()] == [PAYMENT_COMPLETE, "Unit", "Done"]
 
 
-def test_public_constructors_still_validate(validation_calls):
+def test_public_constructors_still_validate(validation_calls, leaves_walked):
     counts = validation_calls()
     left_chain(4)
     assert counts["BaseMachine.__post_init__"] == 4
     assert counts["Topology.__init__"] == 4  # one per leaf, checked and normalized there
-    assert counts["_adopt_leaf_names"] == 3
-    assert counts["_check_leaf_names"] == 0  # the children handed their names up
+    assert counts["Basic.__post_init__"] == 4
+    assert counts["Sequential.__post_init__"] == 3  # where the leaf-name rule lives
+    assert leaves_walked["leaves"] == 0  # the children handed their names up
 
 
 # -- a step shares every subtree it did not change ------------------------------
@@ -715,3 +714,63 @@ def test_a_refused_build_leaves_its_children_their_name_sets(other, error, leave
     walked = leaves_walked["leaves"]
     assert [leaf.name for leaf in Sequential(x, identity_machine("c")).leaves()] == list("abc")
     assert leaves_walked["leaves"] == walked + 3  # the three of .leaves() alone
+
+
+def quiet(name):
+    """Leaf ``name`` on RING with no payload: it moves one vertex per step and outputs ``[]``."""
+
+    def act(state, value):
+        return StepResult([], MachineState(f"r{(int(state.vertex[1:]) + 1) % 3}"))
+
+    return Basic(BaseMachine(name, RING, MachineState("r0"), act))
+
+
+# one input of each shape a node kind takes; a tree refuses the shapes it cannot take
+SHAPED_INPUTS = (0, (0, 0), Left(0), Right(0))
+
+
+def held_names(node):
+    return vars(node).get(compose._LEAF_NAMES)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_every_build_holds_the_names_a_walk_finds_or_names_the_walks_first_duplicate(data):
+    # trees from fresh leaves, subtrees reused in a second parent, and stepped or restored
+    # subtrees, which hold no name set, all drawn from one pool and named from a few names
+    pool = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
+        moves = ["leaf", "build", "build", "step", "restore"] if pool else ["leaf"]
+        move = data.draw(st.sampled_from(moves))
+        if move == "leaf":
+            pool.append(quiet(data.draw(st.sampled_from("abcde"))))
+            continue
+        tree = data.draw(st.sampled_from(pool))
+        names = [leaf.name for leaf in tree.leaves()]
+        if move == "step":
+            try:
+                _, tree = tree.step(data.draw(st.sampled_from(SHAPED_INPUTS)))
+            except TypeError:
+                continue
+            pool.append(tree)
+        elif move == "restore":
+            vertices = data.draw(st.lists(st.sampled_from(RING.vertices()),
+                                          min_size=len(names), max_size=len(names)))
+            pool.append(compose._restore_vertices(tree, vertices))
+        else:
+            kind = data.draw(st.sampled_from(NODE_KINDS[1:]))
+            second = data.draw(st.sampled_from(pool))
+            names += [leaf.name for leaf in second.leaves()]
+            clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
+            before = [(held_names(child), set(held_names(child) or ())) for child in (tree, second)]
+            if clash is None:
+                node = kind(tree, second)
+                assert held_names(node) == set(names)
+                assert [n for n in nodes(node) if compose._LEAF_NAMES in vars(n)] == [node]
+                pool.append(node)
+                continue
+            with duplicate(clash):
+                kind(tree, second)
+            for child, (held, content) in zip((tree, second), before):
+                assert held_names(child) is held
+                assert set(held or ()) == content
