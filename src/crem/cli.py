@@ -305,7 +305,10 @@ def _replay(
         except CodecError as error:
             raise MalformedLog(f"seq {seq}: {error}") from error
         outputs, machine = machine.step(value, config)
-        encoded = [entry.encode_output(item) for item in outputs]
+        try:
+            encoded = [entry.encode_output(item) for item in outputs]
+        except CodecError as error:
+            raise CodecError(f"seq {seq}: {error}") from error
         if encoded != record["outputs"]:
             raise _Diverged(
                 f"replay diverged at seq {seq}: "
@@ -528,18 +531,19 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
 
     A record is formatted directly as the bytes ``json.dumps(record,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
-    A codec that returns anything but a ``str`` raises ``CodecError`` before
-    its command prints or yields anything, so the caller never sees the
-    machine that command stepped to.
+    A ``CodecError`` raised while a command is decoded, stepped or encoded,
+    and a codec that returns anything but a ``str``, raise ``CodecError``
+    naming the input line before that command prints or yields anything, so
+    the caller never sees the machine that command stepped to.
     """
     for number, text in lines:
         try:
             value = entry.decode_input(text)
+            outputs, machine = machine.step(value, config)
+            encoded = [entry.encode_output(item) for item in outputs]
+            code = entry.encode_input(value)
         except CodecError as error:
             raise CodecError(f"line {number}: {error}") from None
-        outputs, machine = machine.step(value, config)
-        encoded = [entry.encode_output(item) for item in outputs]
-        code = entry.encode_input(value)
         try:  # join and _quote raise TypeError on an item that is not a str
             shown = ", ".join(encoded)
             quoted = ", ".join(map(_quote, encoded))

@@ -494,6 +494,48 @@ def test_a_codec_that_returns_no_str_exits_3_before_its_line(
         assert not log.exists()
 
 
+def refusing(codec, culprit):
+    """The ``cart`` registry whose ``codec`` raises ``CodecError`` on ``culprit``."""
+    entry = cli.default_registry()["cart"]
+
+    def encode(value, encode=getattr(entry, codec)):
+        if value is culprit:
+            raise cli.CodecError(f"cannot encode {value!r}")
+        return encode(value)
+
+    return {"cart": replace(entry, **{codec: encode})}
+
+
+@pytest.mark.parametrize("codec, culprit", [
+    ("encode_input", CartCommand.MarkCartAsPaid),
+    ("encode_output", CartEvent.CartPaymentCompleted),
+])
+def test_an_encoder_that_refuses_a_value_names_its_line(codec, culprit, tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    argv = ["run", "cart", "--input", commands, "--log", str(log)]
+    assert cli.main(argv, refusing(codec, culprit)) == 3
+    error = f"error: line 2: cannot encode {culprit!r}\n"
+    assert capsys.readouterr() == ("[CartPaymentInitiated]\n", error)
+    # nothing is printed or logged for that line
+    assert log.read_bytes() == b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
+
+
+@pytest.mark.parametrize("command", ["replay", "run"])
+def test_an_encoder_that_refuses_a_logged_output_names_its_seq(command, tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log, manifest = tmp_path / "log.jsonl", tmp_path / "log.jsonl.crem"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
+    manifest.unlink()  # so a resume re-runs every record
+    before = log.read_bytes()
+    capsys.readouterr()
+    argv = [command, "cart", "--log", str(log)] + (["--input", commands] if command == "run" else [])
+    assert cli.main(argv, refusing("encode_output", CartEvent.CartPaymentCompleted)) == 3
+    error = f"error: seq 1: cannot encode {CartEvent.CartPaymentCompleted!r}\n"
+    assert capsys.readouterr() == ("", error)
+    assert (log.read_bytes(), manifest.exists()) == (before, False)
+
+
 # quotes, backslashes, control and line-separator characters, and non-ASCII ones
 TRICKY = st.sampled_from(list('"\\\x00\x1f\x7f\t\r\x85\u2028\u2029é\U0001f600'))
 TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",), exclude_characters="\n"))

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -1311,7 +1312,8 @@ def test_each_record_is_in_the_file_before_the_next_command_runs(tmp_path):
 # -- one writer at a time --------------------------------------------------------
 
 
-def crem_process(*argv) -> subprocess.Popen:
+def crem_process(*argv, text=True, **options) -> subprocess.Popen:
+    """``python -m crem *argv`` with its output piped; ``options`` go to ``Popen``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop(cli.ENV_FEEDBACK_CAP, None)
@@ -1319,8 +1321,9 @@ def crem_process(*argv) -> subprocess.Popen:
         [sys.executable, "-m", "crem", *map(str, argv)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
+        text=text,
         env=env,
+        **options,
     )
 
 
@@ -1422,3 +1425,51 @@ def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert [r["seq"] for r in records] == list(range(600))
     assert call("replay", machine, "--log", log) == (0, "", "")
+
+
+# -- whole sessions as processes --------------------------------------------------
+
+
+def test_a_process_prints_the_same_bytes_with_or_without_the_log(tmp_path):
+    log, source = tmp_path / "log.jsonl", tmp_path / "commands.txt"
+    source.write_bytes(b"cart PayCart\nship StartShipping\n")
+
+    def session(*argv, stdin=b""):
+        process = crem_process(*argv, stdin=subprocess.PIPE, text=False)
+        out, err = process.communicate(stdin, timeout=60)
+        return process.returncode, out, err
+
+    printed = (0, b"[cart PaymentInProgress, cart PaymentDone, ship InTransit]\n[]\n", b"")
+    assert session("run", "cart-and-shipping", "--input", source, "--log", log) == printed
+    assert manifest_of(log).exists()
+    assert session("run", "cart-and-shipping", "--input", source) == printed
+    assert session("run", "cart-and-shipping", "--input", "-", stdin=source.read_bytes()) == printed
+    assert session("replay", "cart-and-shipping", "--log", log) == (0, b"", b"")
+
+
+def test_a_log_past_the_file_size_limit_exits_3_and_the_next_run_mends_it(tmp_path):
+    log, source = tmp_path / "log.jsonl", tmp_path / "many.txt"
+    source.write_text("PayCart\nMarkCartAsPaid\n" * 40, encoding="utf-8")
+
+    def limit():  # CPython ignores SIGXFSZ, so a write past the limit fails instead of killing
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+    writer = crem_process("run", "cart", "--input", source, "--log", log, preexec_fn=limit)
+    out, err = writer.communicate(timeout=60)
+    assert writer.returncode == cli.EXIT_CODEC
+    assert err.startswith(f"error: cannot write log {log}: ") and err.count("\n") == 1
+    data = log.read_bytes()
+    whole = data[: data.rindex(b"\n") + 1]
+    records, torn = whole.count(b"\n"), len(data) - len(whole)
+    # the command whose record was cut short printed, no command after it ran, and the
+    # manifest covers the whole records
+    assert len(out.splitlines()) == records + 1
+    manifest = json.loads(manifest_of(log).read_bytes())
+    assert (manifest["records"], manifest["bytes"]) == (records, len(whole))
+    assert torn > 0  # the limit cut a record short
+    assert run("cart", log, []) == (0, "", (
+        f"warning: {log}: removed a torn tail at line {records + 1} "
+        f"({torn} bytes, unterminated and not valid JSON)\n"
+    ))
+    assert log.read_bytes() == whole
+    assert call("replay", "cart", "--log", log) == (0, "", "")
