@@ -65,8 +65,10 @@ waits for a writer.
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
 6 log divergence (on ``replay``, or when ``run`` resumes a log), printed on
-stdout. The table ``_EXIT_CODES`` holds the rest of that contract: each
-failure it names prints one ``error:`` line on stderr.
+stdout. A registry codec that raises anything, not only ``CodecError``, is
+a codec problem: exit 3, naming the input line or the seq. The table
+``_EXIT_CODES`` holds the rest of that contract: each failure it names
+prints one ``error:`` line on stderr.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call.
@@ -146,10 +148,13 @@ class RegistryEntry:
 
 
 def _enum_decoder(enum_cls):
+    # the map enum_cls[name] reads, snapshot once: a dict lookup, not a call into EnumType
+    members = dict(enum_cls.__members__)
+
     def decode(text: str):
         name = text.strip()
         try:
-            return enum_cls[name]
+            return members[name]
         except KeyError:
             raise CodecError(f"{name!r} is not a {enum_cls.__name__}") from None
 
@@ -157,7 +162,7 @@ def _enum_decoder(enum_cls):
 
 
 def _encode_enum(value) -> str:
-    return value.name
+    return value._name_  # the documented attribute the .name property reads, without its call
 
 
 _SIDES = {
@@ -179,7 +184,7 @@ def _decode_side(text: str):
 def _encode_side(value) -> str:
     for tag, (wrapper, _) in _SIDES.items():
         if isinstance(value, wrapper):
-            return f"{tag} {value.value.name}"
+            return f"{tag} {value.value._name_}"
     raise CodecError(f"cannot encode {value!r}")
 
 
@@ -304,11 +309,15 @@ def _replay(
             value = entry.decode_input(record["input"])
         except CodecError as error:
             raise MalformedLog(f"seq {seq}: {error}") from error
+        except Exception as error:
+            raise _codec_failed(f"seq {seq}", "decode_input", error) from error
         outputs, machine = machine.step(value, config)
+        if not isinstance(outputs, list):  # a lazy iterable runs the step's code: outside the try
+            outputs = list(outputs)
         try:
             encoded = [entry.encode_output(item) for item in outputs]
-        except CodecError as error:
-            raise CodecError(f"seq {seq}: {error}") from error
+        except Exception as error:
+            raise _codec_failed(f"seq {seq}", "encode_output", error) from error
         if encoded != record["outputs"]:
             raise _Diverged(
                 f"replay diverged at seq {seq}: "
@@ -531,19 +540,32 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
 
     A record is formatted directly as the bytes ``json.dumps(record,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
-    A ``CodecError`` raised while a command is decoded, stepped or encoded,
-    and a codec that returns anything but a ``str``, raise ``CodecError``
-    naming the input line before that command prints or yields anything, so
-    the caller never sees the machine that command stepped to.
+    A codec that raises anything, a step that raises ``CodecError``, and a
+    codec that returns anything but a ``str`` raise ``CodecError`` naming the
+    input line before that command prints or yields anything, so the caller
+    never sees the machine that command stepped to. Any other error of a
+    step propagates as it is. The codec calls sit in plain ``try`` blocks,
+    which cost nothing until one raises.
     """
     for number, text in lines:
         try:
             value = entry.decode_input(text)
+        except Exception as error:
+            raise _codec_failed(f"line {number}", "decode_input", error) from None
+        try:
             outputs, machine = machine.step(value, config)
-            encoded = [entry.encode_output(item) for item in outputs]
-            code = entry.encode_input(value)
+            if not isinstance(outputs, list):  # a lazy iterable runs the step's code here
+                outputs = list(outputs)
         except CodecError as error:
             raise CodecError(f"line {number}: {error}") from None
+        try:
+            encoded = [entry.encode_output(item) for item in outputs]
+        except Exception as error:
+            raise _codec_failed(f"line {number}", "encode_output", error) from None
+        try:
+            code = entry.encode_input(value)
+        except Exception as error:
+            raise _codec_failed(f"line {number}", "encode_input", error) from None
         try:  # join and _quote raise TypeError on an item that is not a str
             shown = ", ".join(encoded)
             quoted = ", ".join(map(_quote, encoded))
@@ -553,6 +575,14 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
         print(f"[{shown}]")
         yield record.encode(), machine
         seq += 1
+
+
+def _codec_failed(where: str, codec: str, error: Exception) -> CodecError:
+    """The error for the registry's ``codec``, which raised ``error`` at ``where``, an input
+    line or a seq: a ``CodecError`` keeps its message, any other is named by its type."""
+    if isinstance(error, CodecError):
+        return CodecError(f"{where}: {error}")
+    return CodecError(f"{where}: {codec} raised {type(error).__name__}: {error}")
 
 
 def _not_text(number: int, code: Any, encoded: list) -> CodecError:

@@ -27,10 +27,14 @@ the node's fields and nothing else assigned by item, with no ``__init__``
 and no keyword dict. So each set has one owner, the root a constructor
 built, and a tree a step or restore made is walked like a reused subtree
 when built into another. Steps and restores rebuild a composite by one rule,
-``_Binary._with``: a node whose children all came back as the very same
-objects is returned as it is, so a stay allocates nothing and a move
-rebuilds only its path from the root; every subtree it did not touch is
-shared by the old and new tree.
+``_Binary._with``: a move rebuilds only its path from the root, and every
+subtree it did not touch is shared by the old and new tree. A node whose
+children all came back as the very same objects is returned as it is:
+``_with`` checks that for a restore, and each ``step`` checks it inline
+before it would call ``_with``. So a stay, a step after which every leaf
+hands back its very same state object, costs only the calls that route it:
+no leaf consults its topology, no composite makes a rebuild call, and no
+node is allocated anywhere in the tree.
 
 Feedback scheduling is FIFO over one list: the forward machine's outputs,
 in production order, are the result, and its unread tail is the queue. Each
@@ -294,6 +298,8 @@ class Sequential(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         intermediate, first = self.first.step(value, config)
         output, second = self.second.step(intermediate, config)
+        if first is self.first and second is self.second:  # a stay: no rebuild call
+            return output, self
         return output, self._with(first, second)
 
 
@@ -310,6 +316,8 @@ class Parallel(_Binary):
             raise TypeError(f"Parallel expects a pair, got {value!r}") from None
         b, first = self.first.step(a, config)
         d, second = self.second.step(c, config)
+        if first is self.first and second is self.second:
+            return (b, d), self
         return (b, d), self._with(first, second)
 
 
@@ -322,9 +330,13 @@ class Alternative(_Binary):
     def step(self, value, config=DEFAULT_CONFIG):
         if isinstance(value, Left):
             output, first = self.first.step(value.value, config)
+            if first is self.first:
+                return Left(output), self
             return Left(output), self._with(first, self.second)
         if isinstance(value, Right):
             output, second = self.second.step(value.value, config)
+            if second is self.second:
+                return Right(output), self
             return Right(output), self._with(self.first, second)
         raise TypeError(f"Alternative expects Left or Right, got {value!r}")
 
@@ -347,6 +359,8 @@ class Feedback(_Binary):
         produced, forward = self.first.step(value, config)  # spends the cap's first unit
         _require_list(produced, "the forward machine of Feedback")
         if not produced:  # a silent forward step settles at once, as the loop would
+            if forward is self.first:
+                return [], self
             return [], self._with(forward, self.second)
         backward = self.second
         budget = config.feedback_cap - 1
@@ -364,6 +378,8 @@ class Feedback(_Binary):
                 produced, forward = forward.step(item, config)
                 _require_list(produced, "the forward machine of Feedback")
                 collected.extend(produced)
+        if forward is self.first and backward is self.second:
+            return collected, self
         return collected, self._with(forward, backward)
 
 
@@ -383,6 +399,8 @@ class Kleisli(_Binary):
             outputs, second = second.step(item, config)
             _require_list(outputs, "the second machine of Kleisli")
             collected.extend(outputs)
+        if first is self.first and second is self.second:
+            return collected, self
         return collected, self._with(first, second)
 
 

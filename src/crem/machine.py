@@ -57,7 +57,11 @@ class BaseMachine:
     Construction checks the invariants once: a non-empty name and a state
     on one of the topology's vertices; the :class:`Topology` checked its own
     labels and normalized itself when it was built. A step then checks only
-    the move it makes against the topology.
+    the move it makes against the topology, and only if it makes one: a stay,
+    an action handing back the very same state object, is an identity move,
+    which every topology allows, so it consults no topology and returns
+    ``self``. Every other move, a new state object on the same vertex
+    included, calls ``Topology.allows`` exactly once.
     """
 
     name: str
@@ -74,11 +78,12 @@ class BaseMachine:
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:
         """Run the action once, enforcing the topology on the implied move."""
-        output, next_state = self.action(self.state, value)
-        if not self.topology.allows(self.state.vertex, next_state.vertex):
-            raise DisallowedTransition(self.name, self.state.vertex, next_state.vertex)
-        if next_state is self.state:  # the action kept its state: so does the machine
+        state = self.state
+        output, next_state = self.action(state, value)
+        if next_state is state:  # a stay: an identity move, allowed by every topology
             return output, self
+        if not self.topology.allows(state.vertex, next_state.vertex):
+            raise DisallowedTransition(self.name, state.vertex, next_state.vertex)
         # an allowed move lands on a vertex of the topology: nothing to recheck, so copy
         # positionally, with no __init__ and no keyword dict; inline, since a call to a
         # copy helper would cost about half of what the positional copy saves

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crem import Basic, BaseMachine, MachineState, StepResult, Topology, cli
-from crem.cart import CartCommand, CartEvent, ShippingCommand
+from crem import Basic, BaseMachine, Left, MachineState, Right, StepResult, Topology, cli
+from crem.cart import (
+    CartCommand,
+    CartEvent,
+    CartView,
+    ShippingCommand,
+    ShippingEvent,
+    ShippingInfo,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -494,13 +501,14 @@ def test_a_codec_that_returns_no_str_exits_3_before_its_line(
         assert not log.exists()
 
 
-def refusing(codec, culprit):
-    """The ``cart`` registry whose ``codec`` raises ``CodecError`` on ``culprit``."""
+def refusing(codec, culprit, error=None):
+    """The ``cart`` registry whose ``codec`` raises on ``culprit``: ``error("boom")``, or
+    ``CodecError`` if ``error`` is None."""
     entry = cli.default_registry()["cart"]
 
     def encode(value, encode=getattr(entry, codec)):
-        if value is culprit:
-            raise cli.CodecError(f"cannot encode {value!r}")
+        if value == culprit:
+            raise cli.CodecError(f"cannot encode {value!r}") if error is None else error("boom")
         return encode(value)
 
     return {"cart": replace(entry, **{codec: encode})}
@@ -534,6 +542,127 @@ def test_an_encoder_that_refuses_a_logged_output_names_its_seq(command, tmp_path
     error = f"error: seq 1: cannot encode {CartEvent.CartPaymentCompleted!r}\n"
     assert capsys.readouterr() == ("", error)
     assert (log.read_bytes(), manifest.exists()) == (before, False)
+
+
+# what a ``MarkCartAsPaid`` command brings to each codec of ``cart``
+CULPRITS = {
+    "decode_input": "MarkCartAsPaid",
+    "encode_input": CartCommand.MarkCartAsPaid,
+    "encode_output": CartEvent.CartPaymentCompleted,
+}
+FIRST_RECORD = b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq": 0}\n'
+
+
+@pytest.mark.parametrize("codec", list(CULPRITS))
+@pytest.mark.parametrize("logged", [True, False], ids=["log", "no-log"])
+def test_a_codec_that_raises_exits_3_naming_its_line(codec, logged, tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log = tmp_path / "log.jsonl"
+    argv = ["run", "cart", "--input", commands] + (["--log", str(log)] if logged else [])
+    assert cli.main(argv, refusing(codec, CULPRITS[codec], KeyError)) == 3
+    error = f"error: line 2: {codec} raised KeyError: 'boom'\n"
+    assert capsys.readouterr() == ("[CartPaymentInitiated]\n", error)
+    if logged:  # the log and its manifest keep the records before that line
+        assert log.read_bytes() == FIRST_RECORD
+        assert json.loads(log.with_name("log.jsonl.crem").read_bytes())["records"] == 1
+        assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+
+
+@pytest.mark.parametrize("codec", list(CULPRITS))
+@pytest.mark.parametrize("command", ["replay", "run"])
+def test_a_codec_that_raises_on_a_logged_record_exits_3_naming_its_seq(
+    command, codec, tmp_path, capsys
+):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    log, manifest = tmp_path / "log.jsonl", tmp_path / "log.jsonl.crem"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
+    manifest.unlink()  # so a resume re-runs every record
+    before = log.read_bytes()
+    capsys.readouterr()
+    argv = [command, "cart", "--log", str(log)]
+    if command == "run":
+        argv += ["--input", commands]
+    code = cli.main(argv, refusing(codec, CULPRITS[codec], KeyError))
+    if codec != "encode_input":
+        assert (code, capsys.readouterr()) == (
+            3, ("", f"error: seq 1: {codec} raised KeyError: 'boom'\n")
+        )
+        assert (log.read_bytes(), manifest.exists()) == (before, False)
+    elif command == "replay":  # checking a record never encodes its input
+        assert (code, capsys.readouterr()) == (0, ("", ""))
+    else:  # the resume checks every record, then fails on a new command's line
+        assert (code, capsys.readouterr()) == (
+            3, ("[]\n", "error: line 2: encode_input raised KeyError: 'boom'\n")
+        )
+        after = b'{"input": "PayCart", "outputs": [], "seq": 2}\n'
+        assert log.read_bytes() == before + after
+        assert cli.main(["replay", "cart", "--log", str(log)]) == 0
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
+def test_a_step_that_raises_keeps_its_exception(lazy, tmp_path, capsys):
+    def act(state, value):
+        def outputs():  # as a generator, this runs only when the CLI reads the outputs
+            if value == "codec":
+                raise cli.CodecError("refused by the step")
+            if value != "ok":
+                raise KeyError(value)
+            yield value
+
+        return StepResult(outputs() if lazy else list(outputs()), state)
+
+    def factory():
+        return Basic(BaseMachine("strict", Topology((("s", ()),)), MachineState("s"), act))
+
+    registry = {"strict": cli.RegistryEntry(factory, str.strip, str, str)}
+    commands = write_lines(tmp_path / "cmds.txt", ["ok", "codec"])
+    assert cli.main(["run", "strict", "--input", commands], registry) == 3
+    assert capsys.readouterr() == ("[ok]\n", "error: line 2: refused by the step\n")
+    commands = write_lines(tmp_path / "cmds.txt", ["other"])
+    with pytest.raises(KeyError):  # not a codec's fault: no exit code claims it
+        cli.main(["run", "strict", "--input", commands], registry)
+    # replay steps outside the codecs' try blocks too
+    log = tmp_path / "log.jsonl"
+    for value, outcome in [("codec", 3), ("other", KeyError)]:
+        log.write_text(f'{{"input": "{value}", "outputs": [], "seq": 0}}\n', encoding="utf-8")
+        if outcome == 3:
+            assert cli.main(["replay", "strict", "--log", str(log)], registry) == 3
+            assert capsys.readouterr().err == "error: refused by the step\n"
+        else:
+            with pytest.raises(KeyError):
+                cli.main(["replay", "strict", "--log", str(log)], registry)
+
+
+ENUMS = [CartCommand, CartEvent, CartView, ShippingCommand, ShippingEvent, ShippingInfo]
+
+
+@pytest.mark.parametrize("enum_cls", ENUMS, ids=[enum.__name__ for enum in ENUMS])
+def test_enum_codecs_agree_with_enum_lookup_and_name(enum_cls):
+    decode = cli._enum_decoder(enum_cls)
+    for member in enum_cls:
+        assert decode(member.name) is enum_cls[member.name]
+        assert decode(f" {member.name}\t") is member
+        assert cli._encode_enum(member) == member.name
+        assert cli._encode_side(Left(member)) == f"cart {member.name}"
+        assert cli._encode_side(Right(member)) == f"ship {member.name}"
+    for name in ("name", "value", "mro", "_member_map_", "__class__", member.name.lower()):
+        with pytest.raises(KeyError):
+            enum_cls[name]
+        with pytest.raises(cli.CodecError) as error:
+            decode(name)
+        assert str(error.value) == f"{name!r} is not a {enum_cls.__name__}"
+
+
+def test_every_registered_command_decodes_as_enum_lookup():
+    registry = cli.default_registry()
+    for machine, enum_cls in [("cart", CartCommand), ("whole-cart-domain", CartCommand),
+                              ("shipping", ShippingCommand)]:
+        for member in enum_cls:
+            assert registry[machine].decode_input(member.name) is enum_cls[member.name]
+    for tag, side, enum_cls in [("cart", Left, CartCommand), ("ship", Right, ShippingCommand)]:
+        for member in enum_cls:
+            decoded = registry["cart-and-shipping"].decode_input(f"{tag} {member.name}")
+            assert type(decoded) is side and decoded.value is enum_cls[member.name]
 
 
 # quotes, backslashes, control and line-separator characters, and non-ASCII ones

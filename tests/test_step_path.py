@@ -35,6 +35,7 @@ from crem import (
     StateMachine,
     StepResult,
     Topology,
+    UNIT_VERTEX,
     identity_machine,
     render_flow,
     stateless,
@@ -173,7 +174,7 @@ def test_terminal_domain_steps_to_the_same_tree(factory, warm_up, inputs, monkey
     for value in warm_up:
         _, tree = tree.step(value)
     checks = Counter()
-    for owner, attr in ((BaseMachine, "step"), (Topology, "allows")):
+    for owner, attr in ((BaseMachine, "step"), (Topology, "allows"), (compose._Binary, "_with")):
         original = getattr(owner, attr)
 
         def counting(*args, _original=original, _key=attr, **kwargs):
@@ -184,9 +185,11 @@ def test_terminal_domain_steps_to_the_same_tree(factory, warm_up, inputs, monkey
     for value in inputs:
         _, stepped = tree.step(value)
         assert stepped is tree
-    # every leaf step still checked its move against the topology
+    # every leaf still stepped, but a stay is an identity move: no topology is consulted,
+    # and no composite makes a rebuild call
     assert checks["step"] >= len(inputs)
-    assert checks["allows"] == checks["step"]
+    assert checks["allows"] == 0
+    assert checks["_with"] == 0
 
 
 def counts(name, out=lambda x: [x]):
@@ -401,6 +404,86 @@ def test_forbidden_move_raises_and_leaves_tree_unchanged(shape, trap_first, valu
     )
     assert tree == before
     assert repr(tree) == text
+
+
+# -- a stay costs only its routing; a move is checked once ----------------------
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Record the move of every ``Topology.allows`` call and count ``_Binary._with`` calls."""
+    calls = {"allows": [], "_with": 0}
+    allows, rebuild_with = Topology.allows, compose._Binary._with
+
+    def counting_allows(self, source, target):
+        calls["allows"].append((source, target))
+        return allows(self, source, target)
+
+    def counting_with(self, first, second):
+        calls["_with"] += 1
+        return rebuild_with(self, first, second)
+
+    monkeypatch.setattr(Topology, "allows", counting_allows)
+    monkeypatch.setattr(compose._Binary, "_with", counting_with)
+    return calls
+
+
+def test_every_move_consults_its_topology_once(step_calls):
+    _, moved = ring("a", []).step(1)
+    assert (moved.machine.state, step_calls["allows"]) == (MachineState("r1", 1), [("r0", "r1")])
+    # a move through a new state object on the same vertex: a payload change
+    step_calls["allows"].clear()
+    _, moved = counts("m").step(1)
+    assert moved.machine.state == MachineState(UNIT_VERTEX, 1)
+    assert step_calls["allows"] == [(UNIT_VERTEX, UNIT_VERTEX)]
+    # the cart's first PayCart: six leaf steps, of which the four moves are each checked once
+    tree = whole_cart_domain()  # building checks each table row against its topology
+    step_calls["allows"].clear()
+    _, moved = tree.step(CartCommand.PayCart)
+    assert step_calls == {
+        "allows": [
+            ("WaitingForPaymentVertex", "InitiatingPaymentVertex"),
+            ("InitiatingPaymentVertex", PAYMENT_COMPLETE),
+            ("Pending", "InProgress"),
+            ("InProgress", "Done"),
+        ],
+        "_with": 2,  # the Feedback and the Kleisli above the leaves that moved
+    }
+    step_calls.update(allows=[], _with=0)
+    assert moved.step(CartCommand.PayCart)[1] is moved  # now every leaf stays
+    assert step_calls == {"allows": [], "_with": 0}
+
+
+def test_a_disallowed_move_consults_its_topology_once_and_raises(step_calls):
+    _, tree = trap().step(0)
+    step_calls["allows"].clear()
+    with pytest.raises(DisallowedTransition) as raised:
+        tree.step(0)
+    assert str(raised.value) == (
+        "machine 'trap': transition 'end' -> 'start' is not allowed by the topology"
+    )
+    assert step_calls["allows"] == [("end", "start")]
+
+
+@pytest.mark.parametrize(
+    "tree, value, output",
+    [
+        (Sequential(emit("a", wrap), emit("b", list)), 1, [1]),
+        (Parallel(emit("a", wrap), emit("b", wrap)), (1, 2), ([1], [2])),
+        (Alternative(emit("a", wrap), emit("b", wrap)), Left(1), Left([1])),
+        (Alternative(emit("a", wrap), emit("b", wrap)), Right(2), Right([2])),
+        (Feedback(emit("a", lambda x: [x] if x < 3 else []), emit("b", lambda x: [x + 1])), 1,
+         [1, 2]),
+        (Feedback(emit("a", list), emit("b", wrap)), [], []),  # a silent forward step
+        (Kleisli(emit("a", lambda x: [x, x]), emit("b", wrap)), 1, [1, 1]),
+    ],
+    ids=["sequential", "parallel", "alternative-left", "alternative-right", "feedback",
+         "feedback-silent", "kleisli"],
+)
+def test_a_stay_returns_the_same_tree_with_no_rebuild_call(tree, value, output, step_calls):
+    assert tree.step(value) == (output, tree)
+    assert tree.step(value)[1] is tree
+    assert step_calls == {"allows": [], "_with": 0}
 
 
 # -- the leaf walk -------------------------------------------------------------
