@@ -71,7 +71,10 @@ a codec problem: exit 3, naming the input line or the seq. The table
 prints one ``error:`` line on stderr.
 
 The argument parser is built once per process, on the first ``main`` call,
-and reused by every later call.
+and reused by every later call. A call whose first argument names a command
+is parsed by that command's subparser alone, with the top-level parser's
+``error`` reporting extra arguments, exactly as ``parse_args`` does; any
+other call (no arguments, ``-h``, an unknown command) goes to the full parser.
 """
 
 from __future__ import annotations
@@ -396,9 +399,12 @@ def _check(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
-def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
-    """The manifest beside ``log`` without its ``check``, or None if it is absent,
-    unreadable, malformed, of another version or fails its check.
+def _read_manifest(
+    log: Path, name: str, fingerprint: str, sidecar: Path | None = None
+) -> dict | None:
+    """The manifest beside ``log``, read from ``sidecar`` if the caller has its path, without
+    its ``check``, or None if it is absent, unreadable, malformed, of another version or
+    fails its check.
 
     A version 3 manifest is read only once its ``check`` holds: a torn overwrite can
     join new fields to old ones, or shift one by a byte, and still parse. Then the
@@ -406,7 +412,8 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
     version 2 or 3 another ``fingerprint``, raises ``MalformedLog``.
     """
     try:
-        manifest = json.loads(_manifest_path(log).read_bytes())
+        with open(sidecar or _manifest_path(log), "rb", buffering=0) as handle:
+            manifest = json.loads(handle.read())
     except (OSError, ValueError):
         return None
     if not isinstance(manifest, dict):
@@ -432,12 +439,21 @@ def _read_manifest(log: Path, name: str, fingerprint: str) -> dict | None:
     return manifest
 
 
-def _write_manifest(log: Path, manifest: dict) -> None:
-    """Write ``manifest`` and its ``check`` over ``LOG.crem`` in place: no truncation to
-    zero, no temporary file, no rename. A write cut short fails the check when read."""
-    data = json.dumps({**manifest, "check": _check(manifest)}, sort_keys=True).encode()
+def _write_manifest(sidecar: Path, manifest: dict) -> None:
+    """Write ``manifest`` and its ``check`` over the manifest file ``sidecar`` in place: no
+    truncation to zero, no temporary file, no rename. A write cut short fails the check
+    when read.
+
+    The bytes are those of ``json.dumps({**manifest, "check": _check(manifest)},
+    sort_keys=True)``, made from the one ``json.dumps`` that ``check`` hashes: ``"check"``
+    sorts second, after ``"bytes"``, whose int value holds no ``", "``.
+    """
+    text = json.dumps(manifest, sort_keys=True)
+    cut = text.index(", ")  # the end of "bytes", the first key
+    check = hashlib.sha256(text.encode()).hexdigest()
+    data = f'{text[:cut]}, "check": "{check}"{text[cut:]}'.encode()
     with suppress(OSError):  # no manifest only costs time: the next run checks the whole log
-        fd = os.open(_manifest_path(log), os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(sidecar, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             os.pwrite(fd, data, 0)
             os.ftruncate(fd, len(data))
@@ -489,11 +505,12 @@ def _cmd_run(args, registry) -> int:
         return EXIT_OK
 
     path = Path(args.log)
+    sidecar = _manifest_path(path)
     fingerprint = _fingerprint(machine)
     if not path.exists():  # refuse another writer's manifest before the open creates the log
-        _read_manifest(path, args.machine, fingerprint)
+        _read_manifest(path, args.machine, fingerprint, sidecar)
     with _locked_log(path, exclusive=True) as log:
-        manifest = _read_manifest(path, args.machine, fingerprint)
+        manifest = _read_manifest(path, args.machine, fingerprint, sidecar)
         with _reading(path):
             machine, seq, start, digest = _restore(machine, manifest, log)
             data = log.read()  # the bytes after the prefix the manifest vouched for
@@ -522,7 +539,7 @@ def _cmd_run(args, registry) -> int:
         finally:  # a command that fails (exit 3, 4 or 5) leaves what was appended covered
             vertices = _leaf_vertices(machine)
             if vertices is not None:
-                _write_manifest(path, {
+                _write_manifest(sidecar, {
                     "version": MANIFEST_VERSION,
                     "machine": args.machine,
                     "fingerprint": fingerprint,
@@ -619,6 +636,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Run, render and replay composed state machines.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices  # name -> subparser: main parses with one alone
 
     list_parser = commands.add_parser("list", help="list registered machines")
     list_parser.set_defaults(handler=_cmd_list)
@@ -662,8 +680,16 @@ def main(
 ) -> int:
     if registry is None:
         registry = default_registry()
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is None:  # no args, -h or an unknown command: the full parser reports it
+            args = parser.parse_args(argv)
+        else:  # what parse_args does for a known command, without parsing the top level
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -9,6 +9,10 @@ from .topology import Topology, trivial_topology
 
 UNIT_VERTEX = "Unit"
 
+# the one topology every single-vertex machine below shares: a Topology is an immutable
+# value, so one copy serves every leaf that stateless and unrestricted_mealy build
+_UNIT_TOPOLOGY = trivial_topology(UNIT_VERTEX)
+
 
 class EmptyName(ValueError):
     """A machine name was the empty string."""
@@ -95,12 +99,17 @@ class BaseMachine:
 
 
 def stateless(name: str, func: Callable[[Any], Any]) -> BaseMachine:
-    """Machine with a single implicit state; the output is just ``func(input)``."""
+    """Machine with a single implicit state; the output is just ``func(input)``.
+
+    Its topology is the one unit topology, equal to ``trivial_topology(UNIT_VERTEX)``,
+    which every machine built here and by :func:`unrestricted_mealy` shares, so
+    building one constructs no :class:`Topology`.
+    """
 
     def act(state: MachineState, value: Any) -> StepResult:
         return StepResult(func(value), state)
 
-    return BaseMachine(name, trivial_topology(UNIT_VERTEX), MachineState(UNIT_VERTEX), act)
+    return BaseMachine(name, _UNIT_TOPOLOGY, MachineState(UNIT_VERTEX), act)
 
 
 def unrestricted_mealy(
@@ -113,7 +122,8 @@ def unrestricted_mealy(
     ``func`` maps ``(state_value, input)`` to ``(output, new_state_value)``.
     Every step is an identity move on the single vertex, so no transition
     can ever be rejected. A step whose ``func`` hands back the very payload
-    it was given keeps its state object, so the machine returns itself.
+    it was given keeps its state object, so the machine returns itself. Its
+    topology is the unit topology that :func:`stateless` machines share.
     """
 
     def act(state: MachineState, value: Any) -> StepResult:
@@ -122,6 +132,4 @@ def unrestricted_mealy(
             return StepResult(output, state)
         return StepResult(output, MachineState(UNIT_VERTEX, payload))
 
-    return BaseMachine(
-        name, trivial_topology(UNIT_VERTEX), MachineState(UNIT_VERTEX, initial), act
-    )
+    return BaseMachine(name, _UNIT_TOPOLOGY, MachineState(UNIT_VERTEX, initial), act)

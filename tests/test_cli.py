@@ -7,6 +7,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -780,6 +781,102 @@ def test_parser_is_built_once(fresh_parser, tmp_path, capsys):
     assert cli.main(["render", "cart"]) == 0
     assert cli._parser.cache_info().misses == 1
     capsys.readouterr()
+
+
+HANDLERS = ("_cmd_list", "_cmd_render", "_cmd_run", "_cmd_replay")
+
+
+@contextlib.contextmanager
+def recording_parser():
+    """Keep a parser whose handlers record the namespace they get and return 0."""
+    seen = []
+
+    def recorder(name):
+        def record(args, registry):
+            seen.append(args)
+            return 0
+
+        record.__name__ = name
+        return record
+
+    cli._parser.cache_clear()
+    with contextlib.ExitStack() as stack:
+        stack.callback(cli._parser.cache_clear)
+        for name in HANDLERS:
+            stack.enter_context(mock.patch.object(cli, name, recorder(name)))
+        cli._parser()
+        yield seen
+
+
+def parsed(parse, argv):
+    """``(exit code, stdout, stderr, namespace or None)`` of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, args = parse(argv)
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def by_main(seen):
+    def parse(argv):
+        code = cli.main(argv)
+        return code, seen.pop() if seen else None
+
+    return parse
+
+
+def by_parse_args(argv):
+    try:
+        return 0, cli._parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, None
+
+
+def assert_parses_as_parse_args(seen, argv):
+    assert parsed(by_main(seen), argv) == parsed(by_parse_args, argv)
+    assert seen == []
+
+
+ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["run", "-h"],
+    ["run", "cart"],
+    ["run", "cart", "--input", "x", "--feedback-cap", "x"],
+    ["run", "cart", "--input", "x", "--bogus"],
+    ["run", "cart", "--bogus", "--input", "x", "extra"],
+    ["render", "cart", "--format", "svg"],
+    ["render", "cart", "--format", "mermaid", "--mode", "base", "--out", "o"],
+    ["list"],
+    ["list", "extra"],
+    ["replay", "cart", "--log", "l", "--feedback-cap", "2"],
+    ["run", "cart", "--input=x", "--log", "l"],
+    ["run", "cart", "--inp", "x"],
+    ["run", "--", "cart", "--input", "x"],
+    ["-h", "run"],
+    ["--", "run", "cart", "--input", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_parse_args(argv):
+    with recording_parser() as seen:
+        assert_parses_as_parse_args(seen, argv)
+
+
+ARGV_TOKENS = st.sampled_from([
+    "run", "render", "replay", "list", "cart", "nosuch", "--input", "--input=x", "--inp", "x",
+    "-", "--log", "--feedback-cap", "3", "--format", "svg", "dot", "--mode", "flow", "--out",
+    "-h", "--help", "--", "--bogus",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.lists(ARGV_TOKENS, max_size=7))
+def test_main_parses_any_argv_as_parse_args(argv):
+    with recording_parser() as seen:
+        assert_parses_as_parse_args(seen, argv)
 
 
 def test_no_argument_leaks_between_calls(fresh_parser, tmp_path, capsys):

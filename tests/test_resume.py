@@ -166,6 +166,30 @@ def test_no_manifest_for_a_leaf_with_a_payload(tmp_path):
     assert [json.loads(line)["seq"] for line in log.read_text().splitlines()] == [0, 1, 2, 3]
 
 
+# text that json.dumps escapes or that looks like its separators
+AWKWARD_TEXT = st.text(st.sampled_from(['a', '"', ",", " ", ":", "\\", "é", "☃", "\n"])) | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifest=st.fixed_dictionaries({
+    "version": st.just(cli.MANIFEST_VERSION),
+    "machine": AWKWARD_TEXT,
+    "fingerprint": AWKWARD_TEXT,
+    "records": st.integers(min_value=0, max_value=2**70),
+    "bytes": st.integers(min_value=0, max_value=2**70),
+    "sha256": AWKWARD_TEXT,
+    "vertices": st.lists(AWKWARD_TEXT, max_size=4),
+}))
+def test_the_written_manifest_is_json_dumps_with_its_check(manifest):
+    with tempfile.TemporaryDirectory() as scratch:
+        log = Path(scratch, "log.jsonl")
+        manifest_of(log).write_bytes(b"x" * 4096)  # written over in place, and cut to length
+        cli._write_manifest(manifest_of(log), manifest)
+        expected = json.dumps({**manifest, "check": cli._check(manifest)}, sort_keys=True)
+        assert manifest_of(log).read_bytes() == expected.encode()
+        assert cli._read_manifest(log, manifest["machine"], manifest["fingerprint"]) == manifest
+
+
 # -- a run that stops at a failing command -------------------------------------
 
 

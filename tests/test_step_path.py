@@ -39,6 +39,7 @@ from crem import (
     identity_machine,
     render_flow,
     stateless,
+    trivial_topology,
     unrestricted_mealy,
 )
 from crem import compose
@@ -144,14 +145,41 @@ def test_cart_domain_step_validates_nothing(validation_calls):
     assert [leaf.state.vertex for leaf in domain.leaves()] == [PAYMENT_COMPLETE, "Unit", "Done"]
 
 
+def own_topology(i):
+    """Leaf ``leaf<i>`` that builds a topology of its own."""
+    return Basic(BaseMachine(
+        f"leaf{i}", trivial_topology("v"), MachineState("v"), lambda s, x: StepResult(x, s)
+    ))
+
+
 def test_public_constructors_still_validate(validation_calls, leaves_walked):
     counts = validation_calls()
-    left_chain(4)
+    left_chain(4, own_topology)
     assert counts["BaseMachine.__post_init__"] == 4
     assert counts["Topology.__init__"] == 4  # one per leaf, checked and normalized there
     assert counts["Basic.__post_init__"] == 4
     assert counts["Sequential.__post_init__"] == 3  # where the leaf-name rule lives
     assert leaves_walked["leaves"] == 0  # the children handed their names up
+
+
+def test_identity_leaves_build_no_topology(validation_calls):
+    counts = validation_calls()
+    left_chain(4)
+    assert counts["BaseMachine.__post_init__"] == 4
+    assert counts["Topology.__init__"] == 0  # each shares the one unit topology
+
+
+def test_single_vertex_machines_share_one_unit_topology():
+    leaves = [
+        stateless("s", str),
+        unrestricted_mealy("u", 0, lambda total, x: (total, total + x)),
+        identity_machine("i").machine,
+    ]
+    shared = leaves[0].topology
+    assert all(leaf.topology is shared for leaf in leaves)
+    fresh = trivial_topology(UNIT_VERTEX)
+    assert fresh == shared
+    assert fresh is not shared and fresh is not trivial_topology(UNIT_VERTEX)  # a new value
 
 
 # -- a step shares every subtree it did not change ------------------------------
