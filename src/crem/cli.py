@@ -16,7 +16,13 @@ removal of a torn tail fails, makes ``run`` exit 3 with one ``error:`` line
 naming it. A ``run`` on an existing log resumes it the same way: the logged
 records are re-run and checked before anything new is appended.
 A log is checked in one pass, record by record, so its first fault in file
-order decides the exit code.
+order decides the exit code. That pass decodes the log once and scans the
+text once with the ``raw_decode`` of ``json.loads``'s own decoder; a line
+the scan does not end exactly at its newline, such as a padded, split or
+faulty one, is parsed alone by ``json.loads``, so every line is accepted or
+refused, with the same message, as if it were parsed on its own. JSON
+nested too deeply to parse counts as not valid JSON, in a log line and in a
+manifest alike.
 
 After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
 records the format version (3), the machine name, a topology fingerprint
@@ -50,15 +56,14 @@ payload is not None when the run ends. ``replay`` re-runs every record.
 
 A torn tail is a last line that is both unterminated and not valid JSON,
 as a write cut short leaves it. The one loop that checks the records judges
-it, once every line before it has checked out, so each line is decoded and
-parsed once. A resuming ``run`` removes it, says so in one ``warning:`` line
-on stderr and goes on; ``replay`` exits 3 and calls it a torn tail. An
-unterminated last line that is valid JSON is checked as a record and ended
-with a newline before the run appends. A session opens its log once: a
-``run --log`` opens it for appending, which creates a missing log, and holds
-an exclusive ``flock`` on that one handle from before it reads the log until
-its manifest is in place, so a second writer waits and then resumes after
-the first. It reads, removes a torn tail and appends through that handle.
+it, once every line before it has checked out. A resuming ``run`` removes
+it, says so in one ``warning:`` line on stderr and goes on; ``replay`` exits
+3 and calls it a torn tail. An unterminated last line that is valid JSON is
+checked as a record and ended with a newline before the run appends. A
+session opens its log once: a ``run --log`` opens it for appending, which
+creates a missing log, and holds an exclusive ``flock`` on that one handle
+from before it reads the log until its manifest is in place, so a second
+writer waits and then resumes after the first. It reads, removes a torn tail and appends through that handle.
 ``replay`` reads the log and its manifest under a shared ``flock``, so it
 waits for a writer.
 
@@ -274,6 +279,13 @@ def _cmd_render(args, registry) -> int:
     return EXIT_OK
 
 
+# the keys of an event record, exactly
+_RECORD_KEYS = frozenset(("input", "outputs", "seq"))
+
+# the scan of the decoder json.loads uses, without its whitespace and end-of-text rules
+_scan = json.JSONDecoder().raw_decode
+
+
 def _replay(
     machine: StateMachine, log: bytes, entry, config, seq: int = 0
 ) -> tuple[StateMachine, int, bytes]:
@@ -281,29 +293,51 @@ def _replay(
 
     ``log`` starts with record ``seq``, and the line of record ``seq`` is log
     line ``seq + 1``; a line ends at ``b"\n"`` only, as the manifest counts
-    lines. Each is decoded, parsed, checked, stepped and compared before the
-    next, so the first fault in file order is the one raised. An unterminated
-    last line that is not valid JSON is a torn tail: it is returned, not
-    raised. Returns the machine after the last record, where new records
+    lines. Each is parsed, checked, stepped and compared before the next, so
+    the first fault in file order is the one raised. An unterminated last line
+    that is not valid UTF-8 or not valid JSON is a torn tail: it is returned,
+    not raised. Returns the machine after the last record, where new records
     continue, the next seq and the torn tail (``b""`` if none).
+
+    The log is decoded once, up to the start of the line that holds its first
+    byte that is not UTF-8, if any; that line is judged once every line before
+    it has checked out. The text is then scanned once, by the ``raw_decode``
+    of ``json.loads``'s own decoder, from the start of each line. A record is
+    taken from the scan only if it ends exactly at its line's end; JSON
+    whitespace includes ``"\n"``, so a scan can run on into the next line.
+    Any other line (padded, split, joined with another, or faulty) is parsed
+    alone by ``json.loads``, so it is accepted or refused as that call alone
+    would, with that call's message. JSON nested too deeply to parse is
+    judged as not valid JSON.
     """
-    *lines, tail = log.split(b"\n")  # tail: b"" after a final newline, else an unterminated line
-    for index, line in enumerate([*lines, tail] if tail else lines):
+    try:
+        text, bad = str(log, "utf-8"), -1
+    except UnicodeDecodeError as error:
+        bad = log.rfind(b"\n", 0, error.start) + 1  # the start of the line that holds it
+        text = str(memoryview(log)[:bad], "utf-8")
+    pos, size = 0, len(text)
+    while pos < size:
+        end = text.find("\n", pos)
+        if end < 0:
+            end = size  # the unterminated tail
         try:
-            record = json.loads(line.decode("utf-8"))
-        except ValueError as error:
-            if index == len(lines):  # the unterminated tail: torn, as a cut-short write leaves it
-                return machine, seq, line
-            if isinstance(error, UnicodeDecodeError):
-                raise MalformedLog(f"line {seq + 1}: not valid UTF-8") from None
-            raise MalformedLog(f"line {seq + 1}: not valid JSON: {error}") from None
+            record, stop = _scan(text, pos)
+        except (ValueError, RecursionError):
+            stop = -1
+        if stop != end:
+            try:
+                record = json.loads(text[pos:end])
+            except (ValueError, RecursionError) as error:
+                if end == size:  # torn, as a cut-short write leaves it
+                    return machine, seq, log[log.rfind(b"\n") + 1:]
+                raise MalformedLog(f"line {seq + 1}: not valid JSON: {error}") from None
         if (
-            not isinstance(record, dict)
-            or set(record) != {"seq", "input", "outputs"}
+            type(record) is not dict
+            or record.keys() != _RECORD_KEYS
             or type(record["seq"]) is not int
-            or not isinstance(record["input"], str)
-            or not isinstance(record["outputs"], list)
-            or not all(isinstance(item, str) for item in record["outputs"])
+            or type(record["input"]) is not str
+            or type(record["outputs"]) is not list
+            or not all(type(item) is str for item in record["outputs"])
         ):
             raise MalformedLog(f"line {seq + 1}: not a valid event record")
         if record["seq"] != seq:
@@ -327,7 +361,12 @@ def _replay(
                 f"logged {record['outputs']}, regenerated {encoded}"
             )
         seq += 1
-    return machine, seq, b""
+        pos = end + 1
+    if bad < 0:
+        return machine, seq, b""
+    if log.find(b"\n", bad) < 0:  # the unterminated tail: torn
+        return machine, seq, log[bad:]
+    raise MalformedLog(f"line {seq + 1}: not valid UTF-8")
 
 
 @contextmanager
@@ -414,7 +453,7 @@ def _read_manifest(
     try:
         with open(sidecar or _manifest_path(log), "rb", buffering=0) as handle:
             manifest = json.loads(handle.read())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(manifest, dict):
         return None

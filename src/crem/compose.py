@@ -4,9 +4,10 @@ Trees are immutable; stepping returns the output and a new tree. The six
 node kinds are the Basic leaf and five composites, Sequential, Parallel,
 Alternative, Feedback and Kleisli, each over two subtrees ``first`` and
 ``second``; a tree holds no other, nor a subclass of these: a composite
-refuses any other child with a ``TypeError`` when it is built, a ``Basic``
-anything but a ``BaseMachine``, and every walk refuses any other root, so
-everything that walks a tree is total over trees.
+refuses any other child with a ``TypeError`` when it is built, a subclass
+of a composite is refused the same way when it is built, whatever its
+children, a ``Basic`` refuses anything but a ``BaseMachine``, and every walk
+refuses any other root, so everything that walks a tree is total over trees.
 Feedback and Kleisli require list-shaped outputs from their children because
 they route individual elements onward.
 
@@ -260,7 +261,10 @@ class _Binary(StateMachine):
     def __post_init__(self):
         """The leaf-name rule, in one place: check that the children share no leaf name
         and store their union. The children give their sets up only after ``self``
-        holds its own, so a refused build leaves both as they were."""
+        holds its own, so a refused build leaves both as they were. A subclass of a
+        composite is refused before any of that, whatever its children."""
+        if type(self) not in _COMPOSITES:
+            raise TypeError(f"not a composition tree node: {type(self).__name__}")
         first, second = self.first, self.second
         first_names = _handed_up_names(first)
         second_names = _handed_up_names(second)
@@ -406,6 +410,7 @@ class Kleisli(_Binary):
 
 # the six kinds, by exact class: no tree holds any other node, nor a subclass of these
 _KINDS = (Basic, Sequential, Parallel, Alternative, Feedback, Kleisli)
+_COMPOSITES = _KINDS[1:]
 
 
 def run_trace(

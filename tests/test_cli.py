@@ -380,6 +380,16 @@ def test_replay_calls_a_line_python_cannot_parse_not_valid_json(tmp_path, capsys
     assert len(err.splitlines()) == 1
 
 
+def test_replay_calls_json_nested_past_the_recursion_limit_not_valid_json(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(json.dumps(PAID).encode() + b"\n" + b"[" * 100_000 + b"\n")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed log: line 2: not valid JSON: maximum recursion depth")
+    assert len(err.splitlines()) == 1
+
+
 def test_replay_rejects_boolean_seq(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     record = {"seq": False, "input": "PayCart", "outputs": ["CartPaymentInitiated"]}

@@ -373,6 +373,7 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
         "not-utf-8": b"\xff\xfe",
         "a-list": b"[]",
         "empty": b"",
+        "nested-too-deep": b"[" * 100_000,  # json.loads raises RecursionError, not ValueError
     }
 
 
@@ -380,7 +381,7 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
     "vertex-off-topology", "vertex-missing", "vertex-extra",
     "version", "sha256", "bytes-past-the-end", "bytes-mid-line", "records-as-bool",
     "records-short", "records-long", "version-1", "version-2", "check-wrong", "check-missing",
-    "unknown-field", "not-json", "not-utf-8", "a-list", "empty",
+    "unknown-field", "not-json", "not-utf-8", "a-list", "empty", "nested-too-deep",
 ])
 def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, leaf_steps):
     machine = "whole-cart-domain"
@@ -1136,6 +1137,28 @@ def test_an_unterminated_line_that_is_not_utf8_is_a_torn_tail(tmp_path, with_man
         manifest_of(log).unlink()
     whole = log.read_bytes()
     torn = b'{"input": "\xff", "outputs": [], "seq": 1}'  # a record, but for one byte
+    log.write_bytes(whole + torn)
+    assert call("replay", "cart", "--log", log) == (
+        cli.EXIT_CODEC,
+        "",
+        f"error: malformed log: line 2: torn tail ({len(torn)} bytes, "
+        "unterminated and not valid JSON)\n",
+    )
+    code, out, err = run("cart", log, ["MarkCartAsPaid"])
+    assert (code, out) == (0, "[CartPaymentCompleted]\n")
+    assert err == (
+        f"warning: {log}: removed a torn tail at line 2 "
+        f"({len(torn)} bytes, unterminated and not valid JSON)\n"
+    )
+    assert log.read_bytes().startswith(whole)
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_an_unterminated_line_nested_past_the_recursion_limit_is_a_torn_tail(tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    whole = log.read_bytes()
+    torn = b"[" * 100_000  # json.loads raises RecursionError, not ValueError
     log.write_bytes(whole + torn)
     assert call("replay", "cart", "--log", log) == (
         cli.EXIT_CODEC,

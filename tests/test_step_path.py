@@ -641,12 +641,26 @@ def test_a_moved_tree_holds_no_name_set_and_builds_by_one_walk(leaves_walked):
 
 
 @pytest.mark.parametrize("kind", NODE_KINDS, ids=[kind.__name__ for kind in NODE_KINDS])
-def test_a_subclass_of_a_node_kind_is_refused_like_a_foreign_node(kind):
+def test_a_subclass_of_a_node_kind_is_refused_like_a_foreign_node(kind, leaves_walked):
     subclass = type(f"Sub{kind.__name__}", (kind,), {})
-    if kind is Basic:
-        node = subclass(identity_machine("a").machine)
-    else:
-        node = subclass(identity_machine("a"), identity_machine("b"))
+    if kind is not Basic:
+        # a composite subclass is refused as it is built, whatever its children: fresh
+        # leaves, a subtree that still hands up its name set, or one reused elsewhere
+        pair = Sequential(identity_machine("p"), identity_machine("q"))
+        shared = Sequential(identity_machine("x"), identity_machine("y"))
+        Parallel(shared, identity_machine("z"))  # takes shared's name set
+        for children in [
+            (identity_machine("a"), identity_machine("b")),
+            (pair, identity_machine("c")),
+            (shared, identity_machine("c")),
+        ]:
+            with not_a_node(subclass.__name__):
+                subclass(*children)
+        # the refused builds took nothing from pair: it still hands up its set, unwalked
+        assert [leaf.name for leaf in Sequential(pair, identity_machine("c")).leaves()] == list("pqc")
+        assert leaves_walked["leaves"] == 3  # the one listing above
+        return
+    node = subclass(identity_machine("a").machine)
     with not_a_node(subclass.__name__):
         Sequential(node, identity_machine("c"))
     with not_a_node(subclass.__name__):
