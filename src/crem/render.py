@@ -3,8 +3,12 @@
 Diagrams derive from the same values that execute, so they cannot drift
 from the behavior. Output is byte-stable across runs: ordering follows the
 first-appearance order of the underlying values and nothing time- or
-environment-dependent is emitted. A render reads each leaf's topology once
-and escapes each label once; nothing is cached between calls.
+environment-dependent is emitted. A render reads each leaf's topology once.
+It joins the leaf's vertex labels with newlines, escapes (DOT) or sanitises
+and downgrades quotes (Mermaid) in one pass over the joined text, and splits
+the result back into one piece per label. A leaf with a label that holds a
+newline of its own has each label escaped apart. No diagram text is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -47,8 +51,36 @@ def _mermaid_text(text: str) -> str:
     return text.replace('"', "'")
 
 
-# Mermaid ids keep only these; like quoting, sanitising maps each character on its own
+# Mermaid ids keep only these; like quoting, sanitising maps each character on its own,
+# so either can run over labels joined by newlines, which _LINE_UNSAFE leaves in place
 _MERMAID_UNSAFE = re.compile(r"[^0-9A-Za-z_]")
+_LINE_UNSAFE = re.compile(r"[^0-9A-Za-z_\n]")
+
+
+def _joined(vertices: tuple[str, ...]) -> str | None:
+    """The labels joined by newlines, or None if a label holds a newline of its own."""
+    joined = "\n".join(vertices)
+    return None if joined.count("\n") >= len(vertices) else joined
+
+
+def _dot_tails(vertices: tuple[str, ...]) -> list[str]:
+    """Each label quoted for DOT, without its opening quote: one escape over the joined
+    labels, or one per label if they cannot be joined."""
+    joined = _joined(vertices)
+    if joined is None:
+        return [_quote(vertex)[1:] for vertex in vertices]
+    joined = joined.replace("\\", "\\\\").replace('"', '\\"')
+    return (joined.replace("\n", '"\n') + '"').split("\n")
+
+
+def _mermaid_labels(vertices: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """Each label sanitised for a Mermaid id, and each label as Mermaid shows it; like
+    ``_dot_tails``, one pass over the joined labels unless they cannot be joined."""
+    joined = _joined(vertices)
+    if joined is None:
+        return ([_MERMAID_UNSAFE.sub("_", vertex) for vertex in vertices],
+                list(map(_mermaid_text, vertices)))
+    return _LINE_UNSAFE.sub("_", joined).split("\n"), _mermaid_text(joined).split("\n")
 
 
 def _mermaid_lead(safe: str) -> str:
@@ -95,7 +127,7 @@ def render_base(machine: BaseMachine, format: str) -> Diagram:
 def _base_dot(machine: BaseMachine) -> str:
     topology = machine.topology
     vertices = topology.vertices()
-    nodes = dict(zip(vertices, map(_quote, vertices)))
+    nodes = dict(zip(vertices, map('"'.__add__, _dot_tails(vertices))))
     marker = _claim(set(nodes.values()), '"__initial"')
     lines = [
         f"digraph {_quote(machine.name)} {{",
@@ -114,10 +146,10 @@ def _base_dot(machine: BaseMachine) -> str:
 def _base_mermaid(machine: BaseMachine) -> str:
     topology = machine.topology
     vertices = topology.vertices()
-    safe = [_mermaid_lead(_MERMAID_UNSAFE.sub("_", vertex)) for vertex in vertices]
-    ids = dict(zip(vertices, _mermaid_ids(safe, set())))
+    safe, texts = _mermaid_labels(vertices)
+    ids = dict(zip(vertices, _mermaid_ids(map(_mermaid_lead, safe), set())))
     lines = ["stateDiagram-v2"]
-    lines += [f'    state "{_mermaid_text(vertex)}" as {node}' for vertex, node in ids.items()]
+    lines += [f'    state "{text}" as {node}' for text, node in zip(texts, ids.values())]
     lines.append(f"    [*] --> {ids[machine.state.vertex]}")
     lines += [f"    {ids[source]} --> {ids[target]}"
               for source, targets in topology.edges for target in targets]
@@ -211,8 +243,8 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
             name = _quote(leaf.name)
             head = name[:-1] + "__"  # quoting maps each character on its own
             vertices = leaf.topology.vertices()
-            labels = list(map(_quote, vertices))
-            ids = [head + label[1:] for label in labels]
+            tails = _dot_tails(vertices)
+            ids = list(map(head.__add__, tails))
             if not used.isdisjoint(ids):
                 ids = [_claim(used, node) for node in ids]
             used.update(ids)
@@ -224,7 +256,7 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
                 f"{indent}  label={name};",
                 f'{indent}  {initial} [shape=point, label=""];',
             ]
-            lines += [f"{indent}  {node} [label={label}];" for node, label in zip(ids, labels)]
+            lines += [f'{indent}  {node} [label="{tail}];' for node, tail in zip(ids, tails)]
             lines.append(f"{indent}  {initial} -> {nodes[leaf.state.vertex]};")
             lines += [f"{indent}  {nodes[source]} -> {nodes[target]};"
                       for source, targets in leaf.topology.edges for target in targets]
@@ -258,15 +290,14 @@ def _flow_mermaid(items: list[_Item], edges: list[_Edge]) -> str:
             leaf = value
             head = _mermaid_lead(safe[leaf.name]) + "__"
             vertices = leaf.topology.vertices()
-            bases = [head + _MERMAID_UNSAFE.sub("_", vertex) for vertex in vertices]
-            initial, *ids = _mermaid_ids([head + "initial"] + bases, used)
+            bases, texts = _mermaid_labels(vertices)
+            initial, *ids = _mermaid_ids([head + "initial", *map(head.__add__, bases)], used)
             nodes = dict(zip(vertices, ids))
             lines += [
                 f'{indent}subgraph {cluster_ids[leaf.name]}["{_mermaid_text(leaf.name)}"]',
                 f'{indent}    {initial}((" "))',
             ]
-            lines += [f'{indent}    {node}["{_mermaid_text(vertex)}"]'
-                      for vertex, node in nodes.items()]
+            lines += [f'{indent}    {node}["{text}"]' for node, text in zip(ids, texts)]
             lines.append(f"{indent}    {initial} --> {nodes[leaf.state.vertex]}")
             lines += [f"{indent}    {nodes[source]} --> {nodes[target]}"
                       for source, targets in leaf.topology.edges for target in targets]

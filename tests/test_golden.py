@@ -1,12 +1,13 @@
 """Byte-exact goldens: the sha256 of every diagram text the renderers print.
 
 The digests pin the output of ``render_flow`` for every registered machine
-and for four hand-built trees, and of ``render_base`` for every registered
-leaf, for leaves with awkward labels and for leaves written as raw groups
-that construction merges and deduplicates. The benchmark's seeded random
-trees are checked against the digests the benchmark itself keeps. Any
-change to diagram text, down to one byte, fails here; a deliberate change
-must update the digest.
+and for five hand-built trees, and of ``render_base`` for every registered
+leaf, for leaves with awkward labels, for leaves written as raw groups that
+construction merges and deduplicates, and for names and labels that hold a
+newline. Every digest the benchmark itself keeps is checked too: each
+variant of its seeded random trees, and its registered flows and leaves,
+so every supported Python checks them all. Any change to diagram text, down to one
+byte, fails here; a deliberate change must update the digest.
 """
 
 import hashlib
@@ -102,6 +103,25 @@ def escapes_tree():
     )
 
 
+def newlines_tree():
+    """Names and labels that hold a newline, which neither format escapes.
+    Leaf ``two\\nlines`` holds one in its name and in its vertex ``a\\nb``;
+    leaves ``name\\nonly`` and ``9\\n`` hold one only in their names, so
+    each of their node ids carries it. The vertex ``initial`` of ``9\\n``
+    pushes its DOT marker aside, and ``9\\n`` repairs to the Mermaid ids
+    that leaf ``9_`` takes first."""
+    return Sequential(
+        _leaf("two\nlines", (("a\nb", ("c",)), ("c", ("a\nb", 'q"'))), "c"),
+        Parallel(
+            _leaf("name\nonly", (('x"', ("y\\",)), ("y\\", ())), 'x"'),
+            Alternative(
+                _leaf("9_", (("v", ()),), "v"),
+                _leaf("9\n", (("v", ("1-2",)), ("1-2", ("initial",))), "v"),
+            ),
+        ),
+    )
+
+
 SHARED_TARGETS = ("r", "p")
 
 
@@ -141,6 +161,7 @@ def _cases():
     cases["flow/awkward"] = lambda fmt: render_flow(awkward_tree(), fmt)
     cases["flow/escapes"] = lambda fmt: render_flow(escapes_tree(), fmt)
     cases["flow/merged"] = lambda fmt: render_flow(merged_tree(), fmt)
+    cases["flow/newlines"] = lambda fmt: render_flow(newlines_tree(), fmt)
     for key, leaf in _registered_leaves():
         cases[f"base/{key}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     for index, leaf in enumerate(awkward_tree().leaves()):
@@ -149,6 +170,8 @@ def _cases():
         cases[f"base/escapes/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     for index, leaf in enumerate(merged_tree().leaves()):
         cases[f"base/merged/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
+    for index, leaf in enumerate(newlines_tree().leaves()):
+        cases[f"base/newlines/{index}"] = lambda fmt, leaf=leaf: render_base(leaf, fmt)
     return {
         f"{key}.{fmt}": (lambda render=render, fmt=fmt: render(fmt))
         for key, render in cases.items()
@@ -263,6 +286,22 @@ GOLDEN = {
         "6b8375c54fd4f644dfb5eeb56673d0de0ff67b83380e5763fae21d63edc946eb",
     "base/merged/3.mermaid":
         "05860338c22f1f4adb6661f077781f243ec4d8a11e16a832e3bdeb637520f1d3",
+    "base/newlines/0.dot":
+        "5d327f5831e610d0df2e0ce26166b019f2900190088019c2f32518b47d3f99f2",
+    "base/newlines/0.mermaid":
+        "eedaf6d643a0c29dbaadcca870e52023c6827da2999b0fe10cc2b1bc1dacf77e",
+    "base/newlines/1.dot":
+        "512154c9b67561be86ede2a31a578695dfb79229ce74e1e6d53a97a00e91b300",
+    "base/newlines/1.mermaid":
+        "a8dddec5ce6dd906494e1f663fd8444ca9cb5a3d397f275f1498366ef4a084e0",
+    "base/newlines/2.dot":
+        "a4fc9492990ca02c857f0dae316d7ca37541b327e07aabf34c7ffd9ed9c5dcca",
+    "base/newlines/2.mermaid":
+        "1d819ee225f0a8f6031c70386a50925697cfd77d6450389f8974777132296124",
+    "base/newlines/3.dot":
+        "ffb91fe371e1bbec6e0b3c4b840a60ac987548bff6bc3f82b6c0e0ec545861ba",
+    "base/newlines/3.mermaid":
+        "520c661059d6349c70ed90e7952cccbf87a8add09f75a98ded8be47b26885b29",
     "base/shipping/shipping.dot":
         "60ee42c27f92d1c1005d19cef2f9d75ca856d065f3ca1a5bac4d6deb60df0dfb",
     "base/shipping/shipping.mermaid":
@@ -303,6 +342,10 @@ GOLDEN = {
         "0b6bddee68d6bab62014c77be4f7a300ba31ef20dfb27374674cd07ebd1c25c1",
     "flow/merged.mermaid":
         "e562333def31f7067603b3b83038b396ed47dc363182768b3e880bdb5b9e33d9",
+    "flow/newlines.dot":
+        "38fedcdf82654e7521f93bb3ddfef7dbe2204bfd68465fa4e8c2edb5fca8b372",
+    "flow/newlines.mermaid":
+        "6d0263181c2ab16fabd1447881117e9b58049304a30fad4b98d2a4f90a6a7111",
     "flow/shipping.dot":
         "da80af735eda0d4c1dcb5628ab9fe1be2b60c3892d795a212c9ee2ea79808475",
     "flow/shipping.mermaid":
@@ -343,11 +386,34 @@ treegen, wl_diagrams = _import_bench("treegen", "wl_diagrams")
 BENCH_DIGESTS = json.loads(wl_diagrams.DIGESTS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("k", range(len(wl_diagrams.SPECS)))
-def test_seeded_tree_matches_bench_digest(k):
-    tree = wl_diagrams.corpus_tree(k, 0)
-    machine = treegen.build(tree, treegen.crem_parts(tree, crem), crem)
+def _assert_bench_digests(key, render, target):
     for fmt in wl_diagrams.FORMATS:
-        text = render_flow(machine, fmt).text
+        text = render(target, fmt).text
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == BENCH_DIGESTS[f"tree{k}.v0.{fmt}"], fmt
+        assert digest == BENCH_DIGESTS[f"{key}.{fmt}"], fmt
+
+
+@pytest.mark.parametrize("variant", range(wl_diagrams.VARIANTS))
+@pytest.mark.parametrize("k", range(len(wl_diagrams.SPECS)))
+def test_seeded_tree_matches_bench_digest(k, variant):
+    tree = wl_diagrams.corpus_tree(k, variant)
+    machine = treegen.build(tree, treegen.crem_parts(tree, crem), crem)
+    _assert_bench_digests(f"tree{k}.v{variant}", render_flow, machine)
+
+
+REGISTERED_FLOWS, REGISTERED_BASES = wl_diagrams.registered_targets(REGISTRY)
+
+
+@pytest.mark.parametrize("key, machine", REGISTERED_FLOWS + REGISTERED_BASES,
+                         ids=[key for key, _ in REGISTERED_FLOWS + REGISTERED_BASES])
+def test_registered_machine_matches_bench_digest(key, machine):
+    render = render_flow if key.startswith("registered.") else render_base
+    _assert_bench_digests(key, render, machine)
+
+
+def test_every_bench_digest_is_checked():
+    keys = [f"tree{k}.v{variant}" for k in range(len(wl_diagrams.SPECS))
+            for variant in range(wl_diagrams.VARIANTS)]
+    keys += [key for key, _ in REGISTERED_FLOWS + REGISTERED_BASES]
+    assert sorted(f"{key}.{fmt}" for key in keys for fmt in wl_diagrams.FORMATS) \
+        == sorted(BENCH_DIGESTS)

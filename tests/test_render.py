@@ -1,8 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotparse
+import render_reference
 from crem import (
     Alternative,
     Basic,
@@ -357,3 +360,38 @@ def test_quoting_of_awkward_labels():
     dotparse.parse_dot(dot)  # escapes keep it well-formed
     mermaid = render_flow(machine, "mermaid").text
     assert "we'ird" in mermaid  # double quotes are downgraded in labels
+
+
+# the pieces that escaping, quoting, id repair and marker claims each treat apart
+LABEL_PIECES = ('"', "\\", "\n", "7", "-", ".", "_", "__", "initial", "ü", "日本", "a", "b")
+labels = st.lists(st.sampled_from(LABEL_PIECES), min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def leaves(draw, name):
+    vertices = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    groups = [(source, draw(st.lists(st.sampled_from(vertices), max_size=3)))
+              for source in vertices]
+    return _leaf(name, groups, draw(st.sampled_from(vertices)))
+
+
+@st.composite
+def trees(draw):
+    """A tree of 1 to 4 leaves, each pair of neighbours joined by any of the five composites."""
+    names = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    nodes = [draw(leaves(name)) for name in names]
+    while len(nodes) > 1:
+        at = draw(st.integers(0, len(nodes) - 2))
+        kind = draw(st.sampled_from([Sequential, Parallel, Alternative, Feedback, Kleisli]))
+        nodes[at:at + 2] = [kind(nodes[at], nodes[at + 1])]
+    return nodes[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_one_pass_printers_match_the_per_label_ones(tree):
+    # a label or leaf name may hold a newline, which the one-pass printers split on
+    for format in ("dot", "mermaid"):
+        assert render_flow(tree, format).text == render_reference.flow(tree, format)
+        for leaf in tree.leaves():
+            assert render_base(leaf, format).text == render_reference.base(leaf, format)
