@@ -26,7 +26,6 @@ from .compose import (
     lmap,
     rmap,
     run_trace,
-    split_choice,
 )
 from .machine import (
     UNIT_VERTEX,
@@ -76,7 +75,6 @@ __all__ = [
     "render_flow",
     "rmap",
     "run_trace",
-    "split_choice",
     "stateless",
     "trivial_topology",
     "unrestricted_mealy",

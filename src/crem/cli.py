@@ -63,17 +63,18 @@ checked as a record and ended with a newline before the run appends. A
 session opens its log once: a ``run --log`` opens it for appending, which
 creates a missing log, and holds an exclusive ``flock`` on that one handle
 from before it reads the log until its manifest is in place, so a second
-writer waits and then resumes after the first. It reads, removes a torn tail and appends through that handle.
-``replay`` reads the log and its manifest under a shared ``flock``, so it
-waits for a writer.
+writer waits and then resumes after the first. It reads, removes a torn
+tail and appends through that handle. ``replay`` reads the log and its
+manifest under a shared ``flock``, so it waits for a writer.
 
 Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
 3 codec or log problems, 4 topology violation, 5 feedback overflow,
 6 log divergence (on ``replay``, or when ``run`` resumes a log), printed on
-stdout. A registry codec that raises anything, not only ``CodecError``, is
-a codec problem: exit 3, naming the input line or the seq. The table
-``_EXIT_CODES`` holds the rest of that contract: each failure it names
-prints one ``error:`` line on stderr.
+stdout. An empty ``--input``, ``--log`` or ``--out``, which ``Path`` would
+read as ``.``, is a usage error. A registry codec that raises anything, not
+only ``CodecError``, is a codec problem: exit 3, naming the input line or
+the seq. The table ``_EXIT_CODES`` holds the rest of that contract: each
+failure it names prints one ``error:`` line on stderr.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call. A call whose first argument names a command
@@ -538,7 +539,7 @@ def _cmd_run(args, registry) -> int:
     config = _run_config(args.feedback_cap)
     machine = entry.factory()
     lines = _read_command_lines(args.input)
-    if not args.log:
+    if args.log is None:
         for _ in _run_commands(machine, lines, entry, config):
             pass
         return EXIT_OK
@@ -667,6 +668,13 @@ def _cmd_replay(args, registry) -> int:
     return EXIT_OK
 
 
+def _path(text: str) -> str:
+    """A file option's value: any text but the empty one, which ``Path`` reads as ``.``."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return text
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on first use and kept for the process."""
@@ -684,19 +692,21 @@ def _parser() -> argparse.ArgumentParser:
     render_parser.add_argument("machine")
     render_parser.add_argument("--format", choices=FORMATS, default="dot")
     render_parser.add_argument("--mode", choices=["base", "flow"], default="flow")
-    render_parser.add_argument("--out", default=None, help="output path (default stdout)")
+    render_parser.add_argument("--out", type=_path, help="output path (default stdout)")
     render_parser.set_defaults(handler=_cmd_render)
 
     run_parser = commands.add_parser("run", help="feed a command file to a machine")
     run_parser.add_argument("machine")
-    run_parser.add_argument("--input", required=True, help="command file, or - for stdin")
-    run_parser.add_argument("--log", default=None, help="append event records to this file")
+    run_parser.add_argument(
+        "--input", type=_path, required=True, help="command file, or - for stdin"
+    )
+    run_parser.add_argument("--log", type=_path, help="append event records to this file")
     run_parser.add_argument("--feedback-cap", type=int, default=None)
     run_parser.set_defaults(handler=_cmd_run)
 
     replay_parser = commands.add_parser("replay", help="verify a log regenerates exactly")
     replay_parser.add_argument("machine")
-    replay_parser.add_argument("--log", required=True)
+    replay_parser.add_argument("--log", type=_path, required=True)
     replay_parser.add_argument("--feedback-cap", type=int, default=None)
     replay_parser.set_defaults(handler=_cmd_replay)
 

@@ -27,15 +27,15 @@ validated nodes forward through a positional copy: ``object.__new__``, then
 the node's fields and nothing else assigned by item, with no ``__init__``
 and no keyword dict. So each set has one owner, the root a constructor
 built, and a tree a step or restore made is walked like a reused subtree
-when built into another. Steps and restores rebuild a composite by one rule,
-``_Binary._with``: a move rebuilds only its path from the root, and every
-subtree it did not touch is shared by the old and new tree. A node whose
-children all came back as the very same objects is returned as it is:
-``_with`` checks that for a restore, and each ``step`` checks it inline
-before it would call ``_with``. So a stay, a step after which every leaf
-hands back its very same state object, costs only the calls that route it:
-no leaf consults its topology, no composite makes a rebuild call, and no
-node is allocated anywhere in the tree.
+when built into another. Steps and restores rebuild a composite through
+``_Binary._with``, which only copies: a move rebuilds only its path from the
+root, and every subtree it did not touch is shared by the old and new tree.
+A node whose children all came back as the very same objects is returned as
+it is: each ``step`` and the restore test that before they would call
+``_with``. So a stay, a step after which every leaf hands back its very same
+state object, costs only the calls that route it: no leaf consults its
+topology, no composite makes a rebuild call, and no node is allocated
+anywhere in the tree.
 
 Feedback scheduling is FIFO over one list: the forward machine's outputs,
 in production order, are the result, and its unread tail is the queue. Each
@@ -95,19 +95,21 @@ DEFAULT_CONFIG = RunConfig()
 
 
 @dataclass(frozen=True)
-class Left:
+class _Tagged:
+    """A value tagged for one branch of an ``Alternative``; equal only within its class."""
+
     value: Any
 
     def __repr__(self) -> str:
-        return f"Left({self.value!r})"
+        return f"{type(self).__name__}({self.value!r})"
 
 
-@dataclass(frozen=True)
-class Right:
-    value: Any
+class Left(_Tagged):
+    """An input for, or an output of, an ``Alternative``'s ``first`` child."""
 
-    def __repr__(self) -> str:
-        return f"Right({self.value!r})"
+
+class Right(_Tagged):
+    """An input for, or an output of, an ``Alternative``'s ``second`` child."""
 
 
 class StateMachine:
@@ -185,8 +187,9 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
                     return None
             built.append(node)
         elif done:
-            second = built.pop()
-            built[-1] = node._with(built[-1], second)
+            second, first = built.pop(), built.pop()
+            unmoved = first is node.first and second is node.second
+            built.append(node if unmoved else node._with(first, second))
     return built[0] if used == len(vertices) else None
 
 
@@ -286,9 +289,7 @@ class _Binary(StateMachine):
         second.__dict__.pop(_LEAF_NAMES, None)
 
     def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
-        """``self`` if ``first`` and ``second`` are its children, else a copy of just those two."""
-        if first is self.first and second is self.second:
-            return self
+        """A positional copy of ``self`` over ``first`` and ``second``."""
         copy = object.__new__(type(self))
         fields = copy.__dict__
         fields["first"] = first
@@ -447,11 +448,6 @@ def lmap(func: Callable[[Any], Any], machine: StateMachine, name: str = "lmap") 
 def rmap(machine: StateMachine, func: Callable[[Any], Any], name: str = "rmap") -> Sequential:
     """Post-process outputs with a pure function."""
     return Sequential(machine, Basic(stateless(name, func)))
-
-
-def split_choice(first: StateMachine, second: StateMachine) -> Alternative:
-    """Route Left inputs to ``first`` and Right inputs to ``second``."""
-    return Alternative(first, second)
 
 
 def _collapse(value: Left | Right) -> Any:

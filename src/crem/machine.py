@@ -58,12 +58,12 @@ class BaseMachine:
     ``action`` maps ``(state, input)`` to a :class:`StepResult` and must be
     pure. Stepping returns a new machine value; nothing is mutated.
 
-    Construction checks the invariants once: a non-empty name and a state
-    on one of the topology's vertices; the :class:`Topology` checked its own
-    labels and normalized itself when it was built. A step then checks only
-    the move it makes against the topology, and only if it makes one: a stay,
-    an action handing back the very same state object, is an identity move,
-    which every topology allows, so it consults no topology and returns
+    Construction checks the invariants once: a non-empty ``str`` name and a
+    state on one of the topology's vertices; the :class:`Topology` checked its
+    own labels and normalized itself when it was built. A step then checks
+    only the move it makes against the topology, and only if it makes one: a
+    stay, an action handing back the very same state object, is an identity
+    move, which every topology allows, so it consults no topology and returns
     ``self``. Every other move, a new state object on the same vertex
     included, calls ``Topology.allows`` exactly once.
     """
@@ -74,6 +74,8 @@ class BaseMachine:
     action: Callable[[MachineState, Any], StepResult]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(f"machine name must be a str, got {self.name!r}")
         if not self.name:
             raise EmptyName("machine name must be non-empty")
         vertex = self.state.vertex

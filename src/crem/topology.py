@@ -22,14 +22,15 @@ class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
     Construction checks every label and normalizes the groups in one pass:
-    targets given as one ``str`` raise ``TypeError``, an empty label raises
-    :class:`EmptyVertexLabel`, duplicate source groups are merged and
-    duplicate targets dropped, first appearance winning for both, so a
-    topology written with duplicate groups is equal to its normal form. That
-    order is part of the value because it drives rendering. The groups are
-    stored as tuples; ``edges`` that already are the normal tuple are kept as
-    they are. Labels are checked once, over all of them, yet of two faults the
-    one in the earlier group is reported, as a check per group would.
+    targets given as one ``str`` and a label that is not a ``str`` raise
+    ``TypeError``, an empty label raises :class:`EmptyVertexLabel`, duplicate
+    source groups are merged and duplicate targets dropped, first appearance
+    winning for both, so a topology written with duplicate groups is equal to
+    its normal form. That order is part of the value because it drives
+    rendering. The groups are stored as tuples; ``edges`` that already are the
+    normal tuple are kept as they are. Labels are checked once, over all of
+    them, yet of two faults the one in the earlier group is reported, as a
+    check per group would.
 
     The same pass records the vertex order that :meth:`vertices` returns; it
     is derived from ``edges``, so it is no field and takes no part in ``==``,
@@ -71,10 +72,9 @@ class Topology:
                     normal = False
                 merged[source] = targets
         finally:
-            # every label is checked once, here, so an empty one is reported ahead of
-            # whatever fault a later group raised
-            if not all(order):
-                raise EmptyVertexLabel("vertex labels must be non-empty") from None
+            # every label is checked once, here, so a bad one is reported ahead of whatever
+            # fault a later group raised
+            _check_labels(order)
         if remerged or not normal:  # an already normal tuple is kept, not rebuilt
             edges = tuple(merged.items())
             object.__setattr__(self, "edges", edges)
@@ -112,6 +112,22 @@ class Topology:
         return tuple(
             (source, target) for source, targets in self.edges for target in targets
         )
+
+
+def _check_labels(labels: dict[str, object]) -> None:
+    """Refuse the first label, in order, that is not a ``str`` or is empty. Good labels
+    cost one join, which raises ``TypeError`` on any that is not a ``str``, and one lookup."""
+    try:
+        "".join(labels)
+        if "" not in labels:
+            return
+    except TypeError:
+        pass
+    for label in labels:
+        if not isinstance(label, str):
+            raise TypeError(f"vertex labels must be str, got {label!r}") from None
+        if not label:
+            raise EmptyVertexLabel("vertex labels must be non-empty") from None
 
 
 def trivial_topology(vertex: str) -> Topology:

@@ -454,6 +454,27 @@ def test_replay_unknown_machine(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown machine 'nosuch'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "cart", "--input", "cmds.txt", "--log", ""], "--log"),
+        (["run", "cart", "--input", ""], "--input"),
+        (["render", "cart", "--out", ""], "--out"),
+        (["replay", "cart", "--log", ""], "--log"),
+    ],
+    ids=["run-log", "run-input", "render-out", "replay-log"],
+)
+def test_an_empty_path_is_a_usage_error(argv, option, tmp_path, monkeypatch, capsys):
+    # Path("") is Path("."), so an unchecked run --log "" would run and write no log
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {option}: a path must not be empty\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cmds.txt"]
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2

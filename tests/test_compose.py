@@ -26,7 +26,6 @@ from crem import (
     lmap,
     rmap,
     run_trace,
-    split_choice,
     stateless,
     unrestricted_mealy,
 )
@@ -89,6 +88,13 @@ def test_alternative_routes_left_and_right():
     assert output == Right(1)  # right child untouched by the Left input
     output, machine = machine.step(Left("z"))
     assert output == Left(2)
+
+
+def test_left_and_right_differ_by_class_alone():
+    assert Left(1) == Left(1)
+    assert Left(1) != Right(1)
+    assert hash(Left(1)) == hash(Right(1)) == hash((1,))
+    assert (repr(Left("a")), repr(Right([1]))) == ("Left('a')", "Right([1])")
 
 
 def test_alternative_rejects_untagged_input():
@@ -380,16 +386,8 @@ def test_rmap_composes_like_functions():
     assert run_trace(double_mapped, trace) == run_trace(fused, trace)
 
 
-def test_split_choice_routes_to_first_only():
-    machine = split_choice(counter("cart-side"), counter("ship-side"))
-    output, machine = machine.step(Left("pay"))
-    assert output == Left(1)
-    output, _ = machine.step(Right("ship"))
-    assert output == Right(1)
-
-
-def test_split_choice_identity_passthrough():
-    machine = split_choice(identity_machine("l"), identity_machine("r"))
+def test_alternative_identity_passthrough():
+    machine = Alternative(identity_machine("l"), identity_machine("r"))
     output, _ = machine.step(Right("x"))
     assert output == Right("x")
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -38,6 +39,13 @@ def test_initial_vertex_must_belong_to_topology():
 def test_name_must_be_non_empty():
     with pytest.raises(EmptyName):
         BaseMachine("", LINE, MachineState("a"), walk)
+
+
+@pytest.mark.parametrize("name", [7, None, b"walker"], ids=["int", "none", "bytes"])
+def test_name_must_be_a_str(name):
+    message = f"machine name must be a str, got {name!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        BaseMachine(name, LINE, MachineState("a"), walk)
 
 
 def test_step_returns_new_value_and_keeps_old():

@@ -687,6 +687,25 @@ TestSplitRuns.settings = settings(
 )
 
 
+# -- the fingerprints logs carry ------------------------------------------------
+
+# every existing log of a machine names its fingerprint in the manifest, so a change to
+# one makes run and replay refuse all of that machine's logs with exit 3: a change to the
+# cart wiring, a leaf name, a table topology or _fingerprint must be a deliberate one
+REGISTERED_FINGERPRINTS = {
+    "cart": "149a162f9f0db78148d311e998cfbd0c27edd6c05c1b63b6b3206eacda3fe99d",
+    "shipping": "3ce462b0ed52c15cf554c4db0b933112d4ca0821f308afc9015bc217c343ca05",
+    "whole-cart-domain": "72559195e98a4b854a2ee2445acac28a7dd46bb093d02a096040e9531a3e105a",
+    "cart-and-shipping": "ce06af14280c11e232e68c0daa3fb32b244ecb9fbe65856312e3b8d02d18f93e",
+}
+
+
+def test_the_registered_fingerprints_do_not_change():
+    registry = cli.default_registry()
+    fingerprints = {name: _fingerprint(entry.factory()) for name, entry in registry.items()}
+    assert fingerprints == REGISTERED_FINGERPRINTS
+
+
 # -- the restore helper ----------------------------------------------------------
 
 

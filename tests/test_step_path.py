@@ -558,6 +558,30 @@ def test_thousand_leaf_chain_round_trips_its_vertices(chain, default_recursion_l
     assert compose._fingerprint(moved) != compose._fingerprint(tree)
 
 
+def balanced(size, first=0, depth=0):
+    """A balanced tree over ``on_ring`` leaves ``first`` on, a different composite per level."""
+    if size == 1:
+        return on_ring(first)
+    half = size // 2
+    kind = NODE_KINDS[1 + depth % 5]
+    return kind(balanced(half, first, depth + 1), balanced(size - half, first + half, depth + 1))
+
+
+@pytest.mark.parametrize("moved", range(13))
+def test_a_restore_shares_every_subtree_it_did_not_move(moved):
+    tree = balanced(13)
+    vertices = ["r0"] * 13
+    vertices[moved] = "r1"
+    restored = compose._restore_vertices(tree, vertices)
+    assert compose._leaf_vertices(restored) == vertices
+    # both trees have one shape, so their walks pair up node by node
+    for (old, _), (new, _) in zip(compose._walk(tree), compose._walk(restored)):
+        if f"leaf{moved}" in {leaf.name for leaf in old.leaves()}:
+            assert new is not old  # on the path from the root to the moved leaf
+        else:
+            assert new is old
+
+
 @pytest.fixture
 def leaves_walked(monkeypatch):
     """Count the leaves ``StateMachine.leaves`` yields from now on."""

@@ -1,4 +1,5 @@
 import re
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -40,6 +41,21 @@ def test_construction_rejects_empty_labels():
         Topology((("", ("B",)),))
     with pytest.raises(EmptyVertexLabel):
         Topology((("A", ("",)),))
+
+
+class Colour(Enum):
+    RED = "red"
+
+
+@pytest.mark.parametrize(
+    "label", [1, 0, None, Colour.RED, b"A"], ids=["int", "zero", "none", "enum", "bytes"]
+)
+def test_a_label_that_is_not_a_str_is_refused(label):
+    # a machine on such a topology could step, yet no render of it could print
+    message = f"vertex labels must be str, got {label!r}"
+    for edges in (((label, ("B",)),), (("A", (label,)),), [["A", ["B"]], ["B", [label]]]):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Topology(edges)
 
 
 @pytest.mark.parametrize(
@@ -354,6 +370,10 @@ EMPTY = (EmptyVertexLabel, "vertex labels must be non-empty")
         ((("A", "xy"), ("", ("B",))), (TypeError, "the targets of 'A' must be labels, not a str")),
         ((("", "xy"),), (TypeError, "the targets of '' must be labels, not a str")),
         ((("A",), ("", ())), (ValueError, "not enough values to unpack (expected 2, got 1)")),
+        ((("", ()), ("B", (1,))), EMPTY),
+        ((("A", (None,)), ("", ())), (TypeError, "vertex labels must be str, got None")),
+        (((0, ()), ("A", "xy")), (TypeError, "vertex labels must be str, got 0")),
+        ((("A", "xy"), (0, ())), (TypeError, "the targets of 'A' must be labels, not a str")),
     ],
     ids=[
         "empty-source-before-str",
@@ -366,6 +386,10 @@ EMPTY = (EmptyVertexLabel, "vertex labels must be non-empty")
         "str-before-empty",
         "str-beside-empty-source",
         "short-group-before-empty",
+        "empty-before-non-str",
+        "non-str-before-empty",
+        "non-str-before-str",
+        "str-before-non-str",
     ],
 )
 def test_the_first_of_two_faults_is_reported(edges, expected):
