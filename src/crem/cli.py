@@ -1,80 +1,13 @@
 """Command line driver: list machines, render diagrams, run traces, replay logs.
 
-A command file, or stdin for ``--input -``, is read as UTF-8 bytes and
-carries one encoded command per line, a line ending at ``\n`` only; blank
-lines and ``#`` comments are skipped. With ``--log``, each
-processed input appends one record to a JSONL event log, which ``replay``
-later re-runs against a fresh machine to verify that every logged output
-regenerates exactly. ``run`` writes each record in one canonical form, the
-bytes ``json.dumps(record, sort_keys=True)`` gives: keys sorted, ``", "``
-and ``": "`` as separators, non-ASCII characters escaped. ``replay`` and a
-resume accept any JSON object with exactly the keys ``input``, ``outputs``
-and ``seq``. Each record is written in one unbuffered ``write``, whose byte
-count is checked, before the next command runs. A log that cannot be
-written, whether a record, the newline that ends a whole last line or the
-removal of a torn tail fails, makes ``run`` exit 3 with one ``error:`` line
-naming it. A ``run`` on an existing log resumes it the same way: the logged
-records are re-run and checked before anything new is appended.
-A log is checked in one pass, record by record, so its first fault in file
-order decides the exit code. That pass decodes the log once and scans the
-text once with the ``raw_decode`` of ``json.loads``'s own decoder; a line
-the scan does not end exactly at its newline, such as a padded, split or
-faulty one, is parsed alone by ``json.loads``, so every line is accepted or
-refused, with the same message, as if it were parsed on its own. JSON
-nested too deeply to parse counts as not valid JSON, in a log line and in a
-manifest alike.
-
-After each ``run --log`` a sidecar manifest, ``LOG.crem`` beside ``LOG``,
-records the format version (3), the machine name, a topology fingerprint
-(the sha256 of one walk of the fresh tree: each node's kind, and each
-leaf's name, edges and initial vertex), the count of records, the length
-and sha256 of the log bytes that run checked or wrote, the leaf vertices
-after them, and ``check``: the sha256 of ``json.dumps`` of all that, keys
-sorted. A run that stops at a failing command (exit 3, 4 or 5) writes it
-too, for the last record it appended; a run whose check of the existing
-log fails writes none. It is written in place under the log's lock, by one
-``pwrite`` at offset 0 and an ``ftruncate`` to its length, and read under
-that lock before a run restores from it. A write cut short, or an
-overwrite torn between the new manifest and the old one, can still parse,
-joining new fields to old ones, but it fails its check, so a crash
-mid-write only costs a full check: nothing of a version 3 manifest, its
-writer included, is read before its check holds. One rule names a log's
-writer: a manifest of any version naming another machine, or of version 2
-or 3 another topology (both hash the same walk), makes ``run`` and
-``replay`` exit 3 before they re-run, write or create anything; deleting
-``LOG.crem`` adopts the log. A resuming ``run`` whose manifest's vertices
-fit a fresh tree reads the prefix it covers once, in ``_PREFIX_CHUNK``
-pieces, hashing it and counting its lines. If that prefix ends a line,
-holds one line per record and matches its hash, the run restores those
-vertices, reads only the bytes after the prefix into memory and re-runs
-only their records. That is the trade: only a run that checked or wrote
-exactly those bytes writes a manifest, so a matching hash stands for
-"checked as ``replay`` does". Any other mismatch, an unreadable, torn or
-older manifest, or vertices the tree cannot hold fall back to checking
-the whole log. No manifest is written for a tree with a leaf whose
-payload is not None when the run ends. ``replay`` re-runs every record.
-
-A torn tail is a last line that is both unterminated and not valid JSON,
-as a write cut short leaves it. The one loop that checks the records judges
-it, once every line before it has checked out. A resuming ``run`` removes
-it, says so in one ``warning:`` line on stderr and goes on; ``replay`` exits
-3 and calls it a torn tail. An unterminated last line that is valid JSON is
-checked as a record and ended with a newline before the run appends. A
-session opens its log once: a ``run --log`` opens it for appending, which
-creates a missing log, and holds an exclusive ``flock`` on that one handle
-from before it reads the log until its manifest is in place, so a second
-writer waits and then resumes after the first. It reads, removes a torn
-tail and appends through that handle. ``replay`` reads the log and its
-manifest under a shared ``flock``, so it waits for a writer.
-
-Exit codes are part of the contract: 0 ok, 2 usage or unknown machine,
-3 codec or log problems, 4 topology violation, 5 feedback overflow,
-6 log divergence (on ``replay``, or when ``run`` resumes a log), printed on
-stdout. An empty ``--input``, ``--log`` or ``--out``, which ``Path`` would
-read as ``.``, is a usage error. A registry codec that raises anything, not
-only ``CodecError``, is a codec problem: exit 3, naming the input line or
-the seq. The table ``_EXIT_CODES`` holds the rest of that contract: each
-failure it names prints one ``error:`` line on stderr.
+The README's "The command line" section is the contract this module keeps:
+the command-file, log and manifest formats, resuming, torn tails, locking
+and exit codes. One rule, ``_step``, steps each command and encodes its
+outputs: ``_run_commands`` writes a record by it for ``run``, and
+``_replay`` checks one by it for ``replay`` and a resume, so a fault reads
+the same on all three, named by its input line or its seq. ``_EXIT_CODES``
+maps each failure to its exit code and one ``error:`` line on stderr; a
+divergence (exit 6) prints on stdout.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call. A call whose first argument names a command
@@ -349,13 +282,7 @@ def _replay(
             raise MalformedLog(f"seq {seq}: {error}") from error
         except Exception as error:
             raise _codec_failed(f"seq {seq}", "decode_input", error) from error
-        outputs, machine = machine.step(value, config)
-        if not isinstance(outputs, list):  # a lazy iterable runs the step's code: outside the try
-            outputs = list(outputs)
-        try:
-            encoded = [entry.encode_output(item) for item in outputs]
-        except Exception as error:
-            raise _codec_failed(f"seq {seq}", "encode_output", error) from error
+        encoded, machine = _step(machine, value, entry, config, "seq", seq)
         if encoded != record["outputs"]:
             raise _Diverged(
                 f"replay diverged at seq {seq}: "
@@ -399,11 +326,10 @@ def _locked_log(path: Path, exclusive: bool) -> Iterator[BinaryIO]:
     unbuffered, so each ``write`` reaches the kernel at once and closing the
     handle has nothing left to write.
     """
-    existed = not exclusive or path.exists()
     try:
         handle = open(path, "a+b" if exclusive else "rb", buffering=0)
     except OSError as error:
-        if existed:
+        if not exclusive or path.exists():  # a failed open created nothing
             raise MalformedLog(f"cannot read log {path}: {error}") from error
         raise
     with handle:  # closing it releases the lock
@@ -595,43 +521,59 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
     """Decode, step and print each command, then yield its log record, from ``seq`` on,
     with the machine after that command.
 
-    A record is formatted directly as the bytes ``json.dumps(record,
-    sort_keys=True)`` gives, through ``_quote``, the escaper that call uses.
-    A codec that raises anything, a step that raises ``CodecError``, and a
-    codec that returns anything but a ``str`` raise ``CodecError`` naming the
+    ``_step`` steps the command and encodes its outputs, by the rule ``_replay``
+    checks a record with. A record is formatted directly as the bytes
+    ``json.dumps(record, sort_keys=True)`` gives, through ``_quote``, the
+    escaper that call uses. A codec fault raises ``CodecError`` naming the
     input line before that command prints or yields anything, so the caller
-    never sees the machine that command stepped to. Any other error of a
-    step propagates as it is. The codec calls sit in plain ``try`` blocks,
-    which cost nothing until one raises.
+    never sees the machine that command stepped to.
     """
     for number, text in lines:
         try:
             value = entry.decode_input(text)
         except Exception as error:
             raise _codec_failed(f"line {number}", "decode_input", error) from None
-        try:
-            outputs, machine = machine.step(value, config)
-            if not isinstance(outputs, list):  # a lazy iterable runs the step's code here
-                outputs = list(outputs)
-        except CodecError as error:
-            raise CodecError(f"line {number}: {error}") from None
-        try:
-            encoded = [entry.encode_output(item) for item in outputs]
-        except Exception as error:
-            raise _codec_failed(f"line {number}", "encode_output", error) from None
+        encoded, machine = _step(machine, value, entry, config, "line", number)
         try:
             code = entry.encode_input(value)
+            if not isinstance(code, str):
+                raise _not_str("encode_input", code)
         except Exception as error:
             raise _codec_failed(f"line {number}", "encode_input", error) from None
-        try:  # join and _quote raise TypeError on an item that is not a str
-            shown = ", ".join(encoded)
-            quoted = ", ".join(map(_quote, encoded))
-            record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
-        except TypeError:
-            raise _not_text(number, code, encoded) from None
-        print(f"[{shown}]")
+        quoted = ", ".join(map(_quote, encoded))
+        record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
+        print(f"[{', '.join(encoded)}]")
         yield record.encode(), machine
         seq += 1
+
+
+def _step(machine, value, entry, config, where: str, number: int) -> tuple[list, StateMachine]:
+    """Step ``machine`` on the decoded command ``value`` and encode its outputs: ``(the
+    outputs' codes, the machine after the step)``, the one rule by which ``run`` writes a
+    record and ``_replay`` checks one.
+
+    ``where`` and ``number`` name the command, ``"line"`` and an input line or ``"seq"``
+    and a seq, in the ``CodecError`` raised when the step raises one, also while its lazy
+    outputs are read, or when ``encode_output`` raises anything or returns a non-``str``.
+    Any other error of a step propagates as it is. The encoder runs in a plain loop: a
+    comprehension is a call of its own before Python 3.12.
+    """
+    try:
+        outputs, machine = machine.step(value, config)
+        if not isinstance(outputs, list):  # a lazy iterable runs the step's code here
+            outputs = list(outputs)
+    except CodecError as error:
+        raise CodecError(f"{where} {number}: {error}") from None
+    encoded = []
+    try:
+        for item in outputs:
+            code = entry.encode_output(item)
+            if not isinstance(code, str):
+                raise _not_str("encode_output", code)
+            encoded.append(code)
+    except Exception as error:
+        raise _codec_failed(f"{where} {number}", "encode_output", error) from None
+    return encoded, machine
 
 
 def _codec_failed(where: str, codec: str, error: Exception) -> CodecError:
@@ -642,13 +584,9 @@ def _codec_failed(where: str, codec: str, error: Exception) -> CodecError:
     return CodecError(f"{where}: {codec} raised {type(error).__name__}: {error}")
 
 
-def _not_text(number: int, code: Any, encoded: list) -> CodecError:
-    """The error for input line ``number``, whose input or outputs encoded to a non-``str``."""
-    culprit, bad = next(
-        (("encode_output", item) for item in encoded if not isinstance(item, str)),
-        ("encode_input", code),
-    )
-    return CodecError(f"line {number}: {culprit} returned {type(bad).__name__} {bad!r}, not a str")
+def _not_str(codec: str, code: Any) -> CodecError:
+    """The error for the registry's ``codec``, which returned ``code``, not a ``str``."""
+    return CodecError(f"{codec} returned {type(code).__name__} {code!r}, not a str")
 
 
 def _cmd_replay(args, registry) -> int:

@@ -22,15 +22,16 @@ class Topology:
     """Allowed transitions as ``(source, targets)`` groups.
 
     Construction checks every label and normalizes the groups in one pass:
-    targets given as one ``str`` and a label that is not a ``str`` raise
-    ``TypeError``, an empty label raises :class:`EmptyVertexLabel`, duplicate
-    source groups are merged and duplicate targets dropped, first appearance
-    winning for both, so a topology written with duplicate groups is equal to
-    its normal form. That order is part of the value because it drives
-    rendering. The groups are stored as tuples; ``edges`` that already are the
-    normal tuple are kept as they are. Labels are checked once, over all of
-    them, yet of two faults the one in the earlier group is reported, as a
-    check per group would.
+    targets given as one ``str``, groups or targets given as a ``set`` or
+    ``frozenset``, whose order changes from one process to the next, and a
+    label that is not a ``str`` raise ``TypeError``, an empty label raises
+    :class:`EmptyVertexLabel`, duplicate source groups are merged and
+    duplicate targets dropped, first appearance winning for both, so a
+    topology written with duplicate groups is equal to its normal form. That
+    order is part of the value because it drives rendering. The groups are
+    stored as tuples; ``edges`` that already are the normal tuple are kept as
+    they are. Labels are checked once, over all of them, yet of two faults the
+    one in the earlier group is reported, as a check per group would.
 
     The same pass records the vertex order that :meth:`vertices` returns; it
     is derived from ``edges``, so it is no field and takes no part in ``==``,
@@ -48,11 +49,18 @@ class Topology:
         normal = isinstance(self.edges, tuple)  # the groups as written are the normal ones
         remerged = False
         try:
+            if not normal and isinstance(self.edges, (set, frozenset)):
+                raise TypeError(f"the groups must be in order, not a {type(self.edges).__name__}")
             for group in self.edges:
                 source, targets = group
                 if not isinstance(targets, tuple):
                     if isinstance(targets, str):  # a bare label would split into its characters
                         raise TypeError(f"the targets of {source!r} must be labels, not a str")
+                    if isinstance(targets, (set, frozenset)):  # its order changes per process
+                        raise TypeError(
+                            f"the targets of {source!r} must be in order, "
+                            f"not a {type(targets).__name__}"
+                        )
                     targets = tuple(targets)
                     normal = False
                 elif not isinstance(group, tuple):

@@ -653,19 +653,92 @@ def test_a_step_that_raises_keeps_its_exception(lazy, tmp_path, capsys):
     commands = write_lines(tmp_path / "cmds.txt", ["other"])
     with pytest.raises(KeyError):  # not a codec's fault: no exit code claims it
         cli.main(["run", "strict", "--input", commands], registry)
-    # replay steps outside the codecs' try blocks too
+    # replay steps by the same rule, naming the seq
     log = tmp_path / "log.jsonl"
     for value, outcome in [("codec", 3), ("other", KeyError)]:
         log.write_text(f'{{"input": "{value}", "outputs": [], "seq": 0}}\n', encoding="utf-8")
         if outcome == 3:
             assert cli.main(["replay", "strict", "--log", str(log)], registry) == 3
-            assert capsys.readouterr().err == "error: refused by the step\n"
+            assert capsys.readouterr().err == "error: seq 0: refused by the step\n"
         else:
             with pytest.raises(KeyError):
                 cli.main(["replay", "strict", "--log", str(log)], registry)
 
 
-ENUMS = [CartCommand, CartEvent, CartView, ShippingCommand, ShippingEvent, ShippingInfo]
+def faulty(fault):
+    """A one-vertex registry machine ``echo`` whose input ``bad`` meets ``fault``: in its
+    step, eagerly or while its lazy outputs are read, or in the output ``bad``'s encoder."""
+    def act(state, value):
+        def outputs():
+            if value == "bad" and fault == "step-lazy":
+                raise cli.CodecError("refused by the step")
+            yield value
+
+        if value == "bad" and fault == "step-eager":
+            raise cli.CodecError("refused by the step")
+        return StepResult(outputs() if fault == "step-lazy" else [value], state)
+
+    def encode_output(value):
+        if value != "bad":
+            return value
+        if fault == "codec-CodecError":
+            raise cli.CodecError("cannot encode 'bad'")
+        if fault == "codec-KeyError":
+            raise KeyError(value)
+        return 1 if fault == "codec-int" else value
+
+    def factory():
+        return Basic(BaseMachine("echo", Topology((("s", ()),)), MachineState("s"), act))
+
+    return {"echo": cli.RegistryEntry(factory, str.strip, str, encode_output)}
+
+
+# what each fault of ``faulty`` reports after the ``line N: `` or ``seq N: `` that names it
+FAULTS = {
+    "codec-CodecError": "cannot encode 'bad'",
+    "codec-KeyError": "encode_output raised KeyError: 'bad'",
+    "codec-int": "encode_output returned int 1, not a str",
+    "step-eager": "refused by the step",
+    "step-lazy": "refused by the step",
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("command", ["run", "resume", "replay"])
+def test_run_resume_and_replay_step_and_encode_by_one_rule(command, fault, tmp_path, capsys):
+    commands = write_lines(tmp_path / "cmds.txt", ["ok", "bad"])
+    log = tmp_path / "log.jsonl"
+    logged = (
+        b'{"input": "ok", "outputs": ["ok"], "seq": 0}\n'
+        b'{"input": "bad", "outputs": ["bad"], "seq": 1}\n'
+    )
+    if command == "run":
+        argv, where, out = ["run", "echo", "--input", commands], "line 2", "[ok]\n"
+    else:  # the record of "bad" is seq 1; with no manifest, a resume checks it as replay does
+        log.write_bytes(logged)
+        argv, where, out = [command, "echo", "--log", str(log)], "seq 1", ""
+        if command == "resume":
+            argv[0:1] = ["run"]
+            argv += ["--input", commands]
+    assert cli.main(argv, faulty(fault)) == 3
+    assert capsys.readouterr() == (out, f"error: {where}: {FAULTS[fault]}\n")
+    if command != "run":  # the log is left as it was, and no manifest vouches for it
+        assert (log.read_bytes(), log.with_name("log.jsonl.crem").exists()) == (logged, False)
+
+
+def test_an_output_fault_is_reported_before_an_input_fault(tmp_path, capsys):
+    entry = faulty("codec-int")["echo"]
+
+    def encode_input(value):
+        raise KeyError(value)
+
+    commands = write_lines(tmp_path / "cmds.txt", ["bad"])
+    registry = {"echo": replace(entry, encode_input=encode_input)}
+    assert cli.main(["run", "echo", "--input", commands], registry) == 3
+    assert capsys.readouterr() == ("", "error: line 1: encode_output returned int 1, not a str\n")
+
+
+ENUMS =[CartCommand, CartEvent, CartView, ShippingCommand, ShippingEvent, ShippingInfo]
 
 
 @pytest.mark.parametrize("enum_cls", ENUMS, ids=[enum.__name__ for enum in ENUMS])

@@ -374,6 +374,11 @@ EMPTY = (EmptyVertexLabel, "vertex labels must be non-empty")
         ((("A", (None,)), ("", ())), (TypeError, "vertex labels must be str, got None")),
         (((0, ()), ("A", "xy")), (TypeError, "vertex labels must be str, got 0")),
         ((("A", "xy"), (0, ())), (TypeError, "the targets of 'A' must be labels, not a str")),
+        ((("", ()), ("B", {"C"})), EMPTY),
+        ((("A", {"B"}), ("", ())), (TypeError, "the targets of 'A' must be in order, not a set")),
+        ([(0, ()), ("A", frozenset("B"))], (TypeError, "vertex labels must be str, got 0")),
+        ({("A", ("B",))}, (TypeError, "the groups must be in order, not a set")),
+        (frozenset(), (TypeError, "the groups must be in order, not a frozenset")),
     ],
     ids=[
         "empty-source-before-str",
@@ -390,6 +395,11 @@ EMPTY = (EmptyVertexLabel, "vertex labels must be non-empty")
         "non-str-before-empty",
         "non-str-before-str",
         "str-before-non-str",
+        "empty-before-set-targets",
+        "set-targets-before-empty",
+        "non-str-before-frozenset-targets",
+        "set-of-groups",
+        "empty-frozenset-of-groups",
     ],
 )
 def test_the_first_of_two_faults_is_reported(edges, expected):
@@ -397,6 +407,13 @@ def test_the_first_of_two_faults_is_reported(edges, expected):
     with pytest.raises(Exception, match=f"^{re.escape(message)}$") as raised:
         Topology(edges)
     assert type(raised.value) is error
+
+
+def test_lists_and_generators_are_ordered_enough():
+    # only a set is refused: its order, and so the fingerprint, changes per process
+    expected = Topology((("a", ("b", "c", "d")),))
+    assert Topology([["a", ["b", "c", "d"]]]) == expected
+    assert Topology(((source, iter(targets)) for source, targets in expected.edges)) == expected
 
 
 faulty_groups = st.lists(
