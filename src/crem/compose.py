@@ -10,39 +10,6 @@ children, a ``Basic`` refuses anything but a ``BaseMachine``, and every walk
 refuses any other root, so everything that walks a tree is total over trees.
 Feedback and Kleisli require list-shaped outputs from their children because
 they route individual elements onward.
-
-``_Binary.__post_init__`` alone holds the rule for leaf names.
-Leaf names are checked once, when a node is built through its public
-constructor, and the check costs only the work that node adds: a new
-composite takes over the sets of leaf names its children were built with (a
-``Basic`` child contributes its one name), tests that the two sets are
-disjoint and adds the smaller set into the larger one in place, so only the
-root of a tree holds a set and any chain builds in O(n log n) without
-re-walking its subtrees. A child whose set is gone (a subtree reused in a
-second parent) sends the check back to a walk over the new node's leaves, as
-does any clash, so the error always names the first duplicate in walk order.
-The children give their sets up only once the new node holds its own, so a
-refused build leaves its children as they were. Stepping moves the already
-validated nodes forward through a positional copy: ``object.__new__``, then
-the node's fields and nothing else assigned by item, with no ``__init__``
-and no keyword dict. So each set has one owner, the root a constructor
-built, and a tree a step or restore made is walked like a reused subtree
-when built into another. Steps and restores rebuild a composite through
-``_Binary._with``, which only copies: a move rebuilds only its path from the
-root, and every subtree it did not touch is shared by the old and new tree.
-A node whose children all came back as the very same objects is returned as
-it is: each ``step`` and the restore test that before they would call
-``_with``. So a stay, a step after which every leaf hands back its very same
-state object, costs only the calls that route it: no leaf consults its
-topology, no composite makes a rebuild call, and no node is allocated
-anywhere in the tree.
-
-Feedback scheduling is FIFO over one list: the forward machine's outputs,
-in production order, are the result, and its unread tail is the queue. Each
-element in turn goes through the backward machine, whose outputs are fed
-back into the forward machine immediately, in order, and what that produces
-is appended. A configurable budget bounds the loop, since nothing else
-guarantees it terminates.
 """
 
 from __future__ import annotations
@@ -278,7 +245,8 @@ class _Binary(StateMachine):
                 if leaf.name in names:
                     raise DuplicateLeafName(f"machine name {leaf.name!r} appears more than once")
                 names.add(leaf.name)
-        elif len(first_names) >= len(second_names):  # add the smaller set into the larger, in place
+        elif len(first_names) >= len(second_names):
+            # add the smaller set into the larger, in place: any chain builds in O(n log n)
             names = first_names
             names |= second_names
         else:
@@ -289,7 +257,9 @@ class _Binary(StateMachine):
         second.__dict__.pop(_LEAF_NAMES, None)
 
     def _with(self, first: StateMachine, second: StateMachine) -> "_Binary":
-        """A positional copy of ``self`` over ``first`` and ``second``."""
+        """A positional copy of ``self`` over ``first`` and ``second``: no ``__init__``, so
+        no leaf-name set. A tree a step or restore made is walked like a reused subtree
+        when built into another."""
         copy = object.__new__(type(self))
         fields = copy.__dict__
         fields["first"] = first

@@ -55,6 +55,38 @@ def test_module_entry_points_list_the_registry(module, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
+# every CLI command once, then the top-level modules imported that the standard library lacks
+NO_DEPENDENCIES = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from crem import cli
+tmp = Path(sys.argv[2])
+(tmp / "commands.txt").write_text("PayCart\\nMarkCartAsPaid\\n", encoding="utf-8")
+for argv in (
+    ["list"],
+    ["run", "cart", "--input", tmp / "commands.txt", "--log", tmp / "log.jsonl"],
+    ["replay", "cart", "--log", tmp / "log.jsonl"],
+    ["render", "cart-and-shipping", "--out", tmp / "flow.dot"],
+):
+    assert cli.main([str(arg) for arg in argv]) == 0, argv
+imported = {name.partition(".")[0] for name in sys.modules}
+print(sorted(imported - set(sys.stdlib_module_names) - {"crem", "__main__"}))
+"""
+
+
+def test_the_cli_imports_nothing_outside_the_standard_library(tmp_path):
+    # -S keeps site-packages off sys.path, so a third-party import fails instead of passing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", NO_DEPENDENCIES, src, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_list_on_empty_registry(capsys):
     assert cli.main(["list"], registry={}) == 0
     assert capsys.readouterr().out == ""

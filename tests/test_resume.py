@@ -1475,6 +1475,37 @@ def test_a_writer_names_a_log_it_cannot_open(tmp_path):
     assert not manifest_of(log).exists()
 
 
+def test_replay_reads_a_log_from_a_pipe(tmp_path):
+    machine, log = "cart-and-shipping", tmp_path / "log.jsonl"
+    assert run(machine, log, commands_for(machine, 20))[0] == 0
+    read, write = os.pipe()
+    try:
+        os.write(write, log.read_bytes())
+        os.close(write)
+        assert call("replay", machine, "--log", f"/dev/fd/{read}") == (0, "", "")
+    finally:
+        os.close(read)
+    reader = crem_process("replay", machine, "--log", "/dev/stdin", stdin=subprocess.PIPE)
+    out, err = reader.communicate(log.read_text(encoding="utf-8"), timeout=60)
+    assert (reader.returncode, out, err) == (0, "", "")
+
+
+def test_a_writer_refuses_a_log_it_cannot_seek(tmp_path):
+    log = tmp_path / "log.jsonl"
+    os.mkfifo(log)
+    held = os.open(log, os.O_RDONLY | os.O_NONBLOCK)  # keeps whatever a writer would leave
+    try:
+        assert run("cart", log, ["PayCart"]) == (
+            cli.EXIT_CODEC,
+            "",
+            f"error: malformed log: cannot read log {log}: [Errno 29] Illegal seek\n",
+        )
+        assert os.read(held, 1 << 16) == b""
+    finally:
+        os.close(held)
+    assert not manifest_of(log).exists()
+
+
 def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):
     machine = "cart-and-shipping"
     log = tmp_path / "log.jsonl"
