@@ -419,14 +419,12 @@ def _restore(
     fresh: StateMachine, manifest: dict | None, log: BinaryIO
 ) -> tuple[StateMachine, int, int, Any]:
     """Where to resume the log read through ``log``: ``(machine, seq, bytes covered, their
-    sha256)``, with ``log`` left at that many bytes.
+    sha256)``, with ``log`` left at that many bytes, or ``(fresh, 0, 0, sha256())`` at
+    offset 0 if ``manifest``, which ``_read_manifest`` has already judged on its own, does
+    not fit ``fresh`` and the log as the README's manifest section requires.
 
-    ``_read_manifest`` has already refused a manifest naming another
-    writer. The manifest's vertices must fit the fresh tree's leaves; it
-    must then cover a prefix of the log that ends a line, holds as many
-    lines as it has records and hashes to its ``sha256``. The prefix is read
-    once, ``_PREFIX_CHUNK`` bytes at a time, hashed and its lines counted.
-    Otherwise the resume starts afresh, from ``(fresh, 0, 0, sha256())`` at offset 0.
+    The covered prefix is read once, ``_PREFIX_CHUNK`` bytes at a time, hashed and its
+    lines counted in the same pass, so a resume holds at most one chunk of it in memory.
     """
     start = fresh, 0, 0, hashlib.sha256()
     if manifest is None:
@@ -434,12 +432,12 @@ def _restore(
     machine = _restore_vertices(fresh, manifest["vertices"])
     if machine is None:
         return start
+    # last starts as a newline, so an empty prefix ends a line
     digest, lines, last, left = hashlib.sha256(), 0, b"\n", manifest["bytes"]
     while left and (chunk := log.read(min(left, _PREFIX_CHUNK))):
         digest.update(chunk)
         lines += chunk.count(b"\n")
         last, left = chunk[-1:], left - len(chunk)
-    # the prefix is in the file, is empty or ends a line, and holds one line per record
     if left or last != b"\n" or lines != manifest["records"] or (
         digest.hexdigest() != manifest["sha256"]
     ):

@@ -58,14 +58,14 @@ class BaseMachine:
     ``action`` maps ``(state, input)`` to a :class:`StepResult` and must be
     pure. Stepping returns a new machine value; nothing is mutated.
 
-    Construction checks the invariants once: a non-empty ``str`` name and a
-    state on one of the topology's vertices; the :class:`Topology` checked its
-    own labels and normalized itself when it was built. A step then checks
-    only the move it makes against the topology, and only if it makes one: a
-    stay, an action handing back the very same state object, is an identity
-    move, which every topology allows, so it consults no topology and returns
-    ``self``. Every other move, a new state object on the same vertex
-    included, calls ``Topology.allows`` exactly once.
+    Construction checks the invariants once: a non-empty ``str`` name, a
+    :class:`Topology`, a :class:`MachineState` on one of its vertices and a
+    callable action; the topology checked its own labels when it was built. A
+    step then checks only the move it makes against the topology, and only if
+    it makes one: a stay, an action handing back the very same state object,
+    is an identity move, which every topology allows, so it consults no
+    topology and returns ``self``. Every other move, a new state object on the
+    same vertex included, calls ``Topology.allows`` exactly once.
     """
 
     name: str
@@ -78,9 +78,24 @@ class BaseMachine:
             raise TypeError(f"machine name must be a str, got {self.name!r}")
         if not self.name:
             raise EmptyName("machine name must be non-empty")
-        vertex = self.state.vertex
-        if vertex not in self.topology._vertices:  # the order vertices() returns
+        try:
+            vertex = self.state.vertex
+        except AttributeError:
+            raise TypeError(
+                f"machine {self.name!r}: state must be a MachineState, got {self.state!r}"
+            ) from None
+        try:
+            vertices = self.topology._vertices  # the order vertices() returns
+        except AttributeError:
+            raise TypeError(
+                f"machine {self.name!r}: topology must be a Topology, got {self.topology!r}"
+            ) from None
+        if vertex not in vertices:
             raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
+        if not callable(self.action):
+            raise TypeError(
+                f"machine {self.name!r}: action must be callable, got {self.action!r}"
+            )
 
     def step(self, value: Any) -> tuple[Any, "BaseMachine"]:
         """Run the action once, enforcing the topology on the implied move."""

@@ -1,15 +1,4 @@
-"""Deterministic DOT and Mermaid renderings of machines and compositions.
-
-Diagrams derive from the same values that execute, so they cannot drift
-from the behavior. Output is byte-stable across runs: ordering follows the
-first-appearance order of the underlying values and nothing time- or
-environment-dependent is emitted. A render reads each leaf's topology once.
-It joins the leaf's vertex labels with newlines, escapes (DOT) or sanitises
-and downgrades quotes (Mermaid) in one pass over the joined text, and splits
-the result back into one piece per label. A leaf with a label that holds a
-newline of its own has each label escaped apart. No diagram text is cached
-between calls.
-"""
+"""Deterministic DOT and Mermaid renderings of machines and compositions."""
 
 from __future__ import annotations
 
@@ -51,21 +40,26 @@ def _mermaid_text(text: str) -> str:
     return text.replace('"', "'")
 
 
-# Mermaid ids keep only these; like quoting, sanitising maps each character on its own,
-# so either can run over labels joined by newlines, which _LINE_UNSAFE leaves in place
+# Mermaid ids keep only these; _LINE_UNSAFE also leaves the newlines _joined puts in
 _MERMAID_UNSAFE = re.compile(r"[^0-9A-Za-z_]")
 _LINE_UNSAFE = re.compile(r"[^0-9A-Za-z_\n]")
 
 
 def _joined(vertices: tuple[str, ...]) -> str | None:
-    """The labels joined by newlines, or None if a label holds a newline of its own."""
+    """The labels joined by newlines, or None if a label holds a newline of its own.
+
+    A render joins the leaf's labels with newlines, escapes or sanitises the joined text
+    in one pass and splits it back into one piece per label: quoting and sanitising map
+    each character on its own and leave a newline in place, so the one pass does each
+    label as a pass of its own would. Labels that cannot be joined so are done one by one.
+    """
     joined = "\n".join(vertices)
     return None if joined.count("\n") >= len(vertices) else joined
 
 
 def _dot_tails(vertices: tuple[str, ...]) -> list[str]:
-    """Each label quoted for DOT, without its opening quote: one escape over the joined
-    labels, or one per label if they cannot be joined."""
+    """Each label quoted for DOT, without its opening quote, in one pass by ``_joined``'s
+    rule."""
     joined = _joined(vertices)
     if joined is None:
         return [_quote(vertex)[1:] for vertex in vertices]
@@ -74,8 +68,8 @@ def _dot_tails(vertices: tuple[str, ...]) -> list[str]:
 
 
 def _mermaid_labels(vertices: tuple[str, ...]) -> tuple[list[str], list[str]]:
-    """Each label sanitised for a Mermaid id, and each label as Mermaid shows it; like
-    ``_dot_tails``, one pass over the joined labels unless they cannot be joined."""
+    """Each label sanitised for a Mermaid id, and each label as Mermaid shows it, each in
+    one pass by ``_joined``'s rule."""
     joined = _joined(vertices)
     if joined is None:
         return ([_MERMAID_UNSAFE.sub("_", vertex) for vertex in vertices],
@@ -227,7 +221,7 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
     # "cluster", so a clash puts the "_" after that word; every id here is quoted
     used: set[str] = set()
     clusters: set[str] = set()  # subgraph ids without the "cluster" after their quote
-    by_leaf: dict[str, dict[str, str]] = {}  # per leaf, vertex -> node id
+    current: dict[str, str] = {}  # per leaf, the node id of its current vertex
     cluster_of: dict[str, str] = {}  # per leaf, its subgraph id
     for kind, depth, value in items:
         indent = "  " * (depth + 1)
@@ -249,7 +243,8 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
                 ids = [_claim(used, node) for node in ids]
             used.update(ids)
             initial = _claim(used, head + 'initial"')
-            nodes = by_leaf[leaf.name] = dict(zip(vertices, ids))
+            nodes = dict(zip(vertices, ids))
+            current[leaf.name] = nodes[leaf.state.vertex]
             cluster = cluster_of[leaf.name] = '"cluster' + _claim(clusters, '"_' + name[1:])[1:]
             lines += [
                 f"{indent}subgraph {cluster} {{",
@@ -257,13 +252,12 @@ def _flow_dot(items: list[_Item], edges: list[_Edge]) -> str:
                 f'{indent}  {initial} [shape=point, label=""];',
             ]
             lines += [f'{indent}  {node} [label="{tail}];' for node, tail in zip(ids, tails)]
-            lines.append(f"{indent}  {initial} -> {nodes[leaf.state.vertex]};")
+            lines.append(f"{indent}  {initial} -> {current[leaf.name]};")
             lines += [f"{indent}  {nodes[source]} -> {nodes[target]};"
                       for source, targets in leaf.topology.edges for target in targets]
             lines.append(f"{indent}}}")
     lines += [
-        f"  {by_leaf[source.name][source.state.vertex]} -> "
-        f"{by_leaf[target.name][target.state.vertex]} "
+        f"  {current[source.name]} -> {current[target.name]} "
         f"[ltail={cluster_of[source.name]}, lhead={cluster_of[target.name]}, "
         f"label={_quote(label)}];"
         for source, target, label in edges

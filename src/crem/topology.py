@@ -1,11 +1,4 @@
-"""Transition topologies: the explicit set of moves a machine may make.
-
-A topology is a list of directed edges grouped by source vertex. Staying on
-the current vertex is always permitted and never listed; only genuine moves
-between distinct vertices need an explicit edge. A topology has one form:
-it is checked and normalized once, when it is built, and the same pass
-records its vertex order, which renders and machine checks then read.
-"""
+"""Transition topologies: the explicit set of moves a machine may make."""
 
 from __future__ import annotations
 
@@ -19,29 +12,28 @@ class EmptyVertexLabel(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Allowed transitions as ``(source, targets)`` groups.
+    """Allowed transitions as ``(source, targets)`` groups, each ``targets`` a sequence of
+    labels; staying on a vertex is always allowed and never listed.
 
-    Construction checks every label and normalizes the groups in one pass:
-    targets given as one ``str``, groups or targets given as a ``set`` or
-    ``frozenset``, whose order changes from one process to the next, and a
-    label that is not a ``str`` raise ``TypeError``, an empty label raises
-    :class:`EmptyVertexLabel`, duplicate source groups are merged and
-    duplicate targets dropped, first appearance winning for both, so a
-    topology written with duplicate groups is equal to its normal form. That
-    order is part of the value because it drives rendering. The groups are
-    stored as tuples; ``edges`` that already are the normal tuple are kept as
-    they are. Labels are checked once, over all of them, yet of two faults the
-    one in the earlier group is reported, as a check per group would.
-
-    The same pass records the vertex order that :meth:`vertices` returns; it
-    is derived from ``edges``, so it is no field and takes no part in ``==``,
-    ``hash`` or ``repr``. :meth:`allows` is a single lookup in a per-source
-    index built on first use.
+    A topology has one form, fixed when it is built: one group per source and each target
+    once, in first-appearance order, so ``==`` compares that form, order included, as
+    order drives rendering. A label that is not a ``str``, targets given as a ``str``, and
+    groups or targets given as a ``set`` or ``frozenset`` raise ``TypeError``; an empty
+    label raises :class:`EmptyVertexLabel`. :meth:`vertices` returns the vertex order,
+    which is no field and takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     edges: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        """Check and normalize the groups in one pass, recording the vertex order.
+
+        ``edges`` that already are the normal tuple are kept, not rebuilt. Labels are
+        checked once, over all of them, in ``finally``, so a bad label is reported ahead of
+        whatever fault a later group raised, as a check per group would report it. A merge
+        lists a group's targets later than they were written, so after one the order is
+        rebuilt from the merged groups.
+        """
         merged: dict[str, tuple[str, ...]] = {}
         # every label in first-appearance order; a target maps to the last group that
         # listed it, so a target repeated inside its own group is one lookup
@@ -80,13 +72,11 @@ class Topology:
                     normal = False
                 merged[source] = targets
         finally:
-            # every label is checked once, here, so a bad one is reported ahead of whatever
-            # fault a later group raised
             _check_labels(order)
-        if remerged or not normal:  # an already normal tuple is kept, not rebuilt
+        if remerged or not normal:
             edges = tuple(merged.items())
             object.__setattr__(self, "edges", edges)
-            if remerged:  # a merged group lists its targets later than they were written
+            if remerged:
                 order = dict.fromkeys(
                     vertex for source, targets in edges for vertex in (source, *targets)
                 )
@@ -105,7 +95,8 @@ class Topology:
 
     @cached_property
     def _targets(self) -> dict[str, tuple[str, ...]]:
-        """Targets per source."""
+        """Targets per source, built on first use: a topology that is only rendered never
+        reads it."""
         return dict(self.edges)
 
     def vertices(self) -> tuple[str, ...]:

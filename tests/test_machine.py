@@ -48,6 +48,26 @@ def test_name_must_be_a_str(name):
         BaseMachine(name, LINE, MachineState("a"), walk)
 
 
+@pytest.mark.parametrize(
+    ("field", "kind", "value"),
+    [
+        ("topology", "a Topology", "a"),
+        ("topology", "a Topology", (("a", ("b",)),)),
+        ("state", "a MachineState", "a"),
+        ("state", "a MachineState", None),
+        ("action", "callable", None),
+        ("action", "callable", {"a": "b"}),
+    ],
+    ids=["topology-str", "topology-tuple", "state-str", "state-none", "action-none", "action-dict"],
+)
+def test_fields_are_checked_when_built(field, kind, value):
+    fields = {"name": "walker", "topology": LINE, "state": MachineState("a"), "action": walk}
+    fields[field] = value
+    message = f"machine 'walker': {field} must be {kind}, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        BaseMachine(**fields)
+
+
 def test_step_returns_new_value_and_keeps_old():
     machine = BaseMachine("walker", LINE, MachineState("a"), walk)
     output, stepped = machine.step(41)
