@@ -29,6 +29,18 @@ with tempfile.TemporaryDirectory() as scratch:
     print("replay exit:", cli.main(["replay", "cart-and-shipping", "--log", str(log)]))
 
     # %%
+    # Run again on the same log and it resumes: the sidecar manifest,
+    # events.jsonl.crem, vouches for the records already checked, so only the
+    # two new commands step and print. The cart is paid and the parcel
+    # delivered, so each prints [].
+
+    commands.write_text("cart MarkCartAsPaid\nship StartShipping\n", encoding="utf-8")
+    code = cli.main(["run", "cart-and-shipping", "--input", str(commands), "--log", str(log)])
+    print("resumed run exit:", code)
+    manifest = json.loads(Path(f"{log}.crem").read_text(encoding="utf-8"))
+    print("manifest version:", manifest["version"], "records:", manifest["records"])
+
+    # %%
     # Tamper with one logged output and the replay pinpoints the record.
 
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]

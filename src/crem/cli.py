@@ -341,9 +341,6 @@ _MANIFEST_FIELDS = {
     "vertices": list,
 }
 
-# the versions whose fingerprint hashes the walk of the fresh tree (1 hashed the DOT diagram)
-_WALK_FINGERPRINTS = (2, 3)
-
 # how much of the covered prefix a resume holds in memory at once while it hashes it
 _PREFIX_CHUNK = 1 << 16
 
@@ -353,43 +350,44 @@ def _check(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
+def _nonblocking(path, flags: int) -> int:
+    """``os.open`` with ``O_NONBLOCK``, so that a FIFO at ``path`` never waits for its
+    other end: with none, reading it reads nothing and writing it fails."""
+    return os.open(path, flags | os.O_NONBLOCK, 0o666)
+
+
 def _read_manifest(
     log: Path, name: str, fingerprint: str, sidecar: Path | None = None
 ) -> dict | None:
     """The manifest beside ``log``, read from ``sidecar`` if the caller has its path, without
-    its ``check``, or None if it is absent, unreadable, malformed, of another version or
-    fails its check.
+    its ``check``, or None if it is absent, unreadable, of another version, fails its check
+    or its schema. A manifest that passes all three naming another ``machine`` or
+    ``fingerprint`` raises ``MalformedLog``.
 
-    A version 3 manifest is read only once its ``check`` holds: a torn overwrite can
-    join new fields to old ones, or shift one by a byte, and still parse. Then the
-    writer is judged: a JSON object of any version naming another ``machine``, or of
-    version 2 or 3 another ``fingerprint``, raises ``MalformedLog``.
+    No field but ``version`` is read before the ``check`` holds: a torn overwrite can join
+    new fields to old ones, or shift one by a byte, and still parse.
     """
     try:
-        with open(sidecar or _manifest_path(log), "rb", buffering=0) as handle:
+        path = sidecar or _manifest_path(log)
+        with open(path, "rb", buffering=0, opener=_nonblocking) as handle:
             manifest = json.loads(handle.read())
     except (OSError, ValueError, RecursionError):
         return None
-    if not isinstance(manifest, dict):
-        return None
-    if manifest.get("version") == MANIFEST_VERSION:
-        if manifest.pop("check", None) != _check(manifest):
-            return None  # torn or tampered: none of its fields is read, the writer's included
-    writer = manifest.get("machine")
-    written = manifest.get("fingerprint") if manifest.get("version") in _WALK_FINGERPRINTS else None
-    if isinstance(writer, str) and (writer != name or written not in (None, fingerprint)):
-        topology = "" if written is None else f" (topology {str(written)[:12]})"
-        raise MalformedLog(f"{log} was written by machine {writer!r}{topology}, "
-                           f"not by {name!r} (topology {fingerprint[:12]})")
     if (
-        set(manifest) != set(_MANIFEST_FIELDS)
+        not isinstance(manifest, dict)
+        or manifest.get("version") != MANIFEST_VERSION
+        or manifest.pop("check", None) != _check(manifest)
+        or set(manifest) != set(_MANIFEST_FIELDS)
         or any(type(manifest[key]) is not kind for key, kind in _MANIFEST_FIELDS.items())
-        or manifest["version"] != MANIFEST_VERSION
         or manifest["records"] < 0
         or manifest["bytes"] < 0
         or not all(isinstance(vertex, str) for vertex in manifest["vertices"])
     ):
         return None
+    if manifest["machine"] != name or manifest["fingerprint"] != fingerprint:
+        raise MalformedLog(f"{log} was written by machine {manifest['machine']!r} "
+                           f"(topology {manifest['fingerprint'][:12]}), "
+                           f"not by {name!r} (topology {fingerprint[:12]})")
     return manifest
 
 
@@ -407,7 +405,7 @@ def _write_manifest(sidecar: Path, manifest: dict) -> None:
     check = hashlib.sha256(text.encode()).hexdigest()
     data = f'{text[:cut]}, "check": "{check}"{text[cut:]}'.encode()
     with suppress(OSError):  # no manifest only costs time: the next run checks the whole log
-        fd = os.open(sidecar, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = _nonblocking(sidecar, os.O_WRONLY | os.O_CREAT)
         try:
             os.pwrite(fd, data, 0)
             os.ftruncate(fd, len(data))

@@ -8,8 +8,8 @@ it. These tests pin that down with a counting wrapper on
 ``BaseMachine.step`` instead of timings, show with a Hypothesis state
 machine that any split of the commands into runs leaves the bytes one
 unsplit run leaves, and show that every damaged or torn manifest falls back
-to the full check of the log, while one naming another machine or topology
-makes ``run`` and ``replay`` alike refuse the log.
+to the full check of the log, while a whole one naming another machine or
+topology makes ``run`` and ``replay`` alike refuse the log.
 """
 
 from __future__ import annotations
@@ -368,6 +368,10 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
         "version-2": json.dumps({**unsigned, "version": 2}).encode(),  # the format with no check
         "check-wrong": json.dumps({**manifest, "check": "0" * 64}).encode(),
         "check-missing": json.dumps(unsigned).encode(),
+        # signed, naming the session's own writer in a field of the wrong type: the schema
+        # refuses it before the writer is judged
+        "machine-not-str": changed(machine=[manifest["machine"]]),
+        "fingerprint-not-str": changed(fingerprint=5),
         "unknown-field": changed(extra=1),
         "not-json": b"{not json",
         "not-utf-8": b"\xff\xfe",
@@ -381,7 +385,8 @@ def corrupted_manifests(log: Path) -> dict[str, bytes]:
     "vertex-off-topology", "vertex-missing", "vertex-extra",
     "version", "sha256", "bytes-past-the-end", "bytes-mid-line", "records-as-bool",
     "records-short", "records-long", "version-1", "version-2", "check-wrong", "check-missing",
-    "unknown-field", "not-json", "not-utf-8", "a-list", "empty", "nested-too-deep",
+    "machine-not-str", "fingerprint-not-str", "unknown-field", "not-json", "not-utf-8", "a-list",
+    "empty", "nested-too-deep",
 ])
 def test_a_bad_manifest_falls_back_silently_to_the_full_check(kind, tmp_path, leaf_steps):
     machine = "whole-cart-domain"
@@ -930,53 +935,47 @@ def test_run_and_replay_refuse_a_log_written_by_another_topology(kind, tmp_path)
 
 @pytest.mark.parametrize("kind", ["run", "replay"])
 @pytest.mark.parametrize(
-    "manifest", ["version-1", "version-2", "version-3", "version-4", "machine-only"]
+    "manifest", ["version-1", "version-2", "version-4", "machine-only", "check-wrong"]
 )
-def test_a_manifest_of_any_version_naming_another_machine_is_refused(manifest, kind, tmp_path):
+def test_a_manifest_that_is_not_a_whole_version_3_names_no_writer(manifest, kind, tmp_path):
     log = tmp_path / "log.jsonl"
     assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
     current = json.loads(manifest_of(log).read_bytes())
-    foreign = {
-        "version-1": {**current, "version": 1},
-        "version-2": {**current, "version": 2},
-        "version-3": current,
-        "version-4": {**current, "version": cli.MANIFEST_VERSION + 1},
+    unsigned = {key: value for key, value in current.items() if key != "check"}
+    foreign = {  # each names another machine than the session's, whole-cart-domain
+        "version-1": signed({**current, "version": 1}),
+        "version-2": {**unsigned, "version": 2},  # the format with no check
+        "version-4": signed({**current, "version": cli.MANIFEST_VERSION + 1}),
         "machine-only": {"machine": "cart"},
+        "check-wrong": {**current, "check": "0" * 64},
     }[manifest]
+    original = log.read_bytes()
+
+    manifest_of(log).unlink()  # the reference: a session with no manifest to name the writer
+    expected = session(kind, "whole-cart-domain", log)
+    expected_files = written(log) if kind == "run" else None
+
+    log.write_bytes(original)
     manifest_of(log).write_bytes(json.dumps(foreign).encode())
-    before = written(log)
-    code, out, err = session(kind, "whole-cart-domain", log)
-    assert (code, out) == (cli.EXIT_CODEC, "")
-    # versions 2 and 3 hash the walk of the tree, so only they name the writer's topology
-    writer = f" (topology {current['fingerprint'][:12]})" if manifest in (
-        "version-2", "version-3"
-    ) else ""
-    fingerprint = _fingerprint(whole_cart_domain())[:12]
-    assert err == (
-        f"error: malformed log: {log} was written by machine 'cart'{writer}, "
-        f"not by 'whole-cart-domain' (topology {fingerprint})\n"
-    )
-    assert written(log) == before  # refused before anything is re-run or written
-    assert call("replay", "cart", "--log", log) == (0, "", "")
+    assert session(kind, "whole-cart-domain", log) == expected
+    assert expected[::2] == (0, "")
+    if kind == "run":
+        assert written(log) == expected_files  # adopted: the log and a new manifest, as above
+        assert json.loads(manifest_of(log).read_bytes())["machine"] == "whole-cart-domain"
 
 
 @pytest.mark.parametrize("kind", ["run", "replay"])
-def test_a_version_2_manifest_of_another_topology_is_refused(kind, tmp_path):
+def test_a_whole_manifest_naming_another_machine_is_refused_in_one_line(kind, tmp_path):
     log = tmp_path / "log.jsonl"
-    assert run("cart", log, ["PayCart"])[0] == 0
-    manifest = json.loads(manifest_of(log).read_bytes())
-    del manifest["check"]  # version 2 had none
-    manifest_of(log).write_bytes(json.dumps({**manifest, "version": 2}, sort_keys=True).encode())
+    assert run("cart", log, ["MarkCartAsPaid", "MarkCartAsPaid"])[0] == 0
+    writer = json.loads(manifest_of(log).read_bytes())["fingerprint"][:12]
     before = written(log)
-    registry = cli.default_registry()
-    other = lambda: Sequential(cart(), identity_machine("echo"))  # noqa: E731
-    registry["cart"] = replace(registry["cart"], factory=other)
-    code, out, err = session(kind, "cart", log, registry)
+    code, out, err = session(kind, "whole-cart-domain", log)
     assert (code, out) == (cli.EXIT_CODEC, "")
+    fingerprint = _fingerprint(whole_cart_domain())[:12]
     assert err == (
-        f"error: malformed log: {log} was written by machine 'cart' "
-        f"(topology {manifest['fingerprint'][:12]}), "
-        f"not by 'cart' (topology {_fingerprint(other())[:12]})\n"
+        f"error: malformed log: {log} was written by machine 'cart' (topology {writer}), "
+        f"not by 'whole-cart-domain' (topology {fingerprint})\n"
     )
     assert written(log) == before  # refused before anything is re-run or written
     assert call("replay", "cart", "--log", log) == (0, "", "")
@@ -1073,7 +1072,8 @@ def test_a_failed_manifest_write_costs_the_next_run_a_full_check(
 
     with descriptors_of(manifest_of(log)) as (opened, closed), mock.patch.object(os, failing, fail):
         assert run(machine, log, commands) == expected
-    assert len(opened) == 1 and set(opened) <= set(closed)  # the descriptor was closed
+    # the write's descriptor, after the read's if a manifest was there to read: all closed
+    assert len(opened) == (2 if first else 1) and set(opened) <= set(closed)
     assert log.read_bytes() == reference.read_bytes()
     fingerprint = _fingerprint(cart_and_shipping())
     assert cli._read_manifest(log, machine, fingerprint) is None
@@ -1504,6 +1504,35 @@ def test_a_writer_refuses_a_log_it_cannot_seek(tmp_path):
     finally:
         os.close(held)
     assert not manifest_of(log).exists()
+
+
+@pytest.mark.parametrize("before", ["no-log", "a-log"])
+def test_a_fifo_at_the_manifest_path_reads_as_no_manifest_and_takes_no_write(tmp_path, before):
+    log, reference = tmp_path / "log.jsonl", tmp_path / "reference" / "log.jsonl"
+    reference.parent.mkdir()
+    if before == "a-log":
+        for target in (log, reference):
+            assert run("cart", target, ["PayCart"])[0] == 0
+            manifest_of(target).unlink()
+    os.mkfifo(manifest_of(log))  # nothing holds its other end open
+    expected = run("cart", reference, ["PayCart", "MarkCartAsPaid"])
+    source = reference.with_name("commands.txt")  # the commands run wrote for the reference
+
+    def session(*argv):  # a process and a timeout: a blocking open fails, never hangs
+        process = crem_process(*argv)
+        try:
+            out, err = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+            raise
+        return process.returncode, out, err
+
+    assert session("run", "cart", "--input", source, "--log", log) == expected
+    assert expected[::2] == (0, "")
+    assert log.read_bytes() == reference.read_bytes()
+    assert session("replay", "cart", "--log", log) == (0, "", "")
+    assert manifest_of(log).is_fifo()
 
 
 def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):
