@@ -22,7 +22,7 @@ from .compose import (
     fanin,
     rmap,
 )
-from .machine import BaseMachine, DisallowedTransition, MachineState, StepResult, stateless
+from .machine import BaseMachine, DisallowedTransition, MachineState, stateless
 from .topology import Topology
 
 
@@ -69,20 +69,20 @@ def _table_machine(name: str, topology: Topology, initial: str, table: dict) -> 
 
     A pair the table does not list outputs ``[]`` and stays put. A stay
     returns the same state object, so the leaf and every node above it
-    return themselves too, and a stay allocates nothing anywhere up the tree.
-    Every row's move is checked against the topology here, so a row the
-    topology forbids raises ``DisallowedTransition`` when the leaf is built,
-    not when an input first reaches it.
+    return themselves too: a stay builds no tree node, though each step still
+    makes a new output list. Every row's move is checked against the topology
+    here, so a row the topology forbids raises ``DisallowedTransition`` when
+    the leaf is built, not when an input first reaches it.
     """
     for (source, _), (_, target) in table.items():
         if not topology.allows(source, target):
             raise DisallowedTransition(name, source, target)
 
-    def act(state: MachineState, value) -> StepResult:
+    def act(state: MachineState, value) -> tuple[list, MachineState]:
         outputs, vertex = table.get((state.vertex, value), ((), state.vertex))
         if vertex != state.vertex:
             state = MachineState(vertex)
-        return StepResult(list(outputs), state)
+        return list(outputs), state
 
     return Basic(BaseMachine(name, topology, MachineState(initial), act))
 

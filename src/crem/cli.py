@@ -178,6 +178,17 @@ def _read_command_lines(source: str) -> list[tuple[int, str]]:
     return lines
 
 
+def _write_nothing(text: str) -> None:
+    pass
+
+
+def _stdout_write() -> Callable[[str], Any]:
+    """The ``write`` of the stream that is ``sys.stdout`` now, or, when there is none (a
+    closed stdout), one that writes nothing, as ``print`` does."""
+    out = sys.stdout
+    return _write_nothing if out is None else out.write
+
+
 def _cmd_list(args, registry) -> int:
     for name in sorted(registry):
         print(name)
@@ -197,7 +208,7 @@ def _cmd_render(args, registry) -> int:
     else:
         diagram = render_flow(tree, args.format)
     if args.out is None:
-        sys.stdout.write(diagram.text)
+        _stdout_write()(diagram.text)
     else:
         Path(args.out).write_text(diagram.text, encoding="utf-8")
     return EXIT_OK
@@ -510,8 +521,11 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses. A
     codec fault raises ``CodecError`` naming the input line before that command
     prints or yields anything, so the caller never sees the machine that
-    command stepped to.
+    command stepped to. Each printed line, its ``"\n"`` included, is one
+    ``write`` to the stream that was ``sys.stdout`` when the run started:
+    ``print`` parses its keywords and makes two.
     """
+    write = _stdout_write()
     for number, text in lines:
         try:
             value = entry.decode_input(text)
@@ -526,7 +540,7 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
             raise _codec_failed(f"line {number}", "encode_input", error) from None
         quoted = ", ".join(map(_quote, encoded))
         record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
-        print(f"[{', '.join(encoded)}]")
+        write(f"[{', '.join(encoded)}]\n")
         yield record.encode(), machine
         seq += 1
 

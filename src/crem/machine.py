@@ -47,6 +47,8 @@ class MachineState:
 
 
 class StepResult(NamedTuple):
+    """An action's ``(output, next_state)`` pair, with field names."""
+
     output: Any
     state: MachineState
 
@@ -55,8 +57,9 @@ class StepResult(NamedTuple):
 class BaseMachine:
     """A named Mealy machine constrained by an explicit topology.
 
-    ``action`` maps ``(state, input)`` to a :class:`StepResult` and must be
-    pure. Stepping returns a new machine value; nothing is mutated.
+    ``action`` maps ``(state, input)`` to an ``(output, next_state)`` pair and
+    must be pure; a :class:`StepResult` is that pair with field names. Stepping
+    returns a new machine value; nothing is mutated.
 
     Construction checks the invariants once: a non-empty ``str`` name, a
     :class:`Topology`, a :class:`MachineState` on one of its vertices and a
@@ -71,7 +74,7 @@ class BaseMachine:
     name: str
     topology: Topology
     state: MachineState
-    action: Callable[[MachineState, Any], StepResult]
+    action: Callable[[MachineState, Any], tuple[Any, MachineState]]
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
@@ -123,8 +126,8 @@ def stateless(name: str, func: Callable[[Any], Any]) -> BaseMachine:
     building one constructs no :class:`Topology`.
     """
 
-    def act(state: MachineState, value: Any) -> StepResult:
-        return StepResult(func(value), state)
+    def act(state: MachineState, value: Any) -> tuple[Any, MachineState]:
+        return func(value), state
 
     return BaseMachine(name, _UNIT_TOPOLOGY, MachineState(UNIT_VERTEX), act)
 
@@ -143,10 +146,10 @@ def unrestricted_mealy(
     topology is the unit topology that :func:`stateless` machines share.
     """
 
-    def act(state: MachineState, value: Any) -> StepResult:
+    def act(state: MachineState, value: Any) -> tuple[Any, MachineState]:
         output, payload = func(state.payload, value)
         if payload is state.payload:
-            return StepResult(output, state)
-        return StepResult(output, MachineState(UNIT_VERTEX, payload))
+            return output, state
+        return output, MachineState(UNIT_VERTEX, payload)
 
     return BaseMachine(name, _UNIT_TOPOLOGY, MachineState(UNIT_VERTEX, initial), act)

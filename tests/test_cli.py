@@ -113,6 +113,33 @@ def test_render_base_mode_rejected_for_composed_machine(capsys):
     assert "composed" in capsys.readouterr().err
 
 
+# a closed stdout (`crem ... >&-`) leaves sys.stdout None: each command then writes
+# nothing there, as print does, and still does the rest of its work
+
+
+def test_run_with_no_stdout_logs_every_record(tmp_path, monkeypatch):
+    commands = write_lines(tmp_path / "commands.txt", ["PayCart", "MarkCartAsPaid"])
+    shown, closed = tmp_path / "shown.jsonl", tmp_path / "closed.jsonl"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(shown)]) == 0
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(closed)]) == 0
+    assert len(closed.read_bytes().splitlines()) == 2
+    assert closed.read_bytes() == shown.read_bytes()
+    manifest = Path(str(closed) + ".crem").read_bytes()
+    assert manifest == Path(str(shown) + ".crem").read_bytes()
+    assert json.loads(manifest)["records"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["render", "cart"], ["render", "cart-and-shipping", "--format", "mermaid"]],
+    ids=["list", "render-dot", "render-mermaid"],
+)
+def test_list_and_render_with_no_stdout_exit_0(argv, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == 0
+
+
 def test_render_writes_output_file(tmp_path, capsys):
     out = tmp_path / "cart.dot"
     assert cli.main(["render", "cart", "--mode", "base", "--out", str(out)]) == 0

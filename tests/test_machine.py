@@ -17,6 +17,7 @@ from crem import (
     stateless,
     unrestricted_mealy,
 )
+from crem.cart import CartCommand, cart
 
 LINE = Topology((("a", ("b",)), ("b", ("c",)), ("c", ())))
 
@@ -99,6 +100,57 @@ def test_disallowed_transition_names_machine_and_edge():
 def test_step_is_pure():
     machine = BaseMachine("walker", LINE, MachineState("a"), walk)
     assert machine.step(7) == machine.step(7)
+
+
+def bare_pair(output, state):
+    return output, state
+
+
+@pytest.mark.parametrize("pair", [StepResult, bare_pair], ids=["StepResult", "tuple"])
+def test_an_action_returns_any_output_state_pair(pair, monkeypatch):
+    """A bare tuple moves, stays and is refused exactly as a StepResult is."""
+
+    def act(state: MachineState, value):
+        if value == "stay":
+            return pair("stayed", state)
+        target = "a" if value == "back" else {"a": "b", "b": "c"}[state.vertex]
+        return pair(f"to {target}", MachineState(target))
+
+    calls = []
+    allows = Topology.allows
+
+    def counting_allows(self, source, target):
+        calls.append((source, target))
+        return allows(self, source, target)
+
+    monkeypatch.setattr(Topology, "allows", counting_allows)
+    machine = BaseMachine("walker", LINE, MachineState("a"), act)
+    output, moved = machine.step("move")
+    assert (output, moved.state, calls) == ("to b", MachineState("b"), [("a", "b")])
+    output, stayed = moved.step("stay")
+    assert output == "stayed"
+    assert stayed is moved  # a stay returns self and consults no topology
+    assert calls == [("a", "b")]
+    with pytest.raises(DisallowedTransition) as err:
+        moved.step("back")
+    assert (err.value.machine, err.value.source, err.value.target) == ("walker", "b", "a")
+    assert calls == [("a", "b"), ("b", "a")]
+
+
+@pytest.mark.parametrize(
+    "machine, value",
+    [
+        (stateless("double", lambda x: 2 * x), 21),
+        (unrestricted_mealy("counter", 0, lambda s, _: (s + 1, s + 1)), "tick"),
+        (unrestricted_mealy("constant", 0, lambda s, _: (s, s)), "tick"),
+        (cart().machine, CartCommand.PayCart),  # a table leaf's move
+        (cart().machine, CartCommand.MarkCartAsPaid),  # and its stay
+    ],
+    ids=["stateless", "mealy-move", "mealy-stay", "table-move", "table-stay"],
+)
+def test_crems_own_leaves_return_bare_pairs(machine, value):
+    # a StepResult would run its Python-level constructor on every step of these leaves
+    assert type(machine.action(machine.state, value)) is tuple
 
 
 def test_stateless_applies_function_and_keeps_vertex():
