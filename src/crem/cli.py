@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, NoReturn, Sequence
 
 from . import cart as cart_domain
 from .cart import CartCommand, ShippingCommand
@@ -164,7 +164,12 @@ def _run_config(flag: int | None) -> RunConfig:
 
 def _read_command_lines(source: str) -> list[tuple[int, str]]:
     """The numbered command lines of ``source``; a line ends at ``"\n"`` only, as in the log."""
-    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+    if source != "-":
+        data = Path(source).read_bytes()
+    elif sys.stdin is None:  # a closed stdin (`<&-`)
+        raise _UsageError("--input -: there is no stdin to read")
+    else:
+        data = sys.stdin.buffer.read()
     try:  # stdin too is read as bytes: text's universal newlines end a line at a lone "\r"
         raw = data.decode("utf-8")
     except UnicodeDecodeError as error:
@@ -182,16 +187,33 @@ def _write_nothing(text: str) -> None:
     pass
 
 
-def _stdout_write() -> Callable[[str], Any]:
-    """The ``write`` of the stream that is ``sys.stdout`` now, or, when there is none (a
-    closed stdout), one that writes nothing, as ``print`` does."""
-    out = sys.stdout
+def _writer(stream: str) -> Callable[[str], Any]:
+    """The ``write`` of the stream that is ``sys.stdout`` or ``sys.stderr`` now, as
+    ``stream`` names it, or, when there is none (a closed stream), one that writes nothing.
+
+    Every line the CLI writes goes through it, argparse's through ``_Parser``, by one of two
+    rules. Output (``list``'s names, a diagram, ``run``'s lines, help) is written by the
+    ``write`` it returns, bound once per command; a write that fails raises ``OSError``,
+    exit 2. A report line (an ``error:`` line or a usage error on stderr, the torn-tail
+    ``warning:`` line, a divergence on stdout) goes through ``_report``, which drops it if
+    its write fails, so it never changes the exit code or stops a run, and is never sent to
+    the other stream. A buffered stream may fail only when Python flushes it at exit, which
+    would exit 120: ``script_main`` flushes both streams first, by the same two rules.
+    """
+    out = getattr(sys, stream)
     return _write_nothing if out is None else out.write
 
 
+def _report(line: str, stream: str = "stderr") -> None:
+    """Write the report ``line`` to ``stream``, or drop it if it cannot be written."""
+    with suppress(OSError):
+        _writer(stream)(f"{line}\n")
+
+
 def _cmd_list(args, registry) -> int:
+    write = _writer("stdout")
     for name in sorted(registry):
-        print(name)
+        write(f"{name}\n")
     return EXIT_OK
 
 
@@ -208,7 +230,7 @@ def _cmd_render(args, registry) -> int:
     else:
         diagram = render_flow(tree, args.format)
     if args.out is None:
-        _stdout_write()(diagram.text)
+        _writer("stdout")(diagram.text)
     else:
         Path(args.out).write_text(diagram.text, encoding="utf-8")
     return EXIT_OK
@@ -484,10 +506,9 @@ def _cmd_run(args, registry) -> int:
                 log.truncate(start + checked)
             except OSError as error:
                 raise CodecError(f"cannot write log {path}: {error}") from error
-            print(
+            _report(
                 f"warning: {path}: removed a torn tail at line {seq + 1} "
-                f"({len(torn)} bytes, unterminated and not valid JSON)",
-                file=sys.stderr,
+                f"({len(torn)} bytes, unterminated and not valid JSON)"
             )
         elif data and not data.endswith(b"\n"):  # never glue a record onto it
             _append(log, path, b"\n")
@@ -522,10 +543,9 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
     codec fault raises ``CodecError`` naming the input line before that command
     prints or yields anything, so the caller never sees the machine that
     command stepped to. Each printed line, its ``"\n"`` included, is one
-    ``write`` to the stream that was ``sys.stdout`` when the run started:
-    ``print`` parses its keywords and makes two.
+    ``write`` to the stream that was ``sys.stdout`` when the run started.
     """
-    write = _stdout_write()
+    write = _writer("stdout")
     for number, text in lines:
         try:
             value = entry.decode_input(text)
@@ -611,9 +631,22 @@ def _path(text: str) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that writes by ``_writer``'s rules. argparse's own writes send
+    a line meant for a closed stream to the other one, and on Python 3.10 raise when one
+    fails."""
+
+    def print_help(self, file=None) -> None:
+        _writer("stdout")(self.format_help())
+
+    def error(self, message: str) -> NoReturn:
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(EXIT_USAGE)
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crem",
         description="Run, render and replay composed state machines.",
     )
@@ -674,20 +707,31 @@ def main(
             args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extras:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         return args.handler(args, registry)
+    except SystemExit as exc:  # -h, or a usage error the parser has reported
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except _Diverged as error:
-        print(error)
+        _report(str(error), "stdout")
         return EXIT_DIVERGED
     except tuple(_EXIT_CODES) as error:
-        print(f"error: {error}", file=sys.stderr)
+        _report(f"error: {error}")
         return next(_EXIT_CODES[kind] for kind in type(error).__mro__ if kind in _EXIT_CODES)
 
 
 def script_main() -> None:
-    raise SystemExit(main())
+    code = main()
+    for stream in ("stdout", "stderr"):  # see _writer
+        out = getattr(sys, stream)
+        try:
+            if out is not None:
+                out.flush()
+        except OSError as error:
+            # what is left in its buffer goes nowhere, so Python's own flush at exit succeeds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            if stream == "stdout" and code == EXIT_OK:  # output that was never written
+                _report(f"error: {error}")
+                code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

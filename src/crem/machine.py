@@ -81,20 +81,13 @@ class BaseMachine:
             raise TypeError(f"machine name must be a str, got {self.name!r}")
         if not self.name:
             raise EmptyName("machine name must be non-empty")
-        try:
-            vertex = self.state.vertex
-        except AttributeError:
-            raise TypeError(
-                f"machine {self.name!r}: state must be a MachineState, got {self.state!r}"
-            ) from None
-        try:
-            vertices = self.topology._vertices  # the order vertices() returns
-        except AttributeError:
-            raise TypeError(
-                f"machine {self.name!r}: topology must be a Topology, got {self.topology!r}"
-            ) from None
-        if vertex not in vertices:
-            raise UnknownVertex(f"vertex {vertex!r} is not in the topology of {self.name!r}")
+        state, topology = self.state, self.topology
+        if not isinstance(state, MachineState):
+            raise TypeError(f"machine {self.name!r}: state must be a MachineState, got {state!r}")
+        if not isinstance(topology, Topology):
+            raise TypeError(f"machine {self.name!r}: topology must be a Topology, got {topology!r}")
+        if state.vertex not in topology._vertices:  # the order vertices() returns
+            raise UnknownVertex(f"vertex {state.vertex!r} is not in the topology of {self.name!r}")
         if not callable(self.action):
             raise TypeError(
                 f"machine {self.name!r}: action must be callable, got {self.action!r}"

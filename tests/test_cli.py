@@ -140,6 +140,103 @@ def test_list_and_render_with_no_stdout_exit_0(argv, monkeypatch):
     assert cli.main(argv) == 0
 
 
+@pytest.mark.parametrize(
+    ("closed", "argv", "code"),
+    [
+        ("stderr", ["run", "cart", "--input", "absent.txt"], 2),
+        ("stderr", ["run", "cart"], 2),
+        ("stdout", ["-h"], 0),
+    ],
+    ids=["error-line", "usage-error", "help"],
+)
+def test_a_line_for_a_closed_stream_goes_nowhere(closed, argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, closed, None)
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == ("", "")
+
+
+# A closed stream is None in sys when Python is started directly (`2>&-`), or a descriptor
+# whose writes fail when a wrapper left it open on another file, as /dev/full's writes do.
+# Neither changes an exit code, buffered or not: Python flushes a buffered stream only
+# at exit, so a failed write surfaces there.
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def shell_crem(request, tmp_path):
+    """Run a ``sh`` script in ``tmp_path``, where ``crem`` runs ``python -m crem`` on this
+    checkout; returns the finished process, its output as bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, CREM_PYTHON=sys.executable)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def run(script):
+        script = 'crem() { "$CREM_PYTHON" -m crem "$@"; }; ' + script
+        return subprocess.run(
+            ["sh", "-c", script], capture_output=True, cwd=tmp_path, env=env, timeout=60
+        )
+
+    return run
+
+
+@needs_dev_full
+def test_an_error_line_that_cannot_be_written_keeps_its_exit_code(shell_crem):
+    done = shell_crem("crem run cart --input absent.txt 2>/dev/full")
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_a_closed_stderr_gets_no_error_line_and_stdout_gets_none(shell_crem):
+    done = shell_crem("crem run cart --input absent.txt 2>&-")
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+@needs_dev_full
+def test_a_torn_tail_warning_that_cannot_be_written_stops_nothing(shell_crem, tmp_path):
+    both = write_lines(tmp_path / "both.txt", ["PayCart", "MarkCartAsPaid"])
+    first = write_lines(tmp_path / "first.txt", ["PayCart"])
+    write_lines(tmp_path / "second.txt", ["MarkCartAsPaid"])
+    clean, log = tmp_path / "clean.jsonl", tmp_path / "log.jsonl"
+    assert cli.main(["run", "cart", "--input", both, "--log", str(clean)]) == 0
+    assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
+    with log.open("ab") as handle:
+        handle.write(b'{"inp')
+    done = shell_crem("crem run cart --input second.txt --log log.jsonl 2>/dev/full")
+    assert (done.returncode, done.stdout) == (0, b"[CartPaymentCompleted]\n")
+    assert log.read_bytes() == clean.read_bytes()
+    assert Path(f"{log}.crem").read_bytes() == Path(f"{clean}.crem").read_bytes()
+
+
+@needs_dev_full
+def test_a_divergence_line_that_cannot_be_written_keeps_exit_6(shell_crem, tmp_path):
+    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    log = tmp_path / "log.jsonl"
+    assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
+    log.write_bytes(log.read_bytes().replace(b"CartPaymentInitiated", b"CartPaymentCompleted"))
+    done = shell_crem("crem replay cart --log log.jsonl >/dev/full")
+    assert (done.returncode, done.stderr) == (6, b"")
+
+
+def test_input_from_a_closed_stdin_is_a_usage_error(shell_crem, tmp_path):
+    done = shell_crem("crem run cart --input - --log log.jsonl <&-")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: --input -: there is no stdin to read\n"
+    assert not (tmp_path / "log.jsonl").exists()
+
+
+@needs_dev_full
+@pytest.mark.parametrize("shell_crem", ["buffered"], indirect=True)
+def test_output_that_fails_only_at_the_exit_flush_exits_2(shell_crem, tmp_path):
+    # unbuffered, the first write fails and main reports it, as it always has
+    write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    done = shell_crem("crem run cart --input cmds.txt >/dev/full")
+    assert done.returncode == 2
+    assert done.stderr == b"error: [Errno 28] No space left on device\n"
+
+
 def test_render_writes_output_file(tmp_path, capsys):
     out = tmp_path / "cart.dot"
     assert cli.main(["render", "cart", "--mode", "base", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import re
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -54,12 +55,17 @@ def test_name_must_be_a_str(name):
     [
         ("topology", "a Topology", "a"),
         ("topology", "a Topology", (("a", ("b",)),)),
+        ("topology", "a Topology", SimpleNamespace(_vertices=("a",))),
         ("state", "a MachineState", "a"),
         ("state", "a MachineState", None),
+        ("state", "a MachineState", SimpleNamespace(vertex="a")),
         ("action", "callable", None),
         ("action", "callable", {"a": "b"}),
     ],
-    ids=["topology-str", "topology-tuple", "state-str", "state-none", "action-none", "action-dict"],
+    ids=[
+        "topology-str", "topology-tuple", "topology-duck-typed",
+        "state-str", "state-none", "state-duck-typed", "action-none", "action-dict",
+    ],
 )
 def test_fields_are_checked_when_built(field, kind, value):
     fields = {"name": "walker", "topology": LINE, "state": MachineState("a"), "action": walk}
