@@ -293,7 +293,7 @@ def _replay(
             or type(record["seq"]) is not int
             or type(record["input"]) is not str
             or type(record["outputs"]) is not list
-            or not all(type(item) is str for item in record["outputs"])
+            or not all(map(str.__instancecheck__, record["outputs"]))
         ):
             raise MalformedLog(f"line {seq + 1}: not a valid event record")
         if record["seq"] != seq:
@@ -328,15 +328,15 @@ def _reading(path: Path) -> Iterator[None]:
         raise MalformedLog(f"cannot read log {path}: {error}") from error
 
 
-def _append(log: BinaryIO, path: Path, data: bytes) -> None:
-    """Append ``data`` to the log at ``path`` through its unbuffered handle ``log``, in
-    one ``write``; a failed or short write raises ``CodecError`` naming the log."""
+def _append(log: BinaryIO, path: Path, data: bytes) -> int:
+    """Append ``data`` to the log at ``path`` through its unbuffered handle ``log`` in one
+    ``write`` and return how many of its bytes the log took: fewer than ``len(data)`` when
+    the write was cut short, for the caller to check. A failed write takes none and raises
+    ``CodecError`` naming the log."""
     try:
-        written = log.write(data)
+        return log.write(data)
     except OSError as error:
         raise CodecError(f"cannot write log {path}: {error}") from error
-    if written != len(data):
-        raise CodecError(f"cannot write log {path}: wrote {written} of {len(data)} bytes")
 
 
 @contextmanager
@@ -477,14 +477,30 @@ def _restore(
     return machine, manifest["records"], manifest["bytes"], digest
 
 
+# the record bytes at which a run's gathered records are appended to its log in one write
+_BATCH_BYTES = 1 << 14
+
+
 def _cmd_run(args, registry) -> int:
+    """Run the command file; with ``--log``, first check the log as a resume does.
+
+    Records are group-committed: ``_in_batches`` gathers what ``_run_commands`` yields
+    until the records reach ``_BATCH_BYTES``, the commands run out or one raises. A flush
+    appends the batch's records in one ``_append``, hashes and commits them (the machine,
+    seq and size the manifest is written from move past them), and only then prints their
+    lines in one ``write``, so no line is printed before its record is in the log. A
+    write cut short commits and prints exactly the whole records it took, then raises
+    ``CodecError``. A failing command's batch is flushed before its error propagates; if
+    that flush fails, its own error propagates instead. Without ``--log`` a flush prints.
+    """
     entry = _lookup(registry, args.machine)
     config = _run_config(args.feedback_cap)
     machine = entry.factory()
     lines = _read_command_lines(args.input)
     if args.log is None:
-        for _ in _run_commands(machine, lines, entry, config):
-            pass
+        write = _writer("stdout")
+        _in_batches(_run_commands(machine, lines, entry, config),
+                    lambda batch: write("".join([line for _, line, _ in batch])))
         return EXIT_OK
 
     path = Path(args.log)
@@ -511,15 +527,28 @@ def _cmd_run(args, registry) -> int:
                 f"({len(torn)} bytes, unterminated and not valid JSON)"
             )
         elif data and not data.endswith(b"\n"):  # never glue a record onto it
-            _append(log, path, b"\n")
+            _append(log, path, b"\n")  # one byte is written whole or fails
             digest.update(b"\n")
-        size = log.seek(0, os.SEEK_END)  # machine, seq and size stay at the last record written
+        size = log.seek(0, os.SEEK_END)  # machine, seq and size stay at the last record committed
+        write = _writer("stdout")
+
+        def flush(batch: list) -> None:
+            nonlocal machine, seq, size
+            data = b"".join([record for record, _, _ in batch])
+            wanted, written = len(data), _append(log, path, data)
+            if written != wanted:  # a record ends at its one "\n": keep the whole ones taken
+                data = data[: data.rfind(b"\n", 0, written) + 1]
+                batch = batch[: data.count(b"\n")]
+            if batch:
+                digest.update(data)
+                machine, seq, size = batch[-1][2], seq + len(batch), size + len(data)
+                write("".join([line for _, line, _ in batch]))
+            if written != wanted:
+                raise CodecError(f"cannot write log {path}: wrote {written} of {wanted} bytes")
+
         try:
-            for record, stepped in _run_commands(machine, lines, entry, config, seq):
-                _append(log, path, record)  # in the file before the next command runs
-                digest.update(record)
-                machine, seq, size = stepped, seq + 1, size + len(record)
-        finally:  # a command that fails (exit 3, 4 or 5) leaves what was appended covered
+            _in_batches(_run_commands(machine, lines, entry, config, seq), flush)
+        finally:  # a command that fails (exit 3, 4 or 5) leaves what was committed covered
             vertices = _leaf_vertices(machine)
             if vertices is not None:
                 _write_manifest(sidecar, {
@@ -534,18 +563,32 @@ def _cmd_run(args, registry) -> int:
     return EXIT_OK
 
 
-def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes, StateMachine]]:
-    """Decode, step and print each command, then yield its log record, from ``seq`` on,
-    with the machine after that command.
+def _in_batches(commands: Iterator[tuple[bytes, str, StateMachine]], flush: Callable) -> None:
+    """Hand the items of ``commands`` to ``flush`` in lists, as ``_cmd_run`` describes."""
+    batch, size = [], 0
+    try:
+        for item in commands:
+            batch.append(item)
+            size += len(item[0])
+            if size >= _BATCH_BYTES:
+                full, batch, size = batch, [], 0
+                flush(full)
+    finally:  # the last batch, also the one before a command that raised, ahead of its error
+        if batch:
+            flush(batch)
+
+
+def _run_commands(
+    machine, lines, entry, config, seq=0
+) -> Iterator[tuple[bytes, str, StateMachine]]:
+    """Decode and step each command, from ``seq`` on, and yield its log record, its printed
+    line and the machine after it. It writes nothing: ``_cmd_run`` does.
 
     A record is formatted directly as the bytes ``json.dumps(record,
     sort_keys=True)`` gives, through ``_quote``, the escaper that call uses. A
     codec fault raises ``CodecError`` naming the input line before that command
-    prints or yields anything, so the caller never sees the machine that
-    command stepped to. Each printed line, its ``"\n"`` included, is one
-    ``write`` to the stream that was ``sys.stdout`` when the run started.
+    yields anything, so the caller never sees the machine that command stepped to.
     """
-    write = _writer("stdout")
     for number, text in lines:
         try:
             value = entry.decode_input(text)
@@ -560,8 +603,7 @@ def _run_commands(machine, lines, entry, config, seq=0) -> Iterator[tuple[bytes,
             raise _codec_failed(f"line {number}", "encode_input", error) from None
         quoted = ", ".join(map(_quote, encoded))
         record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
-        write(f"[{', '.join(encoded)}]\n")
-        yield record.encode(), machine
+        yield record.encode(), f"[{', '.join(encoded)}]\n", machine
         seq += 1
 
 

@@ -3,11 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class EmptyVertexLabel(ValueError):
     """A vertex label was the empty string."""
+
+
+class _lazy:
+    """A non-data descriptor: the first read of the attribute calls ``func`` and stores the
+    result in the instance ``__dict__``, where every later read finds it with no call.
+    ``functools.cached_property`` does the same, but on Python 3.11 takes a lock first."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,7 @@ class Topology:
         """
         return source == target or target in self._targets.get(source, ())
 
-    @cached_property
+    @_lazy
     def _targets(self) -> dict[str, tuple[str, ...]]:
         """Targets per source, built on first use: a topology that is only rendered never
         reads it."""

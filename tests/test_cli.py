@@ -237,6 +237,17 @@ def test_output_that_fails_only_at_the_exit_flush_exits_2(shell_crem, tmp_path):
     assert done.stderr == b"error: [Errno 28] No space left on device\n"
 
 
+@needs_dev_full
+def test_output_that_cannot_be_written_still_logs_each_record_first(shell_crem, tmp_path):
+    # a line is printed only once its record is in the log, buffered or not
+    write_lines(tmp_path / "c.txt", ["PayCart", "MarkCartAsPaid"])
+    done = shell_crem("crem run cart --input c.txt --log U >/dev/full")
+    assert done.returncode == 2
+    assert done.stderr == b"error: [Errno 28] No space left on device\n"
+    assert len((tmp_path / "U").read_bytes().splitlines()) == 2
+    assert json.loads((tmp_path / "U.crem").read_bytes())["records"] == 2
+
+
 def test_render_writes_output_file(tmp_path, capsys):
     out = tmp_path / "cart.dot"
     assert cli.main(["render", "cart", "--mode", "base", "--out", str(out)]) == 0
@@ -582,6 +593,14 @@ def test_replay_rejects_bad_seq(tmp_path, capsys):
 def test_replay_rejects_wrong_schema(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text(json.dumps({"seq": 0, "input": "PayCart"}) + "\n", encoding="utf-8")
+    assert cli.main(["replay", "cart", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == "error: malformed log: line 1: not a valid event record\n"
+
+
+@pytest.mark.parametrize("outputs", ["[1]", "[null]", '[["CartPaymentInitiated"]]', '[{}]'])
+def test_replay_rejects_an_output_that_is_not_a_str(outputs, tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(f'{{"input": "PayCart", "outputs": {outputs}, "seq": 0}}\n', encoding="utf-8")
     assert cli.main(["replay", "cart", "--log", str(log)]) == 3
     assert capsys.readouterr().err == "error: malformed log: line 1: not a valid event record\n"
 

@@ -601,9 +601,9 @@ def test_a_flipped_byte_under_the_manifest_is_caught_as_without_one(data):
 
         with_manifest, without = resume(True), resume(False)
         assert with_manifest == without
-        try:
-            same = [json.loads(line) for line in flipped.splitlines()] == [
-                json.loads(line) for line in original.splitlines()
+        try:  # a log line ends at "\n" only: a flip to "\r" after a comma is JSON whitespace
+            same = [json.loads(line) for line in flipped.split(b"\n")[:-1]] == [
+                json.loads(line) for line in original.split(b"\n")[:-1]
             ]
         except ValueError:
             same = False
@@ -1319,20 +1319,43 @@ def test_a_record_that_cannot_be_written_exits_3_and_names_the_log(error, tmp_pa
     assert run("cart", log, ["PayCart"])[0] == 0
     before, manifest = written(log)
     record = b'{"input": "MarkCartAsPaid", "outputs": ["CartPaymentCompleted"], "seq": 1}\n'
+    batch = record + b"".join(
+        b'{"input": "PayCart", "outputs": [], "seq": %d}\n' % seq for seq in (2, 3)
+    )
     with unwritable(monkeypatch, error):
-        code, out, err = run("cart", log, ["MarkCartAsPaid", "PayCart"])
-    # the command printed before its record failed to append, and nothing ran after it
-    assert (code, out) == (cli.EXIT_CODEC, "[CartPaymentCompleted]\n")
-    reason = f"wrote {len(record) // 2} of {len(record)} bytes" if error is None else error
-    assert err == f"error: cannot write log {log}: {reason}\n"
-    # the manifest still covers the one whole record; the next run removes what was cut short
-    part = b"" if error else record[: len(record) // 2]
-    assert written(log) == (before + part, manifest)
-    code, out, err = run("cart", log, ["MarkCartAsPaid"])
-    assert (code, out) == (0, "[CartPaymentCompleted]\n")
-    assert err == (f"warning: {log}: removed a torn tail at line 2 ({len(part)} bytes, "
-                   "unterminated and not valid JSON)\n" if part else "")
+        code, out, err = run("cart", log, ["MarkCartAsPaid", "PayCart", "PayCart"])
+    # the three records went in one write: a failed one commits and prints nothing, and a
+    # short one, which took the first record and part of the second, exactly that record
+    reason = f"wrote {len(batch) // 2} of {len(batch)} bytes" if error is None else error
+    assert (code, err) == (cli.EXIT_CODEC, f"error: cannot write log {log}: {reason}\n")
+    if error:
+        assert (out, written(log)) == ("", (before, manifest))
+        assert run("cart", log, ["MarkCartAsPaid"]) == (0, "[CartPaymentCompleted]\n", "")
+    else:
+        part = batch[len(record): len(batch) // 2]
+        assert out == "[CartPaymentCompleted]\n"
+        assert log.read_bytes() == before + record + part
+        assert json.loads(manifest_of(log).read_bytes())["records"] == 2
+        # the manifest covers the whole record; the next run removes what was cut short
+        assert run("cart", log, []) == (0, "", (
+            f"warning: {log}: removed a torn tail at line 3 ({len(part)} bytes, "
+            "unterminated and not valid JSON)\n"
+        ))
     assert log.read_bytes() == before + record
+    assert call("replay", "cart", "--log", log) == (0, "", "")
+
+
+def test_a_failing_commands_batch_is_written_first_and_its_write_error_wins(tmp_path, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    assert run("cart", log, ["PayCart"])[0] == 0
+    before = written(log)
+    with unwritable(monkeypatch, NO_SPACE):
+        refused = run("cart", log, ["MarkCartAsPaid", "Bogus"])
+    assert refused == (cli.EXIT_CODEC, "", f"error: cannot write log {log}: {NO_SPACE}\n")
+    assert written(log) == before
+    assert run("cart", log, ["MarkCartAsPaid", "Bogus"]) == (
+        cli.EXIT_CODEC, "[CartPaymentCompleted]\n", "error: line 2: 'Bogus' is not a CartCommand\n"
+    )
     assert call("replay", "cart", "--log", log) == (0, "", "")
 
 
@@ -1355,24 +1378,50 @@ def test_a_log_that_cannot_be_mended_exits_3_and_names_it(tail, error, tmp_path,
     assert call("replay", "cart", "--log", log) == (0, "", "")
 
 
-def test_each_record_is_in_the_file_before_the_next_command_runs(tmp_path):
+def test_each_line_is_printed_after_its_record_is_in_the_log(tmp_path):
     log = tmp_path / "log.jsonl"
-    entry = cli.default_registry()["cart-and-shipping"]
-    in_file = []
 
-    def decode(text):  # read through a handle of its own, not the session's
-        in_file.append(log.read_bytes().count(b"\n") if log.exists() else 0)
-        return entry.decode_input(text)
+    class Watching(io.StringIO):
+        """A stdout whose ``write`` checks the log through a handle of its own: it holds
+        the record of every line printed so far, this write's lines included."""
 
-    registry = {"cart-and-shipping": replace(entry, decode_input=decode)}
-    source = tmp_path / "commands.txt"
-    for seed in (1, 2):  # a fresh log, then a resume from its manifest
-        commands = commands_for("cart-and-shipping", 5, seed=seed)
-        source.write_text("".join(c + "\n" for c in commands), encoding="utf-8")
-        code, _, err = call("run", "cart-and-shipping", "--input", source, "--log", log,
-                            registry=registry)
-        assert (code, err) == (0, "")
-    assert in_file == list(range(10))
+        def __init__(self, start: int) -> None:
+            super().__init__()
+            self.start, self.writes = start, 0
+
+        def write(self, text: str) -> int:
+            self.writes += 1
+            lines = self.getvalue().count("\n") + text.count("\n")
+            assert log.read_bytes().count(b"\n") == self.start + lines
+            return super().write(text)
+
+    start = 0
+    for count in (1_200, 600):  # a fresh log, then a resume from its manifest
+        commands = commands_for("cart-and-shipping", count, seed=count)
+        source = tmp_path / "commands.txt"
+        source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+        out = Watching(start)
+        argv = ["run", "cart-and-shipping", "--input", source, "--log", log]
+        with contextlib.redirect_stdout(out):
+            code = cli.main([str(arg) for arg in argv])
+        assert code == 0 and len(out.getvalue().splitlines()) == count
+        assert out.writes >= count // 300  # records of about 50 bytes: four batches, then two
+        start += count
+    assert json.loads(manifest_of(log).read_bytes())["records"] == start
+    assert call("replay", "cart-and-shipping", "--log", log) == (0, "", "")
+
+
+def test_a_command_that_fails_after_several_batches_leaves_them_logged(tmp_path):
+    log = tmp_path / "log.jsonl"
+    commands = [*commands_for("cart", 1_200), "Bogus", "PayCart"]
+    code, out, err = run("cart", log, commands)
+    assert (code, err) == (cli.EXIT_CODEC, "error: line 1201: 'Bogus' is not a CartCommand\n")
+    data = log.read_bytes()
+    assert len(out.splitlines()) == data.count(b"\n") == 1_200
+    manifest = json.loads(manifest_of(log).read_bytes())
+    assert (manifest["records"], manifest["bytes"]) == (1_200, len(data))
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+    assert call("replay", "cart", "--log", log) == (0, "", "")
 
 
 # -- one writer at a time --------------------------------------------------------
@@ -1587,9 +1636,8 @@ def test_a_log_past_the_file_size_limit_exits_3_and_the_next_run_mends_it(tmp_pa
     data = log.read_bytes()
     whole = data[: data.rindex(b"\n") + 1]
     records, torn = whole.count(b"\n"), len(data) - len(whole)
-    # the command whose record was cut short printed, no command after it ran, and the
-    # manifest covers the whole records
-    assert len(out.splitlines()) == records + 1
+    # exactly the commands whose records are whole printed, and the manifest covers them
+    assert len(out.splitlines()) == records
     manifest = json.loads(manifest_of(log).read_bytes())
     assert (manifest["records"], manifest["bytes"]) == (records, len(whole))
     assert torn > 0  # the limit cut a record short

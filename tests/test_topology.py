@@ -12,6 +12,7 @@ from crem import (
     StepResult,
     Topology,
     UnknownVertex,
+    render_base,
     trivial_topology,
 )
 from crem.cart import (
@@ -435,3 +436,20 @@ def test_faults_are_reported_as_the_per_group_checks_reported_them(edges):
         assert type(raised.value) is type(error)
         return
     assert Topology(edges).edges == expected
+
+
+@pytest.mark.parametrize("use", ["render-dot", "render-mermaid", "vertices"])
+def test_the_index_of_allows_is_built_on_the_first_allows_and_changes_no_value(use):
+    edges = (("A", ("B", "C")), ("B", ("C",)))
+    topology, twin = Topology(edges), Topology(edges)
+    if use == "vertices":
+        assert topology.vertices() == ("A", "B", "C")
+    else:
+        machine = BaseMachine("m", topology, MachineState("A"), lambda state, x: (x, state))
+        render_base(machine, use.removeprefix("render-"))
+    assert "_targets" not in vars(topology)
+    shown = (hash(topology), repr(topology))
+    assert topology.allows("A", "C") and not topology.allows("C", "A")
+    assert vars(topology)["_targets"] == {"A": ("B", "C"), "B": ("C",)}
+    assert topology == twin and (hash(topology), repr(topology)) == shown
+    assert "_targets" not in vars(twin)
