@@ -4,39 +4,48 @@ An event log you can trust
 
 Stepping is pure, so a log of inputs and outputs is a complete, checkable
 record: replaying the inputs against a fresh machine must regenerate the
-outputs exactly. The CLI appends one JSONL record per input and the replay
-command verifies the whole file.
+outputs exactly. ``crem.eventlog`` appends one JSONL record per input and
+``replay`` verifies the whole file; ``crem run --log`` and ``crem replay``
+make the same calls from the command line.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
-from crem import cli
+from crem import cart, eventlog
+
+NAME = "cart-and-shipping"
+entry = cart.registry()[NAME]
+
+
+def numbered(*commands):
+    """Command lines numbered from 1, as a command file's lines are."""
+    return list(enumerate(commands, start=1))
+
 
 with tempfile.TemporaryDirectory() as scratch:
-    commands = Path(scratch) / "commands.txt"
     log = Path(scratch) / "events.jsonl"
-    commands.write_text("cart PayCart\nship MarkAsDelivered\n", encoding="utf-8")
 
     # %%
-    # Run with logging, then replay: exit code 0 means every record
-    # regenerated exactly.
+    # Append with logging, then replay: every record regenerated exactly.
+    # Each command's outputs print once its record is in the log.
 
-    code = cli.main(["run", "cart-and-shipping", "--input", str(commands), "--log", str(log)])
-    print("run exit:", code)
+    with eventlog.open_log(log, NAME, entry) as events:
+        events.append(numbered("cart PayCart", "ship MarkAsDelivered"), sys.stdout.write)
     print(log.read_text(encoding="utf-8"), end="")
-    print("replay exit:", cli.main(["replay", "cart-and-shipping", "--log", str(log)]))
+    print("replay checked", eventlog.replay(log, NAME, entry), "records")
 
     # %%
-    # Run again on the same log and it resumes: the sidecar manifest,
+    # Open the same log again and it resumes: the sidecar manifest,
     # events.jsonl.crem, vouches for the records already checked, so only the
     # two new commands step and print. The cart is paid and the parcel
     # delivered, so each prints [].
 
-    commands.write_text("cart MarkCartAsPaid\nship StartShipping\n", encoding="utf-8")
-    code = cli.main(["run", "cart-and-shipping", "--input", str(commands), "--log", str(log)])
-    print("resumed run exit:", code)
+    with eventlog.open_log(log, NAME, entry) as events:
+        print("resuming at seq", events.seq)
+        events.append(numbered("cart MarkCartAsPaid", "ship StartShipping"), sys.stdout.write)
     manifest = json.loads(Path(f"{log}.crem").read_text(encoding="utf-8"))
     print("manifest version:", manifest["version"], "records:", manifest["records"])
 
@@ -46,4 +55,7 @@ with tempfile.TemporaryDirectory() as scratch:
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     records[0]["outputs"].pop()
     log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    print("replay after tampering:", cli.main(["replay", "cart-and-shipping", "--log", str(log)]))
+    try:
+        eventlog.replay(log, NAME, entry)
+    except eventlog.Diverged as error:
+        print("replay after tampering:", error)

@@ -5,7 +5,8 @@ events with new commands, and projections fold events into the views a
 user would query. Everything is a machine, so the whole domain is one
 composed machine from commands to views. Aggregates and projections are
 written down as a topology plus a transition table, policies as a dict
-from event to commands.
+from event to commands. ``registry`` names the runnable machines with
+their text codecs.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from .compose import (
     Basic,
     Feedback,
     Kleisli,
+    Left,
     Right,
     StateMachine,
     fanin,
     rmap,
 )
+from .eventlog import CodecError, RegistryEntry
 from .machine import BaseMachine, DisallowedTransition, MachineState, stateless
 from .topology import Topology
 
@@ -244,3 +247,61 @@ def cart_and_shipping() -> StateMachine:
         Alternative(payment_status(), shipping_info()), _tag_sides, name="mergeViews"
     )
     return Kleisli(write_model_full, read_model)
+
+
+def _enum_decoder(enum_cls):
+    # the map enum_cls[name] reads, snapshot once: a dict lookup, not a call into EnumType
+    members = dict(enum_cls.__members__)
+
+    def decode(text: str):
+        name = text.strip()
+        try:
+            return members[name]
+        except KeyError:
+            raise CodecError(f"{name!r} is not a {enum_cls.__name__}") from None
+
+    return decode
+
+
+def _encode_enum(value) -> str:
+    return value._name_  # the documented attribute the .name property reads, without its call
+
+
+_SIDES = {
+    "cart": (Left, _enum_decoder(CartCommand)),
+    "ship": (Right, _enum_decoder(ShippingCommand)),
+}
+
+
+def _decode_side(text: str):
+    parts = text.split()
+    if len(parts) != 2 or parts[0] not in _SIDES:
+        raise CodecError(
+            f"expected 'cart <CartCommand>' or 'ship <ShippingCommand>', got {text.strip()!r}"
+        )
+    wrapper, decode = _SIDES[parts[0]]
+    return wrapper(decode(parts[1]))
+
+
+def _encode_side(value) -> str:
+    for tag, (wrapper, _) in _SIDES.items():
+        if isinstance(value, wrapper):
+            return f"{tag} {value.value._name_}"
+    raise CodecError(f"cannot encode {value!r}")
+
+
+def registry() -> dict[str, RegistryEntry]:
+    """The domain's runnable machines by name, with the text codecs of their commands and
+    outputs: an enum member's name, tagged ``cart`` or ``ship`` on ``cart-and-shipping``."""
+
+    def enum_coded(factory, enum_cls) -> RegistryEntry:
+        return RegistryEntry(factory, _enum_decoder(enum_cls), _encode_enum, _encode_enum)
+
+    return {
+        "cart": enum_coded(cart, CartCommand),
+        "shipping": enum_coded(shipping, ShippingCommand),
+        "whole-cart-domain": enum_coded(whole_cart_domain, CartCommand),
+        "cart-and-shipping": RegistryEntry(
+            cart_and_shipping, _decode_side, _encode_side, _encode_side
+        ),
+    }

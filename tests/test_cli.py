@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crem import Basic, BaseMachine, Left, MachineState, Right, StepResult, Topology, cli
+from crem import Basic, BaseMachine, Left, MachineState, Right, StepResult, Topology, cart, cli
 from crem.cart import (
     CartCommand,
     CartEvent,
@@ -918,13 +918,13 @@ ENUMS =[CartCommand, CartEvent, CartView, ShippingCommand, ShippingEvent, Shippi
 
 @pytest.mark.parametrize("enum_cls", ENUMS, ids=[enum.__name__ for enum in ENUMS])
 def test_enum_codecs_agree_with_enum_lookup_and_name(enum_cls):
-    decode = cli._enum_decoder(enum_cls)
+    decode = cart._enum_decoder(enum_cls)
     for member in enum_cls:
         assert decode(member.name) is enum_cls[member.name]
         assert decode(f" {member.name}\t") is member
-        assert cli._encode_enum(member) == member.name
-        assert cli._encode_side(Left(member)) == f"cart {member.name}"
-        assert cli._encode_side(Right(member)) == f"ship {member.name}"
+        assert cart._encode_enum(member) == member.name
+        assert cart._encode_side(Left(member)) == f"cart {member.name}"
+        assert cart._encode_side(Right(member)) == f"ship {member.name}"
     for name in ("name", "value", "mro", "_member_map_", "__class__", member.name.lower()):
         with pytest.raises(KeyError):
             enum_cls[name]

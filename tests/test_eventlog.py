@@ -1,0 +1,173 @@
+"""The event log as a Python API: ``crem.eventlog`` without argv.
+
+``crem run --log`` and ``crem replay`` are thin callers of ``open_log`` and ``replay``, so
+a log written, resumed or audited through the API must be the log the command line
+writes, resumes or audits, byte for byte and message for message.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from crem import cli, eventlog
+
+REGISTRY = cli.default_registry()
+VOCABULARY = {
+    "cart": ["PayCart", "MarkCartAsPaid"],
+    "shipping": ["StartShipping", "MarkAsDelivered"],
+    "whole-cart-domain": ["PayCart", "MarkCartAsPaid"],
+    "cart-and-shipping": [
+        "cart PayCart",
+        "cart MarkCartAsPaid",
+        "ship StartShipping",
+        "ship MarkAsDelivered",
+    ],
+}
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
+
+
+def commands_for(machine: str, count: int, seed: int = 41) -> list[str]:
+    rng = random.Random(seed)
+    return [rng.choice(VOCABULARY[machine]) for _ in range(count)]
+
+
+def numbered(commands: list[str], start: int = 1) -> list[tuple[int, str]]:
+    return list(enumerate(commands, start=start))
+
+
+def cli_run(machine: str, log: Path, commands: list[str]) -> tuple[int, str, str]:
+    """``crem run MACHINE --log LOG`` on a command file of ``commands``, output captured."""
+    source = log.with_name("commands.txt")
+    source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+    return call("run", machine, "--input", source, "--log", log)
+
+
+def call(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def api_append(machine: str, log: Path, commands: list[str]) -> str:
+    """Append ``commands`` to ``log`` through ``open_log``; return the lines it printed."""
+    printed = []
+    with eventlog.open_log(log, machine, REGISTRY[machine]) as events:
+        events.append(numbered(commands), printed.append)
+    return "".join(printed)
+
+
+def written(log: Path) -> tuple[bytes, bytes]:
+    return log.read_bytes(), log.with_name(log.name + ".crem").read_bytes()
+
+
+@pytest.mark.parametrize("machine", sorted(VOCABULARY))
+def test_the_api_writes_the_log_and_manifest_the_cli_writes(machine, tmp_path):
+    commands = commands_for(machine, 2_000)  # past several 16 KiB batches
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "api").mkdir()
+    code, out, err = cli_run(machine, tmp_path / "cli" / "log.jsonl", commands)
+    assert (code, err) == (0, "")
+    assert api_append(machine, tmp_path / "api" / "log.jsonl", commands) == out
+    assert written(tmp_path / "api" / "log.jsonl") == written(tmp_path / "cli" / "log.jsonl")
+
+
+@pytest.mark.parametrize("first_by_cli", [True, False], ids=["cli-then-api", "api-then-cli"])
+def test_a_resume_continues_a_log_the_other_side_wrote(first_by_cli, tmp_path):
+    machine = "cart-and-shipping"
+    commands = commands_for(machine, 1_500)
+    first, second = commands[:900], commands[900:]
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "split").mkdir()
+    whole, split = tmp_path / "whole" / "log.jsonl", tmp_path / "split" / "log.jsonl"
+    assert cli_run(machine, whole, commands)[0] == 0
+    if first_by_cli:
+        assert cli_run(machine, split, first)[0] == 0
+        with eventlog.open_log(split, machine, REGISTRY[machine]) as events:
+            assert (events.seq, events.torn) == (len(first), 0)
+            events.append(numbered(second), lambda text: None)
+            assert events.seq == len(commands)
+    else:
+        api_append(machine, split, first)
+        assert cli_run(machine, split, second)[0] == 0
+    assert written(split) == written(whole)
+    assert eventlog.replay(split, machine, REGISTRY[machine]) == len(commands)
+
+
+def test_replay_raises_on_a_torn_tail_with_the_cli_message(tmp_path):
+    log = tmp_path / "log.jsonl"
+    api_append("cart", log, ["PayCart", "MarkCartAsPaid"])
+    with log.open("ab") as handle:
+        handle.write(b'{"input": "PayC')
+    code, out, err = call("replay", "cart", "--log", log)
+    assert (code, out) == (cli.EXIT_CODEC, "")
+    with pytest.raises(eventlog.MalformedLog) as error:
+        eventlog.replay(log, "cart", REGISTRY["cart"])
+    assert err == f"error: {error.value}\n"
+    assert str(error.value) == (
+        "malformed log: line 3: torn tail (15 bytes, unterminated and not valid JSON)"
+    )
+
+
+def test_open_log_removes_a_torn_tail_the_cli_would_warn_about(tmp_path):
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "api").mkdir()
+    logs = tmp_path / "cli" / "log.jsonl", tmp_path / "api" / "log.jsonl"
+    for log in logs:
+        assert cli_run("cart", log, ["PayCart"])[0] == 0
+        with log.open("ab") as handle:
+            handle.write(b'{"inp')
+    code, out, err = cli_run("cart", logs[0], ["MarkCartAsPaid"])
+    assert (code, out) == (0, "[CartPaymentCompleted]\n")
+    with eventlog.open_log(logs[1], "cart", REGISTRY["cart"]) as events:
+        assert err == (f"warning: {logs[0]}: removed a torn tail at line {events.seq + 1} "
+                       f"({events.torn} bytes, unterminated and not valid JSON)\n")
+        assert (events.seq, events.torn) == (1, 5)
+        events.append(numbered(["MarkCartAsPaid"]), lambda text: None)
+    assert written(logs[1]) == written(logs[0])
+
+
+def test_replay_raises_diverged_on_a_tampered_record_with_the_cli_message(tmp_path):
+    log = tmp_path / "log.jsonl"
+    api_append("whole-cart-domain", log, ["PayCart", "MarkCartAsPaid"])
+    log.write_bytes(log.read_bytes().replace(b'"PaymentDone"', b'"PaymentPending"', 1))
+    code, out, err = call("replay", "whole-cart-domain", "--log", log)
+    assert (code, err) == (cli.EXIT_DIVERGED, "")
+    with pytest.raises(eventlog.Diverged) as error:
+        eventlog.replay(log, "whole-cart-domain", REGISTRY["whole-cart-domain"])
+    assert out == f"{error.value}\n"
+    assert str(error.value).startswith("replay diverged at seq 0: logged ")
+    with pytest.raises(eventlog.Diverged) as again:  # a resume checks as replay does
+        with eventlog.open_log(log, "whole-cart-domain", REGISTRY["whole-cart-domain"]):
+            pass
+    assert str(again.value) == str(error.value)
+
+
+def test_importing_crem_loads_neither_the_event_log_nor_the_cli():
+    src = str(Path(eventlog.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import crem; "
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('crem.'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, src], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = json.loads(done.stdout)
+    assert "crem.eventlog" not in loaded and "crem.cli" not in loaded
+    assert "crem.compose" in loaded  # the package itself did load

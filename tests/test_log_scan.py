@@ -1,6 +1,6 @@
 """The log check's one decode and one scan against the per-line loop it replaced.
 
-``cli._replay`` decodes a log once and scans the text with ``json``'s own
+``eventlog._replay`` decodes a log once and scans the text with ``json``'s own
 ``raw_decode``, falling back to ``json.loads`` on one line alone wherever the
 scan does not end exactly at that line's end. ``per_line_replay`` below is
 the loop it replaced, which decoded and parsed each line on its own, kept as
@@ -20,8 +20,8 @@ import re
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crem import cli
-from crem.cli import CodecError, MalformedLog, _codec_failed, _Diverged
+from crem import cli, eventlog
+from crem.eventlog import CodecError, Diverged, MalformedLog, _codec_failed
 
 REGISTRY = cli.default_registry()
 COMMANDS = {
@@ -72,7 +72,7 @@ def per_line_replay(machine, log, entry, config, seq=0):
         except Exception as error:
             raise _codec_failed(f"seq {seq}", "encode_output", error) from error
         if encoded != record["outputs"]:
-            raise _Diverged(
+            raise Diverged(
                 f"replay diverged at seq {seq}: "
                 f"logged {record['outputs']}, regenerated {encoded}"
             )
@@ -241,6 +241,6 @@ def cart_log(*lines: bytes, tail: bytes = b"") -> tuple:
 @example(("cart", CART_COMMANDS, 1, PAY + b"\n"))  # a resume that expects seq 1
 def test_the_scan_judges_a_log_as_the_per_line_loop_does(case):
     machine, commands, skip, log = case
-    assert outcome(cli._replay, machine, commands, skip, log) == outcome(
+    assert outcome(eventlog._replay, machine, commands, skip, log) == outcome(
         per_line_replay, machine, commands, skip, log
     )
