@@ -2,8 +2,9 @@
 
 The README's "The command line" section is the contract this module keeps for ``crem run
 --log`` and ``crem replay``: the log and manifest formats, resuming, torn tails and
-locking. ``open_log`` opens a log to append to, ``replay`` audits one and ``run`` runs
-commands with no log; all three step a command by the one rule of ``_step``.
+locking. ``open_log`` returns an ``OpenLog`` for a ``with`` block: like ``open``, the call
+locks and checks the log, and the block's end writes the manifest and releases the lock.
+``replay`` audits a log and ``run`` runs commands with no log, all by ``_step``'s one rule.
 """
 
 from __future__ import annotations
@@ -54,35 +55,21 @@ def run(entry: RegistryEntry, lines: list[tuple[int, str]], write: Callable[[str
         config: RunConfig = DEFAULT_CONFIG) -> None:
     """Run the numbered command ``lines`` on a fresh machine of ``entry`` with no log,
     handing ``write`` the printed lines in the batches ``OpenLog.append`` uses."""
-    _in_batches(_run_commands(entry.factory(), lines, entry, config),
-                lambda batch: write("".join([line for _, line, _ in batch])))
+    _run_commands(entry.factory(), lines, entry, config, 0,
+                  lambda batch: write("".join([line for _, line, _ in batch])))
 
 
-@contextmanager
 def open_log(path: str | os.PathLike, name: str, entry: RegistryEntry,
-             config: RunConfig = DEFAULT_CONFIG) -> Iterator[OpenLog]:
+             config: RunConfig = DEFAULT_CONFIG) -> OpenLog:
     """Open the event log at ``path`` for the machine ``name`` of ``entry`` under its
-    exclusive lock and check it as ``crem run --log`` does before it appends: yield the
-    ``OpenLog``, then write the manifest of its records, also when the block raises.
+    exclusive lock and check it as ``crem run --log`` does before it appends: the ``OpenLog``
+    for a ``with`` block, whose end writes the manifest, also on an error, and unlocks.
 
     Creates a missing log and removes a torn tail. Raises ``MalformedLog`` for a log that
     another machine wrote or that breaks the record schema, ``Diverged`` for a record that
     does not regenerate, and what a step raises.
     """
-    path = Path(path)
-    sidecar, machine = _manifest_path(path), entry.factory()
-    fingerprint = _fingerprint(machine)
-    if not path.exists():  # refuse another writer's manifest before the open creates the log
-        _read_manifest(path, name, fingerprint, sidecar)
-    with _locked_log(path, exclusive=True) as handle:
-        start, data = _read(handle, path, sidecar, name, fingerprint, machine, exclusive=True)
-        log = OpenLog(path, name, entry, config, handle, fingerprint, start, data)
-        try:
-            yield log
-        finally:  # a command that fails (exit 3, 4 or 5) leaves what was committed covered
-            vertices = _leaf_vertices(log.machine)
-            if vertices is not None:
-                _write_manifest(sidecar, _manifest(log, vertices))
+    return OpenLog(path, name, entry, config)
 
 
 def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
@@ -95,9 +82,9 @@ def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
     and what a step raises.
     """
     path, machine = Path(path), entry.factory()
-    with _locked_log(path, exclusive=False) as handle:  # a run in progress finishes first
-        _, data = _read(handle, path, _manifest_path(path), name, _fingerprint(machine),
-                        machine, exclusive=False)
+    with _locked_log(path, exclusive=False) as handle, _failing(path, "read"):
+        _read_manifest(path, name, _fingerprint(machine))  # refuse another writer's
+        data = handle.read()  # under the shared lock: a run in progress finishes first
     _, seq, torn = _replay(machine, data, entry, config)
     if torn:
         raise MalformedLog(
@@ -107,37 +94,63 @@ def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
 
 
 class OpenLog:
-    """An event log that ``open_log`` holds open, checked up to its end.
+    """An event log that ``open_log`` holds open under its lock, checked up to its end.
 
     ``machine`` is the machine after the last record and ``seq`` the seq of the next one;
     both move only past records in the log. ``torn`` is the length in bytes of the torn
     tail that opening the log removed, 0 if none.
     """
 
-    def __init__(self, path: Path, name: str, entry, config, handle: BinaryIO,
-                 fingerprint: str, start: tuple, data: bytes) -> None:
-        machine, seq, size, digest = start
-        machine, seq, torn = _replay(machine, data, entry, config, seq)
-        checked = len(data) - len(torn)
-        digest.update(memoryview(data)[:checked])
-        if torn:
-            with _failing(path, "write"):
-                handle.truncate(size + checked)
-        elif data and not data.endswith(b"\n"):  # never glue a record onto it
-            with _failing(path, "write"):
-                handle.write(b"\n")  # one byte is written whole or fails
-            digest.update(b"\n")
+    def __init__(self, path: str | os.PathLike, name: str, entry: RegistryEntry,
+                 config: RunConfig = DEFAULT_CONFIG) -> None:
+        path, machine = Path(path), entry.factory()
+        sidecar, fingerprint = _manifest_path(path), _fingerprint(machine)
+        if not path.exists():  # refuse another writer's manifest before the open creates the log
+            _read_manifest(path, name, fingerprint, sidecar)
+        handle = _locked_log(path, exclusive=True)
+        try:
+            manifest = _read_manifest(path, name, fingerprint, sidecar)
+            with _failing(path, "read"):
+                handle.seek(0)  # "a+b" opens at the end
+                machine, seq, size, digest = _restore(machine, manifest, handle)
+                data = handle.read()
+            machine, seq, torn = _replay(machine, data, entry, config, seq)
+            checked = len(data) - len(torn)
+            digest.update(memoryview(data)[:checked])
+            if torn:
+                with _failing(path, "write"):
+                    handle.truncate(size + checked)
+            elif data and not data.endswith(b"\n"):  # never glue a record onto it
+                with _failing(path, "write"):
+                    handle.write(b"\n")  # one byte is written whole or fails
+                digest.update(b"\n")
+            self._size = handle.seek(0, os.SEEK_END)
+        except BaseException:  # closing the handle releases the lock
+            handle.close()
+            raise
         self.path, self._name, self._entry, self._config = path, name, entry, config
-        self.machine, self.seq, self.torn = machine, seq, len(torn)
+        self.machine, self.seq, self.torn, self._sidecar = machine, seq, len(torn), sidecar
         self._handle, self._fingerprint, self._digest = handle, fingerprint, digest
-        self._size = handle.seek(0, os.SEEK_END)
+
+    def __enter__(self) -> OpenLog:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:  # a command that fails (exit 3, 4 or 5) leaves what was committed covered
+            vertices = _leaf_vertices(self.machine)
+            if vertices is not None:
+                _write_manifest(self._sidecar, dict(zip(_MANIFEST_FIELDS, (
+                    MANIFEST_VERSION, self._name, self._fingerprint, self.seq, self._size,
+                    self._digest.hexdigest(), vertices))))
+        finally:  # releases the lock
+            self._handle.close()
 
     def append(self, lines: list[tuple[int, str]], write: Callable[[str], Any]) -> None:
         """Run the numbered command ``lines``, ``(line number, text)`` pairs, from ``seq``
         on, append one record each and hand ``write`` each command's printed line.
 
-        Records are group-committed: ``_in_batches`` gathers what ``_run_commands`` yields
-        until the records reach ``_BATCH_BYTES``, the commands run out or one raises. A
+        Records are group-committed: ``_run_commands`` gathers the commands' records and
+        lines until the records reach ``_BATCH_BYTES``, the commands run out or one raises. A
         flush appends the batch's records to the log in one write, hashes and commits them
         (``machine``, ``seq`` and the size the manifest is written from move past them),
         and only then hands ``write`` their lines in one call, so no line is printed before
@@ -145,8 +158,8 @@ class OpenLog:
         records it took, then raises ``CodecError``. A failing command's batch is flushed
         before its error propagates; if that flush fails, its own error propagates instead.
         """
-        _in_batches(_run_commands(self.machine, lines, self._entry, self._config, self.seq),
-                    lambda batch: self._commit(batch, write))
+        _run_commands(self.machine, lines, self._entry, self._config, self.seq,
+                      lambda batch: self._commit(batch, write))
 
     def _commit(self, batch: list, write: Callable[[str], Any]) -> None:
         data = b"".join([record for record, _, _ in batch])
@@ -260,15 +273,14 @@ def _failing(path: Path, verb: str) -> Iterator[None]:
         raise _FAULTS[verb](f"cannot {verb} log {path}: {error}") from error
 
 
-@contextmanager
-def _locked_log(path: Path, exclusive: bool) -> Iterator[BinaryIO]:
-    """Hold a lock on the log at ``path`` and yield its one handle, where ``open`` left it.
+def _locked_log(path: Path, exclusive: bool) -> BinaryIO:
+    """Open and lock the log at ``path``: its one handle, where ``open`` left it.
 
     A writer's handle appends, creates a missing log, holds an exclusive lock
     and starts at the end. A reader's handle only reads, holds a shared lock
     and starts at 0: it is never seeked, so it can be a pipe. Either is
-    unbuffered, so each ``write`` reaches the kernel at once and closing the
-    handle has nothing left to write.
+    unbuffered, so each ``write`` reaches the kernel at once, and closing the
+    handle releases the lock and has nothing left to write.
     """
     try:
         handle = open(path, "a+b" if exclusive else "rb", buffering=0)
@@ -276,26 +288,12 @@ def _locked_log(path: Path, exclusive: bool) -> Iterator[BinaryIO]:
         if not exclusive or path.exists():  # a failed open created nothing
             raise MalformedLog(f"cannot read log {path}: {error}") from error
         raise
-    with handle:  # closing it releases the lock
+    try:
         fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        yield handle
-
-
-def _read(handle: BinaryIO, path: Path, sidecar: Path, name: str, fingerprint: str,
-          machine: StateMachine, exclusive: bool) -> tuple[tuple, bytes]:
-    """Read the log at ``path`` through the ``handle`` that ``_locked_log`` holds locked, for
-    the machine ``name`` with ``fingerprint``, whose fresh instance is ``machine``.
-
-    Refuses another writer's manifest at ``sidecar``, then returns where the records left
-    to check start, as ``_restore`` gives it (the audit starts at record 0), and their
-    bytes, read once.
-    """
-    manifest = _read_manifest(path, name, fingerprint, sidecar)
-    with _failing(path, "read"):
-        if exclusive:
-            handle.seek(0)  # "a+b" opens at the end
-        start = _restore(machine, manifest if exclusive else None, handle)
-        return start, handle.read()
+    except BaseException:
+        handle.close()
+        raise
+    return handle
 
 
 def _manifest_path(log: Path) -> Path:
@@ -311,13 +309,6 @@ _MANIFEST_FIELDS = {
     "sha256": str,
     "vertices": list,
 }
-
-
-def _manifest(log: OpenLog, vertices: list) -> dict:
-    """The manifest of the records committed to ``log``, whose leaves are at ``vertices``."""
-    values = (MANIFEST_VERSION, log._name, log._fingerprint, log.seq, log._size,
-              log._digest.hexdigest(), vertices)
-    return dict(zip(_MANIFEST_FIELDS, values))
 
 
 # how much of the covered prefix a resume holds in memory at once while it hashes it
@@ -427,48 +418,39 @@ def _restore(
 _BATCH_BYTES = 1 << 14
 
 
-def _in_batches(commands: Iterator[tuple[bytes, str, StateMachine]], flush: Callable) -> None:
-    """Hand the items of ``commands`` to ``flush`` in lists, as ``OpenLog.append`` describes."""
+def _run_commands(machine, lines, entry, config, seq: int, flush: Callable) -> None:
+    """Decode and step each command, from ``seq`` on, and hand ``flush`` lists of its log
+    record, printed line and machine after it, in the batches ``OpenLog.append`` describes.
+
+    A record is formatted directly as the bytes ``json.dumps(record,
+    sort_keys=True)`` gives, through ``_quote``, the escaper that call uses. A
+    codec fault raises ``CodecError`` naming the input line before that command
+    joins a batch, so ``flush`` never sees the machine that command stepped to.
+    """
     batch, size = [], 0
     try:
-        for item in commands:
-            batch.append(item)
-            size += len(item[0])
+        for number, text in lines:
+            try:
+                value = entry.decode_input(text)
+            except Exception as error:
+                raise _codec_failed(f"line {number}", "decode_input", error) from None
+            encoded, machine = _step(machine, value, entry, config, "line", number)
+            try:
+                code = entry.encode_input(value)
+                if not isinstance(code, str):
+                    raise _not_str("encode_input", code)
+            except Exception as error:
+                raise _codec_failed(f"line {number}", "encode_input", error) from None
+            quoted = ", ".join(map(_quote, encoded))
+            record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
+            batch.append((record.encode(), f"[{', '.join(encoded)}]\n", machine))
+            size, seq = size + len(batch[-1][0]), seq + 1
             if size >= _BATCH_BYTES:
                 full, batch, size = batch, [], 0
                 flush(full)
     finally:  # the last batch, also the one before a command that raised, ahead of its error
         if batch:
             flush(batch)
-
-
-def _run_commands(
-    machine, lines, entry, config, seq=0
-) -> Iterator[tuple[bytes, str, StateMachine]]:
-    """Decode and step each command, from ``seq`` on, and yield its log record, its printed
-    line and the machine after it. It writes nothing: ``OpenLog.append`` and ``run`` do.
-
-    A record is formatted directly as the bytes ``json.dumps(record,
-    sort_keys=True)`` gives, through ``_quote``, the escaper that call uses. A
-    codec fault raises ``CodecError`` naming the input line before that command
-    yields anything, so the caller never sees the machine that command stepped to.
-    """
-    for number, text in lines:
-        try:
-            value = entry.decode_input(text)
-        except Exception as error:
-            raise _codec_failed(f"line {number}", "decode_input", error) from None
-        encoded, machine = _step(machine, value, entry, config, "line", number)
-        try:
-            code = entry.encode_input(value)
-            if not isinstance(code, str):
-                raise _not_str("encode_input", code)
-        except Exception as error:
-            raise _codec_failed(f"line {number}", "encode_input", error) from None
-        quoted = ", ".join(map(_quote, encoded))
-        record = f'{{"input": {_quote(code)}, "outputs": [{quoted}], "seq": {seq}}}\n'
-        yield record.encode(), f"[{', '.join(encoded)}]\n", machine
-        seq += 1
 
 
 def _step(machine, value, entry, config, where: str, number: int) -> tuple[list, StateMachine]:

@@ -8,6 +8,7 @@ writes, resumes or audits, byte for byte and message for message.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import io
 import json
 import os
@@ -154,6 +155,43 @@ def test_replay_raises_diverged_on_a_tampered_record_with_the_cli_message(tmp_pa
         with eventlog.open_log(log, "whole-cart-domain", REGISTRY["whole-cart-domain"]):
             pass
     assert str(again.value) == str(error.value)
+
+
+def unlocked(log: Path) -> bool:
+    """Whether a fresh handle on ``log`` takes its exclusive lock at once."""
+    with log.open("rb") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ending", ["block", "raising-block", "diverged", "another-machine"])
+def test_open_log_releases_the_lock_however_it_ends(ending, tmp_path):
+    log, machine = tmp_path / "log.jsonl", "whole-cart-domain"
+    api_append(machine, log, ["PayCart", "MarkCartAsPaid"])
+    if ending in ("block", "raising-block"):
+        failing = ending == "raising-block"
+        with pytest.raises(RuntimeError) if failing else contextlib.nullcontext():
+            with eventlog.open_log(log, machine, REGISTRY[machine]) as events:
+                events.append(numbered(["PayCart"]), lambda text: None)
+                assert not unlocked(log)
+                if failing:
+                    raise RuntimeError("the block failed")
+        # the manifest covers the record the block appended, also when the block raised
+        manifest = json.loads(log.with_name(log.name + ".crem").read_bytes())
+        assert manifest["records"] == 3
+    elif ending == "diverged":
+        log.write_bytes(log.read_bytes().replace(b'"PaymentDone"', b'"PaymentPending"', 1))
+        with pytest.raises(eventlog.Diverged):
+            with eventlog.open_log(log, machine, REGISTRY[machine]):
+                pass
+    else:
+        with pytest.raises(eventlog.MalformedLog, match="written by machine 'whole-cart-domain'"):
+            with eventlog.open_log(log, "cart", REGISTRY["cart"]):
+                pass
+    assert unlocked(log)
 
 
 def test_importing_crem_loads_neither_the_event_log_nor_the_cli():
