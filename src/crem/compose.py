@@ -14,7 +14,6 @@ they route individual elements onward.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -158,20 +157,6 @@ def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachi
             unmoved = first is node.first and second is node.second
             built.append(node if unmoved else node._with(first, second))
     return built[0] if used == len(vertices) else None
-
-
-def _fingerprint(tree: StateMachine) -> str:
-    """The sha256 of ``tree``'s walk: each node's kind, and each leaf's name, edges and vertex.
-
-    It names the topology, not the actions' code or the payloads. Composites have two
-    children, so pre-order fixes the shape.
-    """
-    walk = [
-        (type(node).__name__, node.machine.name, node.machine.topology.edges,
-         node.machine.state.vertex) if isinstance(node, Basic) else type(node).__name__
-        for node, done in _walk(tree) if not done
-    ]
-    return hashlib.sha256(repr(walk).encode()).hexdigest()
 
 
 # key of the leaf-name set in a composite's instance __dict__; not a field,

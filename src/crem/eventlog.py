@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator
 
 from .compose import (
-    DEFAULT_CONFIG, RunConfig, StateMachine, _fingerprint, _leaf_vertices, _restore_vertices
+    DEFAULT_CONFIG, Basic, RunConfig, StateMachine, _leaf_vertices, _restore_vertices, _walk
 )
 
 MANIFEST_VERSION = 3
@@ -157,7 +157,10 @@ class OpenLog:
         its record is in the log. A log write cut short commits and prints exactly the whole
         records it took, then raises ``CodecError``. A failing command's batch is flushed
         before its error propagates; if that flush fails, its own error propagates instead.
+        Once the ``with`` block has ended, it raises ``ValueError`` before it decodes anything.
         """
+        if self._handle.closed:
+            raise ValueError(f"log {self.path} is closed: its with block has ended")
         _run_commands(self.machine, lines, self._entry, self._config, self.seq,
                       lambda batch: self._commit(batch, write))
 
@@ -313,6 +316,20 @@ _MANIFEST_FIELDS = {
 
 # how much of the covered prefix a resume holds in memory at once while it hashes it
 _PREFIX_CHUNK = 1 << 16
+
+
+def _fingerprint(tree: StateMachine) -> str:
+    """The sha256 of ``tree``'s walk: each node's kind, and each leaf's name, edges and vertex.
+
+    It names the topology, not the actions' code or the payloads. Composites have two
+    children, so pre-order fixes the shape.
+    """
+    walk = [
+        (type(node).__name__, node.machine.name, node.machine.topology.edges,
+         node.machine.state.vertex) if isinstance(node, Basic) else type(node).__name__
+        for node, done in _walk(tree) if not done
+    ]
+    return hashlib.sha256(repr(walk).encode()).hexdigest()
 
 
 def _check(manifest: dict) -> str:

@@ -387,7 +387,6 @@ def test_criterion_7_feedback_guard(tmp_path, monkeypatch, capsys):
         commands.write_text("PayCart\n", encoding="utf-8")
         run = ["run", "whole-cart-domain", "--input", str(commands)]
 
-        monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
         assert cli.main(run + ["--feedback-cap", "3"]) == cli.EXIT_FEEDBACK
         assert cli.main(run + ["--feedback-cap", "4"]) == cli.EXIT_OK
 

@@ -22,11 +22,7 @@ from crem.cart import (
     ShippingEvent,
     ShippingInfo,
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
+from crem_harness import SRC, crem_env
 
 
 def write_lines(path, lines):
@@ -46,11 +42,9 @@ def test_list_prints_sorted_registry(capsys):
 def test_module_entry_points_list_the_registry(module, capsys):
     assert cli.main(["list"]) == 0
     expected = capsys.readouterr().out
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-m", module, "list"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, "list"],
+        capture_output=True, text=True, env=crem_env(), timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
@@ -77,10 +71,9 @@ print(sorted(imported - set(sys.stdlib_module_names) - {"crem", "__main__"}))
 
 def test_the_cli_imports_nothing_outside_the_standard_library(tmp_path):
     # -S keeps site-packages off sys.path, so a third-party import fails instead of passing
-    src = str(Path(cli.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run(
-        [sys.executable, "-S", "-c", NO_DEPENDENCIES, src, str(tmp_path)],
+        [sys.executable, "-S", "-c", NO_DEPENDENCIES, SRC, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
@@ -167,9 +160,7 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no 
 def shell_crem(request, tmp_path):
     """Run a ``sh`` script in ``tmp_path``, where ``crem`` runs ``python -m crem`` on this
     checkout; returns the finished process, its output as bytes."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, CREM_PYTHON=sys.executable)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = crem_env(CREM_PYTHON=sys.executable)
     env.pop("PYTHONUNBUFFERED", None)
     if request.param == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
@@ -485,14 +476,11 @@ def test_run_input_that_is_not_utf8_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("encoding", ["utf-8:surrogateescape", "latin-1"])
 def test_stdin_that_is_not_utf8_exits_3_as_a_file_does(encoding):
     # stdin is read as bytes, whatever text encoding the interpreter gives it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
     done = subprocess.run(
         [sys.executable, "-m", "crem", "run", "cart", "--input", "-"],
         input=b"PayCart\n\xff\n",
         capture_output=True,
-        env=env,
+        env=crem_env(PYTHONIOENCODING=encoding),
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (3, b"")

@@ -9,58 +9,24 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import io
 import json
 import os
-import random
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from crem import cli, eventlog
+from crem_harness import SRC, VOCABULARY, call, cli_run, commands_for, manifest_of, written
 
 REGISTRY = cli.default_registry()
-VOCABULARY = {
-    "cart": ["PayCart", "MarkCartAsPaid"],
-    "shipping": ["StartShipping", "MarkAsDelivered"],
-    "whole-cart-domain": ["PayCart", "MarkCartAsPaid"],
-    "cart-and-shipping": [
-        "cart PayCart",
-        "cart MarkCartAsPaid",
-        "ship StartShipping",
-        "ship MarkAsDelivered",
-    ],
-}
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
-
-
-def commands_for(machine: str, count: int, seed: int = 41) -> list[str]:
-    rng = random.Random(seed)
-    return [rng.choice(VOCABULARY[machine]) for _ in range(count)]
 
 
 def numbered(commands: list[str], start: int = 1) -> list[tuple[int, str]]:
     return list(enumerate(commands, start=start))
-
-
-def cli_run(machine: str, log: Path, commands: list[str]) -> tuple[int, str, str]:
-    """``crem run MACHINE --log LOG`` on a command file of ``commands``, output captured."""
-    source = log.with_name("commands.txt")
-    source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
-    return call("run", machine, "--input", source, "--log", log)
-
-
-def call(*argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(arg) for arg in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def api_append(machine: str, log: Path, commands: list[str]) -> str:
@@ -71,13 +37,9 @@ def api_append(machine: str, log: Path, commands: list[str]) -> str:
     return "".join(printed)
 
 
-def written(log: Path) -> tuple[bytes, bytes]:
-    return log.read_bytes(), log.with_name(log.name + ".crem").read_bytes()
-
-
 @pytest.mark.parametrize("machine", sorted(VOCABULARY))
 def test_the_api_writes_the_log_and_manifest_the_cli_writes(machine, tmp_path):
-    commands = commands_for(machine, 2_000)  # past several 16 KiB batches
+    commands = commands_for(machine, 2_000, seed=41)  # past several 16 KiB batches
     (tmp_path / "cli").mkdir()
     (tmp_path / "api").mkdir()
     code, out, err = cli_run(machine, tmp_path / "cli" / "log.jsonl", commands)
@@ -89,7 +51,7 @@ def test_the_api_writes_the_log_and_manifest_the_cli_writes(machine, tmp_path):
 @pytest.mark.parametrize("first_by_cli", [True, False], ids=["cli-then-api", "api-then-cli"])
 def test_a_resume_continues_a_log_the_other_side_wrote(first_by_cli, tmp_path):
     machine = "cart-and-shipping"
-    commands = commands_for(machine, 1_500)
+    commands = commands_for(machine, 1_500, seed=41)
     first, second = commands[:900], commands[900:]
     (tmp_path / "whole").mkdir()
     (tmp_path / "split").mkdir()
@@ -180,7 +142,7 @@ def test_open_log_releases_the_lock_however_it_ends(ending, tmp_path):
                 if failing:
                     raise RuntimeError("the block failed")
         # the manifest covers the record the block appended, also when the block raised
-        manifest = json.loads(log.with_name(log.name + ".crem").read_bytes())
+        manifest = json.loads(manifest_of(log).read_bytes())
         assert manifest["records"] == 3
     elif ending == "diverged":
         log.write_bytes(log.read_bytes().replace(b'"PaymentDone"', b'"PaymentPending"', 1))
@@ -194,18 +156,37 @@ def test_open_log_releases_the_lock_however_it_ends(ending, tmp_path):
     assert unlocked(log)
 
 
+def test_append_after_the_block_raises_before_it_decodes(tmp_path):
+    log, machine = tmp_path / "log.jsonl", "cart"
+    api_append(machine, log, ["PayCart"])
+    decoded, entry = [], REGISTRY[machine]
+
+    def decode_input(text):
+        decoded.append(text)
+        return entry.decode_input(text)
+
+    counting = replace(entry, decode_input=decode_input)
+    with eventlog.open_log(log, machine, counting) as events:
+        pass
+    decoded.clear()  # opening re-decoded the logged record
+    before = written(log)
+    with pytest.raises(ValueError, match=f"^log {re.escape(str(log))} is closed"):
+        events.append(numbered(["MarkCartAsPaid"]), print)
+    assert decoded == [] and written(log) == before
+
+
 def test_importing_crem_loads_neither_the_event_log_nor_the_cli():
-    src = str(Path(eventlog.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import crem; "
-        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('crem.'))))"
+        "print(json.dumps(sorted(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-c", script, src], capture_output=True, text=True, env=env,
+        [sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, env=env,
         timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
     loaded = json.loads(done.stdout)
     assert "crem.eventlog" not in loaded and "crem.cli" not in loaded
     assert "crem.compose" in loaded  # the package itself did load
+    assert "hashlib" not in loaded  # the manifest's fingerprint is the event log's

@@ -22,28 +22,18 @@ import crem
 from crem import (
     Alternative,
     Basic,
-    BaseMachine,
     Feedback,
     Kleisli,
-    MachineState,
     Parallel,
     Sequential,
-    StepResult,
-    Topology,
     render_base,
     render_flow,
     stateless,
 )
 from crem.cli import default_registry
+from crem_harness import _leaf
 
 REGISTRY = default_registry()
-
-
-def _leaf(name: str, edges, initial: str) -> Basic:
-    def stay(state, value):
-        return StepResult([value], state)
-
-    return Basic(BaseMachine(name, Topology(edges), MachineState(initial), stay))
 
 
 def _plain(name: str) -> Basic:

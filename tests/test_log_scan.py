@@ -22,17 +22,10 @@ from hypothesis import strategies as st
 
 from crem import cli, eventlog
 from crem.eventlog import CodecError, Diverged, MalformedLog, _codec_failed
+from crem_harness import VOCABULARY
 
 REGISTRY = cli.default_registry()
-COMMANDS = {
-    "cart": ["PayCart", "MarkCartAsPaid"],
-    "cart-and-shipping": [
-        "cart PayCart",
-        "cart MarkCartAsPaid",
-        "ship StartShipping",
-        "ship MarkAsDelivered",
-    ],
-}
+COMMANDS = {machine: VOCABULARY[machine] for machine in ("cart", "cart-and-shipping")}
 
 
 def per_line_replay(machine, log, entry, config, seq=0):

@@ -9,15 +9,12 @@ import render_reference
 from crem import (
     Alternative,
     Basic,
-    BaseMachine,
     Diagram,
     DuplicateLeafName,
     Feedback,
     Kleisli,
-    MachineState,
     Parallel,
     Sequential,
-    StepResult,
     Topology,
     identity_machine,
     render_base,
@@ -25,6 +22,7 @@ from crem import (
     stateless,
 )
 from crem.cart import cart, cart_and_shipping, payment_gateway, whole_cart_domain
+from crem_harness import _leaf
 
 CART = cart().machine
 
@@ -206,12 +204,6 @@ def test_flow_cluster_edges_match_each_topology():
             if m.group(1) != "initial"
         }
         assert drawn == set(leaf.topology.transitions())
-
-
-def _leaf(name, edges, initial):
-    return Basic(
-        BaseMachine(name, Topology(edges), MachineState(initial), lambda s, v: StepResult([v], s))
-    )
 
 
 def _cluster_nodes(text):

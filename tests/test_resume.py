@@ -22,7 +22,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import resource
 import shutil
 import subprocess
@@ -61,53 +60,16 @@ from crem import (
     unrestricted_mealy,
 )
 from crem.cart import CartCommand, cart, cart_and_shipping, shipping, whole_cart_domain
-from crem.compose import _fingerprint, _leaf_vertices, _restore_vertices
-
-VOCABULARY = {
-    "cart": ["PayCart", "MarkCartAsPaid"],
-    "whole-cart-domain": ["PayCart", "MarkCartAsPaid"],
-    "cart-and-shipping": [
-        "cart PayCart",
-        "cart MarkCartAsPaid",
-        "ship StartShipping",
-        "ship MarkAsDelivered",
-    ],
-}
-SRC = str(Path(cli.__file__).resolve().parents[1])
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_FEEDBACK_CAP, raising=False)
-
-
-def call(*argv, registry=None) -> tuple[int, str, str]:
-    """``cli.main`` with its stdout and stderr captured."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(arg) for arg in argv], registry)
-    return code, out.getvalue(), err.getvalue()
-
-
-def run(machine, log, commands) -> tuple[int, str, str]:
-    source = Path(log).with_name("commands.txt")
-    source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
-    return call("run", machine, "--input", source, "--log", log)
-
-
-def manifest_of(log: Path) -> Path:
-    return log.with_name(log.name + ".crem")
+from crem.compose import _leaf_vertices, _restore_vertices
+from crem.eventlog import _fingerprint
+from crem_harness import VOCABULARY, call, commands_for, crem_env, manifest_of, written
+from crem_harness import cli_run as run
 
 
 def signed(manifest: dict) -> dict:
     """``manifest`` with the ``check`` a run writes: the sha256 of its canonical JSON without it."""
     body = {key: value for key, value in manifest.items() if key != "check"}
     return {**body, "check": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()}
-
-
-def commands_for(machine, count, seed=7) -> list[str]:
-    rng = random.Random(seed)
-    return [rng.choice(VOCABULARY[machine]) for _ in range(count)]
 
 
 @pytest.fixture
@@ -899,10 +861,6 @@ def session(kind, machine, log, registry=None) -> tuple[int, str, str]:
     return call("run", machine, "--input", source, "--log", log, registry=registry)
 
 
-def written(log: Path) -> tuple[bytes, bytes]:
-    return log.read_bytes(), manifest_of(log).read_bytes()
-
-
 @pytest.mark.parametrize("kind", ["run", "replay"])
 def test_run_and_replay_refuse_a_log_written_by_another_machine(kind, tmp_path):
     log = tmp_path / "log.jsonl"
@@ -1443,15 +1401,12 @@ def test_a_command_that_fails_after_several_batches_leaves_them_logged(tmp_path)
 
 def crem_process(*argv, text=True, **options) -> subprocess.Popen:
     """``python -m crem *argv`` with its output piped; ``options`` go to ``Popen``."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop(cli.ENV_FEEDBACK_CAP, None)
     return subprocess.Popen(
         [sys.executable, "-m", "crem", *map(str, argv)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=text,
-        env=env,
+        env=crem_env(),
         **options,
     )
 

@@ -42,7 +42,7 @@ from crem import (
     trivial_topology,
     unrestricted_mealy,
 )
-from crem import compose
+from crem import compose, eventlog
 from crem.cart import (
     PAYMENT_COMPLETE,
     CartCommand,
@@ -554,8 +554,8 @@ def test_thousand_leaf_chain_round_trips_its_vertices(chain, default_recursion_l
     assert [leaf.name for leaf in moved.leaves()] == [f"leaf{i}" for i in range(1000)]
     assert compose._leaf_vertices(compose._restore_vertices(moved, start)) == start
     assert compose._restore_vertices(tree, spread[:-1]) is None
-    assert compose._fingerprint(tree) == compose._fingerprint(chain(1000, on_ring))
-    assert compose._fingerprint(moved) != compose._fingerprint(tree)
+    assert eventlog._fingerprint(tree) == eventlog._fingerprint(chain(1000, on_ring))
+    assert eventlog._fingerprint(moved) != eventlog._fingerprint(tree)
 
 
 def balanced(size, first=0, depth=0):
@@ -693,7 +693,7 @@ def test_a_subclass_of_a_node_kind_is_refused_like_a_foreign_node(kind, leaves_w
         with not_a_node(subclass.__name__):
             render_flow(node, format)
     with not_a_node(subclass.__name__):
-        compose._fingerprint(node)
+        eventlog._fingerprint(node)
 
 
 class Wrapped(StateMachine):
