@@ -249,9 +249,11 @@ def cart_and_shipping() -> StateMachine:
     return Kleisli(write_model_full, read_model)
 
 
-def _enum_decoder(enum_cls):
-    # the map enum_cls[name] reads, snapshot once: a dict lookup, not a call into EnumType
-    members = dict(enum_cls.__members__)
+def _enum_decoder(enum_cls, wrap=None):
+    # the map enum_cls[name] reads, snapshot once: a dict lookup, not a call into EnumType;
+    # with wrap, each member is wrapped once, so a name always decodes to one object
+    members = {name: wrap(member) if wrap else member
+               for name, member in enum_cls.__members__.items()}
 
     def decode(text: str):
         name = text.strip()
@@ -268,8 +270,8 @@ def _encode_enum(value) -> str:
 
 
 _SIDES = {
-    "cart": (Left, _enum_decoder(CartCommand)),
-    "ship": (Right, _enum_decoder(ShippingCommand)),
+    "cart": (Left, _enum_decoder(CartCommand, Left)),
+    "ship": (Right, _enum_decoder(ShippingCommand, Right)),
 }
 
 
@@ -279,8 +281,7 @@ def _decode_side(text: str):
         raise CodecError(
             f"expected 'cart <CartCommand>' or 'ship <ShippingCommand>', got {text.strip()!r}"
         )
-    wrapper, decode = _SIDES[parts[0]]
-    return wrapper(decode(parts[1]))
+    return _SIDES[parts[0]][1](parts[1])
 
 
 def _encode_side(value) -> str:

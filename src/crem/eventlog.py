@@ -444,14 +444,14 @@ def _run_commands(machine, lines, entry, config, seq: int, flush: Callable) -> N
     codec fault raises ``CodecError`` naming the input line before that command
     joins a batch, so ``flush`` never sees the machine that command stepped to.
     """
-    batch, size = [], 0
+    batch, size, memo = [], 0, {}
     try:
         for number, text in lines:
             try:
                 value = entry.decode_input(text)
             except Exception as error:
                 raise _codec_failed(f"line {number}", "decode_input", error) from None
-            encoded, machine = _step(machine, value, entry, config, "line", number)
+            encoded, machine = _step(machine, value, entry, config, "line", number, memo)
             try:
                 code = entry.encode_input(value)
                 if not isinstance(code, str):
@@ -470,7 +470,12 @@ def _run_commands(machine, lines, entry, config, seq: int, flush: Callable) -> N
             flush(batch)
 
 
-def _step(machine, value, entry, config, where: str, number: int) -> tuple[list, StateMachine]:
+# the most stays one _run_commands call's memo holds; past it, stays go uncached
+_MEMO_BOUND = 1024
+
+
+def _step(machine, value, entry, config, where: str, number: int,
+          memo: dict | None = None) -> tuple[list, StateMachine]:
     """Step ``machine`` on the decoded command ``value`` and encode its outputs: ``(the
     outputs' codes, the machine after the step)``, the one rule by which ``run`` writes a
     record and ``_replay`` checks one.
@@ -480,13 +485,29 @@ def _step(machine, value, entry, config, where: str, number: int) -> tuple[list,
     outputs are read, or when ``encode_output`` raises anything or returns a non-``str``.
     Any other error of a step propagates as it is. The encoder runs in a plain loop: a
     comprehension is a call of its own before Python 3.12.
+
+    ``memo``, one dict per ``_run_commands`` call (``_replay`` steps every record), holds
+    the stays of ``machine``: ``id(value)`` maps to ``(value, outputs)`` of a step that
+    returned ``machine`` itself, so it is not stepped again, as actions are pure. An entry
+    keeps its input alive, so the id is not reused, and runs no ``__hash__`` or ``__eq__``
+    of it. A move clears it, as a tree left is never current again; a stay is stored only
+    once it returned, up to ``_MEMO_BOUND`` entries. A hit's outputs are encoded anew.
     """
-    try:
-        outputs, machine = machine.step(value, config)
-        if not isinstance(outputs, list):  # a lazy iterable runs the step's code here
-            outputs = list(outputs)
-    except CodecError as error:
-        raise CodecError(f"{where} {number}: {error}") from None
+    if memo is not None and (hit := memo.get(id(value))) is not None:
+        outputs = hit[1]
+    else:
+        try:
+            outputs, after = machine.step(value, config)
+            if not isinstance(outputs, list):  # a lazy iterable runs the step's code here
+                outputs = list(outputs)
+        except CodecError as error:
+            raise CodecError(f"{where} {number}: {error}") from None
+        if after is not machine:
+            machine = after
+            if memo:
+                memo.clear()
+        elif memo is not None and len(memo) < _MEMO_BOUND:
+            memo[id(value)] = value, outputs
     encoded = []
     try:
         for item in outputs:

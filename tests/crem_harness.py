@@ -1,8 +1,8 @@
 """What the tests that drive ``crem`` share.
 
 The source directory and the environment a ``python -m crem`` process runs in, ``cli.main``
-with its output captured, a ``run --log`` on a list of commands, the log's manifest, and
-seeded commands for the registered machines.
+with its output captured, a command file, a ``run --log`` on a list of commands, the log's
+manifest, and seeded commands for the registered machines.
 """
 
 from __future__ import annotations
@@ -45,10 +45,15 @@ def call(*argv, registry=None) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def write_commands(path, commands) -> str:
+    """Write the command file ``path``: each of ``commands`` and ``"\n"``, as UTF-8."""
+    Path(path).write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+    return str(path)
+
+
 def cli_run(machine, log, commands) -> tuple[int, str, str]:
     """``crem run MACHINE --log LOG`` on a command file of ``commands``, output captured."""
-    source = Path(log).with_name("commands.txt")
-    source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+    source = write_commands(Path(log).with_name("commands.txt"), commands)
     return call("run", machine, "--input", source, "--log", log)
 
 

@@ -22,12 +22,7 @@ from crem.cart import (
     ShippingEvent,
     ShippingInfo,
 )
-from crem_harness import SRC, crem_env
-
-
-def write_lines(path, lines):
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return str(path)
+from crem_harness import SRC, crem_env, write_commands
 
 
 def test_list_prints_sorted_registry(capsys):
@@ -111,7 +106,7 @@ def test_render_base_mode_rejected_for_composed_machine(capsys):
 
 
 def test_run_with_no_stdout_logs_every_record(tmp_path, monkeypatch):
-    commands = write_lines(tmp_path / "commands.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "commands.txt", ["PayCart", "MarkCartAsPaid"])
     shown, closed = tmp_path / "shown.jsonl", tmp_path / "closed.jsonl"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(shown)]) == 0
     monkeypatch.setattr(sys, "stdout", None)
@@ -187,9 +182,9 @@ def test_a_closed_stderr_gets_no_error_line_and_stdout_gets_none(shell_crem):
 
 @needs_dev_full
 def test_a_torn_tail_warning_that_cannot_be_written_stops_nothing(shell_crem, tmp_path):
-    both = write_lines(tmp_path / "both.txt", ["PayCart", "MarkCartAsPaid"])
-    first = write_lines(tmp_path / "first.txt", ["PayCart"])
-    write_lines(tmp_path / "second.txt", ["MarkCartAsPaid"])
+    both = write_commands(tmp_path / "both.txt", ["PayCart", "MarkCartAsPaid"])
+    first = write_commands(tmp_path / "first.txt", ["PayCart"])
+    write_commands(tmp_path / "second.txt", ["MarkCartAsPaid"])
     clean, log = tmp_path / "clean.jsonl", tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", both, "--log", str(clean)]) == 0
     assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
@@ -203,7 +198,7 @@ def test_a_torn_tail_warning_that_cannot_be_written_stops_nothing(shell_crem, tm
 
 @needs_dev_full
 def test_a_divergence_line_that_cannot_be_written_keeps_exit_6(shell_crem, tmp_path):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     log.write_bytes(log.read_bytes().replace(b"CartPaymentInitiated", b"CartPaymentCompleted"))
@@ -222,7 +217,7 @@ def test_input_from_a_closed_stdin_is_a_usage_error(shell_crem, tmp_path):
 @pytest.mark.parametrize("shell_crem", ["buffered"], indirect=True)
 def test_output_that_fails_only_at_the_exit_flush_exits_2(shell_crem, tmp_path):
     # unbuffered, the first write fails and main reports it, as it always has
-    write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    write_commands(tmp_path / "cmds.txt", ["PayCart"])
     done = shell_crem("crem run cart --input cmds.txt >/dev/full")
     assert done.returncode == 2
     assert done.stderr == b"error: [Errno 28] No space left on device\n"
@@ -231,7 +226,7 @@ def test_output_that_fails_only_at_the_exit_flush_exits_2(shell_crem, tmp_path):
 @needs_dev_full
 def test_output_that_cannot_be_written_still_logs_each_record_first(shell_crem, tmp_path):
     # a line is printed only once its record is in the log, buffered or not
-    write_lines(tmp_path / "c.txt", ["PayCart", "MarkCartAsPaid"])
+    write_commands(tmp_path / "c.txt", ["PayCart", "MarkCartAsPaid"])
     done = shell_crem("crem run cart --input c.txt --log U >/dev/full")
     assert done.returncode == 2
     assert done.stderr == b"error: [Errno 28] No space left on device\n"
@@ -247,13 +242,13 @@ def test_render_writes_output_file(tmp_path, capsys):
 
 
 def test_run_whole_cart_domain(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "whole-cart-domain", "--input", commands]) == 0
     assert capsys.readouterr().out == "[PaymentInProgress, PaymentDone]\n"
 
 
 def test_run_cart_and_shipping(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["cart PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["cart PayCart"])
     assert cli.main(["run", "cart-and-shipping", "--input", commands]) == 0
     assert (
         capsys.readouterr().out
@@ -262,13 +257,13 @@ def test_run_cart_and_shipping(tmp_path, capsys):
 
 
 def test_run_empty_input(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", [])
+    commands = write_commands(tmp_path / "cmds.txt", [])
     assert cli.main(["run", "cart", "--input", commands]) == 0
     assert capsys.readouterr().out == ""
 
 
 def test_run_skips_blanks_and_comments(tmp_path, capsys):
-    commands = write_lines(
+    commands = write_commands(
         tmp_path / "cmds.txt", ["# warm-up", "", "PayCart", "   ", "MarkCartAsPaid"]
     )
     assert cli.main(["run", "cart", "--input", commands]) == 0
@@ -293,7 +288,7 @@ def test_run_codec_error_reports_line(tmp_path, capsys):
         ("cart-and-shipping", ["cart Bogus"], "line 1: 'Bogus' is not a CartCommand"),
     ]
     for machine, lines, message in cases:
-        commands = write_lines(tmp_path / "cmds.txt", lines)
+        commands = write_commands(tmp_path / "cmds.txt", lines)
         assert cli.main(["run", machine, "--input", commands]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -321,7 +316,7 @@ def test_run_reads_a_crlf_command_file(tmp_path, capsys):
 
 
 def test_run_writes_event_log(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
@@ -333,8 +328,8 @@ def test_run_writes_event_log(tmp_path, capsys):
 
 
 def test_run_appends_and_resumes_from_existing_log(tmp_path, capsys):
-    first = write_lines(tmp_path / "first.txt", ["PayCart"])
-    second = write_lines(tmp_path / "second.txt", ["MarkCartAsPaid"])
+    first = write_commands(tmp_path / "first.txt", ["PayCart"])
+    second = write_commands(tmp_path / "second.txt", ["MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
     assert cli.main(["run", "cart", "--input", second, "--log", str(log)]) == 0
@@ -348,27 +343,27 @@ def test_run_appends_and_resumes_from_existing_log(tmp_path, capsys):
 
 
 def test_run_rejects_feedback_cap_below_one(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "cart", "--input", commands, "--feedback-cap", "0"]) == 2
     assert capsys.readouterr().err == "error: feedback_cap must be at least 1\n"
 
 
 def test_run_rejects_invalid_env_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_FEEDBACK_CAP, "many")
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "cart", "--input", commands]) == 2
     assert cli.ENV_FEEDBACK_CAP in capsys.readouterr().err
 
 
 def test_run_rejects_env_cap_below_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_FEEDBACK_CAP, "0")
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "cart", "--input", commands]) == 2
     assert "at least 1" in capsys.readouterr().err
 
 
 def test_run_feedback_overflow_exit_code(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert (
         cli.main(["run", "whole-cart-domain", "--input", commands, "--feedback-cap", "2"])
         == 5
@@ -380,7 +375,7 @@ def test_run_feedback_overflow_exit_code(tmp_path, capsys):
 
 def test_replay_takes_the_feedback_cap(tmp_path, capsys):
     # one PayCart spends exactly four feedback iterations
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "whole-cart-domain", "--input", commands, "--log", str(log)]) == 0
     capsys.readouterr()
@@ -404,7 +399,7 @@ def test_replay_empty_log(tmp_path):
 
 
 def test_replay_detects_corruption(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
@@ -421,7 +416,7 @@ def test_replay_detects_corruption(tmp_path, capsys):
 
 
 def test_run_refuses_to_resume_a_tampered_log(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
@@ -430,7 +425,7 @@ def test_run_refuses_to_resume_a_tampered_log(tmp_path, capsys):
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
     )
     tampered = log.read_bytes()
-    more = write_lines(tmp_path / "more.txt", ["PayCart"])
+    more = write_commands(tmp_path / "more.txt", ["PayCart"])
     capsys.readouterr()
     assert cli.main(["run", "cart", "--input", more, "--log", str(log)]) == 6
     assert capsys.readouterr().out.startswith("replay diverged at seq 1")
@@ -438,8 +433,8 @@ def test_run_refuses_to_resume_a_tampered_log(tmp_path, capsys):
 
 
 def test_resume_ends_an_unterminated_last_line_before_appending(tmp_path, capsys):
-    first = write_lines(tmp_path / "first.txt", ["PayCart"])
-    second = write_lines(tmp_path / "second.txt", ["MarkCartAsPaid"])
+    first = write_commands(tmp_path / "first.txt", ["PayCart"])
+    second = write_commands(tmp_path / "second.txt", ["MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     assert cli.main(["run", "cart", "--input", first, "--log", str(log)]) == 0
     log.write_bytes(log.read_bytes().rstrip(b"\n"))
@@ -453,7 +448,7 @@ def test_resume_ends_an_unterminated_last_line_before_appending(tmp_path, capsys
 
 
 def test_resume_on_an_empty_log_appends_from_seq_0(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     log = tmp_path / "log.jsonl"
     log.write_text("", encoding="utf-8")
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
@@ -515,7 +510,7 @@ def test_a_log_line_ends_only_at_newline(line, tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_bytes(line.encode("utf-8") + b"\n")
     assert cli.main(["replay", "cart", "--log", str(log)]) == 0
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     assert json.loads(log.read_bytes().split(b"\n")[1])["seq"] == 1
     assert cli.main(["replay", "cart", "--log", str(log)]) == 0
@@ -630,7 +625,7 @@ def test_replay_unknown_machine(tmp_path, capsys):
 def test_an_empty_path_is_a_usage_error(argv, option, tmp_path, monkeypatch, capsys):
     # Path("") is Path("."), so an unchecked run --log "" would run and write no log
     monkeypatch.chdir(tmp_path)
-    write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -659,7 +654,7 @@ def test_run_maps_disallowed_transition_to_exit_4(tmp_path, capsys):
             lambda value: value,
         )
     }
-    commands = write_lines(tmp_path / "cmds.txt", ["x", "y"])
+    commands = write_commands(tmp_path / "cmds.txt", ["x", "y"])
     assert cli.main(["run", "flipflop", "--input", commands], registry=registry) == 4
     assert capsys.readouterr().err == (
         "error: machine 'flipflop': transition 'b' -> 'a' is not allowed by the topology\n"
@@ -680,7 +675,7 @@ def test_a_codec_that_returns_no_str_exits_3_before_its_line(
     entry = cli.default_registry()["cart"]
     encode = getattr(entry, codec)
     registry = {"cart": replace(entry, **{codec: lambda v: 7 if v is seven_for else encode(v)})}
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     argv = ["run", "cart", "--input", commands] + (["--log", str(log)] if logged else [])
     assert cli.main(argv, registry) == 3
@@ -714,7 +709,7 @@ def refusing(codec, culprit, error=None):
     ("encode_output", CartEvent.CartPaymentCompleted),
 ])
 def test_an_encoder_that_refuses_a_value_names_its_line(codec, culprit, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     argv = ["run", "cart", "--input", commands, "--log", str(log)]
     assert cli.main(argv, refusing(codec, culprit)) == 3
@@ -726,7 +721,7 @@ def test_an_encoder_that_refuses_a_value_names_its_line(codec, culprit, tmp_path
 
 @pytest.mark.parametrize("command", ["replay", "run"])
 def test_an_encoder_that_refuses_a_logged_output_names_its_seq(command, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log, manifest = tmp_path / "log.jsonl", tmp_path / "log.jsonl.crem"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     manifest.unlink()  # so a resume re-runs every record
@@ -751,7 +746,7 @@ FIRST_RECORD = b'{"input": "PayCart", "outputs": ["CartPaymentInitiated"], "seq"
 @pytest.mark.parametrize("codec", list(CULPRITS))
 @pytest.mark.parametrize("logged", [True, False], ids=["log", "no-log"])
 def test_a_codec_that_raises_exits_3_naming_its_line(codec, logged, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log = tmp_path / "log.jsonl"
     argv = ["run", "cart", "--input", commands] + (["--log", str(log)] if logged else [])
     assert cli.main(argv, refusing(codec, CULPRITS[codec], KeyError)) == 3
@@ -768,7 +763,7 @@ def test_a_codec_that_raises_exits_3_naming_its_line(codec, logged, tmp_path, ca
 def test_a_codec_that_raises_on_a_logged_record_exits_3_naming_its_seq(
     command, codec, tmp_path, capsys
 ):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart", "MarkCartAsPaid"])
     log, manifest = tmp_path / "log.jsonl", tmp_path / "log.jsonl.crem"
     assert cli.main(["run", "cart", "--input", commands, "--log", str(log)]) == 0
     manifest.unlink()  # so a resume re-runs every record
@@ -810,10 +805,10 @@ def test_a_step_that_raises_keeps_its_exception(lazy, tmp_path, capsys):
         return Basic(BaseMachine("strict", Topology((("s", ()),)), MachineState("s"), act))
 
     registry = {"strict": cli.RegistryEntry(factory, str.strip, str, str)}
-    commands = write_lines(tmp_path / "cmds.txt", ["ok", "codec"])
+    commands = write_commands(tmp_path / "cmds.txt", ["ok", "codec"])
     assert cli.main(["run", "strict", "--input", commands], registry) == 3
     assert capsys.readouterr() == ("[ok]\n", "error: line 2: refused by the step\n")
-    commands = write_lines(tmp_path / "cmds.txt", ["other"])
+    commands = write_commands(tmp_path / "cmds.txt", ["other"])
     with pytest.raises(KeyError):  # not a codec's fault: no exit code claims it
         cli.main(["run", "strict", "--input", commands], registry)
     # replay steps by the same rule, naming the seq
@@ -869,7 +864,7 @@ FAULTS = {
 @pytest.mark.parametrize("fault", list(FAULTS))
 @pytest.mark.parametrize("command", ["run", "resume", "replay"])
 def test_run_resume_and_replay_step_and_encode_by_one_rule(command, fault, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["ok", "bad"])
+    commands = write_commands(tmp_path / "cmds.txt", ["ok", "bad"])
     log = tmp_path / "log.jsonl"
     logged = (
         b'{"input": "ok", "outputs": ["ok"], "seq": 0}\n'
@@ -895,7 +890,7 @@ def test_an_output_fault_is_reported_before_an_input_fault(tmp_path, capsys):
     def encode_input(value):
         raise KeyError(value)
 
-    commands = write_lines(tmp_path / "cmds.txt", ["bad"])
+    commands = write_commands(tmp_path / "cmds.txt", ["bad"])
     registry = {"echo": replace(entry, encode_input=encode_input)}
     assert cli.main(["run", "echo", "--input", commands], registry) == 3
     assert capsys.readouterr() == ("", "error: line 1: encode_output returned int 1, not a str\n")
@@ -931,6 +926,16 @@ def test_every_registered_command_decodes_as_enum_lookup():
         for member in enum_cls:
             decoded = registry["cart-and-shipping"].decode_input(f"{tag} {member.name}")
             assert type(decoded) is side and decoded.value is enum_cls[member.name]
+
+
+def test_a_tagged_command_decodes_to_one_object_equal_to_a_fresh_one():
+    for tag, side, enum_cls in [("cart", Left, CartCommand), ("ship", Right, ShippingCommand)]:
+        for member in enum_cls:
+            decoded = cart._decode_side(f"{tag} {member.name}")
+            assert cart._decode_side(f"  {tag}\t{member.name} \r") is decoded
+            fresh = side(member)
+            assert decoded == fresh and fresh == decoded
+            assert (hash(decoded), repr(decoded)) == (hash(fresh), repr(fresh))
 
 
 # quotes, backslashes, control and line-separator characters, and non-ASCII ones
@@ -1015,7 +1020,7 @@ def test_run_round_trip_for_every_registered_machine(tmp_path, capsys):
         "cart-and-shipping": ["cart PayCart", "ship MarkAsDelivered"],
     }
     for name, lines in inputs.items():
-        commands = write_lines(tmp_path / f"{name}.txt", lines)
+        commands = write_commands(tmp_path / f"{name}.txt", lines)
         log = tmp_path / f"{name}.jsonl"
         assert cli.main(["run", name, "--input", commands, "--log", str(log)]) == 0
         assert cli.main(["replay", name, "--log", str(log)]) == 0
@@ -1023,7 +1028,7 @@ def test_run_round_trip_for_every_registered_machine(tmp_path, capsys):
 
 
 def test_run_output_is_deterministic(tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["cart PayCart", "ship StartShipping"])
+    commands = write_commands(tmp_path / "cmds.txt", ["cart PayCart", "ship StartShipping"])
     assert cli.main(["run", "cart-and-shipping", "--input", commands]) == 0
     first = capsys.readouterr().out
     assert cli.main(["run", "cart-and-shipping", "--input", commands]) == 0
@@ -1042,7 +1047,7 @@ def fresh_parser():
 
 
 def test_parser_is_built_once(fresh_parser, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     assert cli.main(["list"]) == 0
     assert cli.main(["run", "cart", "--input", commands]) == 0
     assert cli.main(["render", "cart"]) == 0
@@ -1147,7 +1152,7 @@ def test_main_parses_any_argv_as_parse_args(argv):
 
 
 def test_no_argument_leaks_between_calls(fresh_parser, tmp_path, capsys):
-    commands = write_lines(tmp_path / "cmds.txt", ["PayCart"])
+    commands = write_commands(tmp_path / "cmds.txt", ["PayCart"])
     run = ["run", "whole-cart-domain", "--input", commands]
     assert cli.main([*run, "--feedback-cap", "3"]) == 5
     assert capsys.readouterr().err == (

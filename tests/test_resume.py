@@ -43,6 +43,7 @@ from crem import (
     Alternative,
     Basic,
     BaseMachine,
+    DisallowedTransition,
     Feedback,
     Kleisli,
     MachineState,
@@ -62,7 +63,9 @@ from crem import (
 from crem.cart import CartCommand, cart, cart_and_shipping, shipping, whole_cart_domain
 from crem.compose import _leaf_vertices, _restore_vertices
 from crem.eventlog import _fingerprint
-from crem_harness import VOCABULARY, call, commands_for, crem_env, manifest_of, written
+from crem_harness import (
+    VOCABULARY, call, commands_for, crem_env, manifest_of, write_commands, written
+)
 from crem_harness import cli_run as run
 
 
@@ -158,9 +161,12 @@ def test_the_written_manifest_is_json_dumps_with_its_check(manifest):
 
 
 def gate():
-    """Leaf on ``a -> b -> c``: "next" moves on, "back" tries the undeclared edge to ``a``."""
+    """Leaf on ``a -> b -> c``: "next" moves on, "back" tries the undeclared edge to ``a``,
+    "wait" stays."""
 
     def act(state, value):
+        if value == "wait":
+            return StepResult([value], state)
         target = "a" if value == "back" else {"a": "b", "b": "c"}[state.vertex]
         return StepResult([value], MachineState(target))
 
@@ -196,7 +202,7 @@ def test_a_failed_run_writes_the_manifest_of_what_it_appended(kind, tmp_path, le
     source = tmp_path / "commands.txt"
 
     def session(commands):
-        source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+        write_commands(source, commands)
         return call("run", machine, "--input", source, "--log", log, registry=registry)
 
     assert session(first)[0] == 0
@@ -217,6 +223,171 @@ def test_a_failed_run_writes_the_manifest_of_what_it_appended(kind, tmp_path, le
     assert log.read_bytes() == data
     assert manifest_of(log).read_bytes() == json.dumps(manifest, sort_keys=True).encode()
     assert call("replay", machine, "--log", log, registry=registry) == (0, "", "")
+
+
+# -- the step memo of a run ----------------------------------------------------
+
+
+def interned(registry: dict) -> dict:
+    """``registry`` with each decoder's text interned, so that a repeated command is one
+    object, as the registered decoders give."""
+    return {
+        name: replace(entry, decode_input=lambda text, d=entry.decode_input: sys.intern(d(text)))
+        for name, entry in registry.items()
+    }
+
+
+# machine -> (registry, commands to draw from): the registered machines and the failing
+# runs', whose leaves stay on "wait"
+MEMO_MACHINES = {
+    **{name: (None, commands + ["Bogus"]) for name, commands in VOCABULARY.items()},
+    **{machine: (interned(registry), sorted({*first, *second, "wait"}))
+       for machine, registry, first, second, *_ in FAILED_RUNS.values() if registry},
+}
+
+
+def memo_sessions(machine, sessions, where: Path) -> tuple:
+    """Run each of ``sessions`` with ``--log``, all of them once more with no log, and
+    ``replay``: every outcome, and the bytes of the log and of its manifest."""
+    registry, _ = MEMO_MACHINES[machine]
+    shutil.rmtree(where, ignore_errors=True)
+    where.mkdir()
+    log = where / "log.jsonl"
+
+    def outcome(*argv):
+        try:
+            return call(*argv, registry=registry)
+        except Exception as error:  # a step's own error, the gate's KeyError past "c"
+            return type(error).__name__, str(error)
+
+    outcomes = [outcome("run", machine, "--input", write_commands(where / "commands.txt",
+                                                                   commands), "--log", log)
+                for commands in sessions]
+    every = write_commands(where / "every.txt", [c for commands in sessions for c in commands])
+    outcomes += [outcome("run", machine, "--input", every), outcome("replay", machine, "--log", log)]
+    manifest = manifest_of(log).read_bytes() if manifest_of(log).exists() else None
+    return outcomes, log.read_bytes(), manifest
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), machine=st.sampled_from(sorted(MEMO_MACHINES)))
+def test_a_run_prints_and_logs_the_same_with_and_without_its_step_memo(data, machine):
+    commands = st.sampled_from(MEMO_MACHINES[machine][1])
+    sessions = data.draw(st.lists(st.lists(commands, max_size=12), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as scratch:
+        where = Path(scratch, "session")
+        memoized = memo_sessions(machine, sessions, where)
+        with mock.patch.object(eventlog, "_MEMO_BOUND", 0):
+            assert memo_sessions(machine, sessions, where) == memoized
+
+
+def counted_still(calls: list) -> dict:
+    """The registry of ``still``: a leaf that stays, outputs each input and notes it in
+    ``calls``, whose decoder returns one object per command text."""
+
+    def count(state, value):  # pure in what it returns
+        calls.append(value)
+        return [value], state
+
+    leaf = Basic(BaseMachine("still", Topology((("on", ()),)), MachineState("on"), count))
+    return {"still": cli.RegistryEntry(lambda: leaf, lambda text: sys.intern(text.strip()),
+                                       str, str)}
+
+
+def test_a_run_of_one_command_repeated_steps_it_once(tmp_path):
+    calls = []
+    source = write_commands(tmp_path / "commands.txt", ["tick"] * 1_000)
+    code, out, err = call("run", "still", "--input", source, registry=counted_still(calls))
+    assert (code, out, err) == (0, "[tick]\n" * 1_000, "")
+    assert calls == ["tick"]
+
+
+def test_a_move_forgets_the_stays_of_the_state_it_left(tmp_path):
+    calls = []
+
+    def act(state, value):  # "flip" moves between off and on, anything else stays
+        calls.append((state.vertex, value))
+        if value == "flip":
+            return [value], MachineState("on" if state.vertex == "off" else "off")
+        return [f"{value} {state.vertex}"], state
+
+    topology = Topology((("off", ("on",)), ("on", ("off",))))
+    tree = Basic(BaseMachine("switch", topology, MachineState("off"), act))
+    registry = {"switch": cli.RegistryEntry(lambda: tree, lambda text: sys.intern(text.strip()),
+                                            str, str)}
+    commands = ["tick", "tick", "flip", "tick", "tick", "flip", "tick", "flip", "flip", "tick"]
+    source = write_commands(tmp_path / "commands.txt", commands)
+    code, out, err = call("run", "switch", "--input", source, registry=registry)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "[tick off]", "[tick off]", "[flip]", "[tick on]", "[tick on]", "[flip]", "[tick off]",
+        "[flip]", "[flip]", "[tick off]",
+    ]
+    # each state a command lands on steps its first tick, also a state reached before
+    assert calls == [("off", "tick"), ("off", "flip"), ("on", "tick"), ("on", "flip"),
+                     ("off", "tick"), ("off", "flip"), ("on", "flip"), ("off", "tick")]
+
+
+def test_a_run_steps_apart_inputs_that_are_equal_or_new_objects(tmp_path):
+    steps = [0]
+
+    def echo(state, value):  # holds on to no input
+        steps[0] += 1
+        return [repr(value)], state
+
+    def decode(text):
+        # 1, True and 1.0 are equal and hash alike; a fresh tuple that nothing kept alive
+        # would be freed a line later, and its id could come round again
+        text = text.strip()
+        return {"one": 1, "true": True, "float": 1.0}.get(text, (text,))
+
+    leaf = Basic(BaseMachine("echo", Topology((("on", ()),)), MachineState("on"), echo))
+    registry = {"echo": cli.RegistryEntry(lambda: leaf, decode, str, str)}
+    commands = ["one", "true", "float"] * 2 + [f"fresh {i}" for i in range(2_000)]
+    source = write_commands(tmp_path / "commands.txt", commands)
+    code, out, err = call("run", "echo", "--input", source, registry=registry)
+    lines = ["[1]", "[True]", "[1.0]"] * 2 + [f"[('fresh {i}',)]" for i in range(2_000)]
+    assert (code, out.splitlines(), err) == (0, lines, "")
+    # every fresh line stepped once, those past the memo's bound too
+    assert steps[0] == 3 + 2_000 and eventlog._MEMO_BOUND < 2_000
+
+
+def test_past_its_bound_a_run_steps_every_command(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(eventlog, "_MEMO_BOUND", 2)
+    source = write_commands(tmp_path / "commands.txt", ["a", "b", "c"] * 3)
+    assert call("run", "still", "--input", source, registry=counted_still(calls)) == (
+        0, "[a]\n[b]\n[c]\n" * 3, ""
+    )
+    assert calls == ["a", "b", "c", "c", "c"]  # a and b are stored, c never is
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_a_step_that_raises_is_never_stored(lazy):
+    calls = []
+
+    def refused():
+        raise cli.CodecError("refused")
+        yield
+
+    def refuse(state, value):
+        calls.append(value)
+        if value == "topology":
+            return [value], MachineState("elsewhere")  # an undeclared move
+        if lazy:
+            return refused(), state  # raises only once the run reads the outputs
+        raise cli.CodecError("refused")
+
+    topology = Topology((("on", ()), ("elsewhere", ())))
+    tree = Basic(BaseMachine("refuse", topology, MachineState("on"), refuse))
+    entry = cli.RegistryEntry(lambda: tree, str, str, str)
+    memo = {}
+    for _ in range(2):
+        for value, error in (("codec", cli.CodecError), ("topology", DisallowedTransition)):
+            with pytest.raises(error):
+                eventlog._step(tree, value, entry, DEFAULT_CONFIG, "line", 1, memo)
+    assert memo == {}
+    assert calls == ["codec", "topology"] * 2
 
 
 def test_a_run_whose_log_fails_its_check_writes_no_manifest(tmp_path):
@@ -732,9 +903,11 @@ def leaf(name="m", edges=(("a", ("b",)),), vertex="a", act=lambda s, x: StepResu
 
 
 def flip(name, out=lambda x: [x]):
-    """Leaf that moves between "off" and "on" on every step, with no payload."""
+    """Leaf that moves between "off" and "on" on every step but "wait", with no payload."""
 
     def act(state, value):
+        if value == "wait":
+            return StepResult(out(value), state)
         return StepResult(out(value), MachineState("on" if state.vertex == "off" else "off"))
 
     return leaf(name, (("off", ("on",)), ("on", ("off",))), "off", act)
@@ -856,8 +1029,7 @@ def session(kind, machine, log, registry=None) -> tuple[int, str, str]:
     """``replay``, or a ``run`` of one ``PayCart``, on ``log`` as ``machine``."""
     if kind == "replay":
         return call("replay", machine, "--log", log, registry=registry)
-    source = Path(log).with_name("commands.txt")
-    source.write_text("PayCart\n", encoding="utf-8")
+    source = write_commands(Path(log).with_name("commands.txt"), ["PayCart"])
     return call("run", machine, "--input", source, "--log", log, registry=registry)
 
 
@@ -1370,8 +1542,7 @@ def test_each_line_is_printed_after_its_record_is_in_the_log(tmp_path):
     start = 0
     for count in (1_200, 600):  # a fresh log, then a resume from its manifest
         commands = commands_for("cart-and-shipping", count, seed=count)
-        source = tmp_path / "commands.txt"
-        source.write_text("".join(command + "\n" for command in commands), encoding="utf-8")
+        source = write_commands(tmp_path / "commands.txt", commands)
         out = Watching(start)
         argv = ["run", "cart-and-shipping", "--input", source, "--log", log]
         with contextlib.redirect_stdout(out):
@@ -1560,7 +1731,7 @@ def test_two_writers_on_one_log_leave_one_gap_free_sequence(tmp_path):
     for seed in (1, 2):
         source = tmp_path / f"commands-{seed}.txt"
         commands = commands_for(machine, 300, seed=seed)
-        source.write_text("".join(c + "\n" for c in commands), encoding="utf-8")
+        write_commands(source, commands)
         sources.append(source)
     writers = [crem_process("run", machine, "--input", s, "--log", log) for s in sources]
     for writer in writers:
