@@ -13,7 +13,6 @@ import os
 import sys
 from contextlib import suppress
 from functools import cache
-from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from . import cart as cart_domain
@@ -67,7 +66,8 @@ def _run_config(flag: int | None) -> RunConfig:
 def _read_command_lines(source: str) -> list[tuple[int, str]]:
     """The numbered command lines of ``source``; a line ends at ``"\n"`` only, as in the log."""
     if source != "-":
-        data = Path(source).read_bytes()
+        with open(source, "rb") as handle:
+            data = handle.read()
     elif sys.stdin is None:  # a closed stdin (`<&-`)
         raise _UsageError("--input -: there is no stdin to read")
     else:
@@ -134,7 +134,8 @@ def _cmd_render(args, registry) -> int:
     if args.out is None:
         _writer("stdout")(diagram.text)
     else:
-        Path(args.out).write_text(diagram.text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(diagram.text)
     return EXIT_OK
 
 
@@ -164,7 +165,7 @@ def _cmd_replay(args, registry) -> int:
 
 
 def _path(text: str) -> str:
-    """A file option's value: any text but the empty one, which ``Path`` reads as ``.``."""
+    """A file option's value: any text but the empty one, which names no file."""
     if not text:
         raise argparse.ArgumentTypeError("a path must not be empty")
     return text

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .machine import BaseMachine, MachineState, UnknownVertex, stateless
+from .machine import BaseMachine, stateless
 
 
 class DuplicateLeafName(ValueError):
@@ -109,54 +109,6 @@ def _walk(tree: StateMachine) -> Iterator[tuple[StateMachine, bool]]:
         yield item
         if not done and not isinstance(node, Basic):
             stack += ((node, True), (node.second, False), (node.first, False))
-
-
-def _leaf_vertices(tree: StateMachine) -> list[str] | None:
-    """The vertices of ``tree``'s leaves in ``leaves()`` order.
-
-    None if vertices alone do not capture the tree's state: a leaf's payload
-    is not None.
-    """
-    vertices = []
-    for node, _ in _walk(tree):
-        if isinstance(node, Basic):
-            if node.machine.state.payload is not None:
-                return None
-            vertices.append(node.machine.state.vertex)
-    return vertices
-
-
-def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachine | None:
-    """``tree`` with its leaves, in ``leaves()`` order, moved onto ``vertices``.
-
-    The inverse of :func:`_leaf_vertices`. A leaf that must move, because its vertex
-    differs or its payload is not None, is built anew through the ``Basic`` and
-    ``BaseMachine`` constructors, so the one check that a vertex is on its topology
-    decides; a leaf that stays keeps the vertex its constructor already checked. The
-    tree is rebuilt as a step rebuilds it, keeping every subtree none of whose leaves
-    moved. None for a count of vertices other than the count of leaves, or a vertex off
-    its leaf's topology.
-    """
-    used = 0  # vertices handed out so far
-    built: list[StateMachine] = []  # rebuilt subtrees, children before parents
-    for node, done in _walk(tree):
-        if isinstance(node, Basic):
-            if used == len(vertices):
-                return None
-            vertex = vertices[used]
-            used += 1
-            m = node.machine
-            if m.state.vertex != vertex or m.state.payload is not None:
-                try:
-                    node = Basic(BaseMachine(m.name, m.topology, MachineState(vertex), m.action))
-                except UnknownVertex:
-                    return None
-            built.append(node)
-        elif done:
-            second, first = built.pop(), built.pop()
-            unmoved = first is node.first and second is node.second
-            built.append(node if unmoved else node._with(first, second))
-    return built[0] if used == len(vertices) else None
 
 
 # key of the leaf-name set in a composite's instance __dict__; not a field,

@@ -2,8 +2,8 @@
 
 The README's "The command line" section is the contract this module keeps for ``crem run
 --log`` and ``crem replay``: the log and manifest formats, resuming, torn tails and
-locking. ``open_log`` returns an ``OpenLog`` for a ``with`` block: like ``open``, the call
-locks and checks the log, and the block's end writes the manifest and releases the lock.
+locking. ``open_log``, the ``OpenLog`` class, opens a log for a ``with`` block: like ``open``,
+the call locks and checks the log, and the block's end writes the manifest and unlocks.
 ``replay`` audits a log and ``run`` runs commands with no log, all by ``_step``'s one rule.
 """
 
@@ -16,12 +16,10 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
-from .compose import (
-    DEFAULT_CONFIG, Basic, RunConfig, StateMachine, _leaf_vertices, _restore_vertices, _walk
-)
+from .compose import DEFAULT_CONFIG, Basic, RunConfig, StateMachine, _walk
+from .machine import BaseMachine, MachineState, UnknownVertex
 
 MANIFEST_VERSION = 3
 
@@ -59,19 +57,6 @@ def run(entry: RegistryEntry, lines: list[tuple[int, str]], write: Callable[[str
                   lambda batch: write("".join([line for _, line, _ in batch])))
 
 
-def open_log(path: str | os.PathLike, name: str, entry: RegistryEntry,
-             config: RunConfig = DEFAULT_CONFIG) -> OpenLog:
-    """Open the event log at ``path`` for the machine ``name`` of ``entry`` under its
-    exclusive lock and check it as ``crem run --log`` does before it appends: the ``OpenLog``
-    for a ``with`` block, whose end writes the manifest, also on an error, and unlocks.
-
-    Creates a missing log and removes a torn tail. Raises ``MalformedLog`` for a log that
-    another machine wrote or that breaks the record schema, ``Diverged`` for a record that
-    does not regenerate, and what a step raises.
-    """
-    return OpenLog(path, name, entry, config)
-
-
 def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
            config: RunConfig = DEFAULT_CONFIG) -> int:
     """Check the whole event log at ``path`` as ``crem replay`` does: re-run every record on
@@ -81,7 +66,7 @@ def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
     that another machine wrote, that breaks the record schema or that ends in a torn tail,
     and what a step raises.
     """
-    path, machine = Path(path), entry.factory()
+    path, machine = _log_path(path), entry.factory()
     with _locked_log(path, exclusive=False) as handle, _failing(path, "read"):
         _read_manifest(path, name, _fingerprint(machine))  # refuse another writer's
         data = handle.read()  # under the shared lock: a run in progress finishes first
@@ -94,22 +79,26 @@ def replay(path: str | os.PathLike, name: str, entry: RegistryEntry,
 
 
 class OpenLog:
-    """An event log that ``open_log`` holds open under its lock, checked up to its end.
+    """The event log at ``path``, kept as the ``str`` given, for the machine ``name`` of
+    ``entry``, locked and checked as ``crem run --log`` does before it appends, for a ``with``
+    block whose end writes the manifest, also on an error, and unlocks.
 
-    ``machine`` is the machine after the last record and ``seq`` the seq of the next one;
-    both move only past records in the log. ``torn`` is the length in bytes of the torn
-    tail that opening the log removed, 0 if none.
+    Creates a missing log and removes a torn tail. Raises ``MalformedLog`` for a log that
+    another machine wrote or that breaks the record schema, ``Diverged`` for a record that
+    does not regenerate, and what a step raises. ``machine`` is the machine after the last
+    record and ``seq`` the seq of the next one; both move only past records in the log.
+    ``torn`` is the length in bytes of the torn tail that opening the log removed, 0 if none.
     """
 
     def __init__(self, path: str | os.PathLike, name: str, entry: RegistryEntry,
                  config: RunConfig = DEFAULT_CONFIG) -> None:
-        path, machine = Path(path), entry.factory()
-        sidecar, fingerprint = _manifest_path(path), _fingerprint(machine)
-        if not path.exists():  # refuse another writer's manifest before the open creates the log
-            _read_manifest(path, name, fingerprint, sidecar)
+        path, machine = _log_path(path), entry.factory()
+        fingerprint = _fingerprint(machine)
+        if not os.path.exists(path):  # refuse another writer's manifest before open creates the log
+            _read_manifest(path, name, fingerprint)
         handle = _locked_log(path, exclusive=True)
         try:
-            manifest = _read_manifest(path, name, fingerprint, sidecar)
+            manifest = _read_manifest(path, name, fingerprint)
             with _failing(path, "read"):
                 handle.seek(0)  # "a+b" opens at the end
                 machine, seq, size, digest = _restore(machine, manifest, handle)
@@ -129,17 +118,20 @@ class OpenLog:
             handle.close()
             raise
         self.path, self._name, self._entry, self._config = path, name, entry, config
-        self.machine, self.seq, self.torn, self._sidecar = machine, seq, len(torn), sidecar
+        self.machine, self.seq, self.torn = machine, seq, len(torn)
         self._handle, self._fingerprint, self._digest = handle, fingerprint, digest
 
     def __enter__(self) -> OpenLog:
+        self._refuse_closed()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        if self._handle.closed:  # an inner with block over this log has ended it
+            return
         try:  # a command that fails (exit 3, 4 or 5) leaves what was committed covered
             vertices = _leaf_vertices(self.machine)
             if vertices is not None:
-                _write_manifest(self._sidecar, dict(zip(_MANIFEST_FIELDS, (
+                _write_manifest(self.path + ".crem", dict(zip(_MANIFEST_FIELDS, (
                     MANIFEST_VERSION, self._name, self._fingerprint, self.seq, self._size,
                     self._digest.hexdigest(), vertices))))
         finally:  # releases the lock
@@ -159,10 +151,14 @@ class OpenLog:
         before its error propagates; if that flush fails, its own error propagates instead.
         Once the ``with`` block has ended, it raises ``ValueError`` before it decodes anything.
         """
-        if self._handle.closed:
-            raise ValueError(f"log {self.path} is closed: its with block has ended")
+        self._refuse_closed()
         _run_commands(self.machine, lines, self._entry, self._config, self.seq,
                       lambda batch: self._commit(batch, write))
+
+    def _refuse_closed(self) -> None:
+        """Raise ``ValueError`` once the ``with`` block has ended and unlocked the log."""
+        if self._handle.closed:
+            raise ValueError(f"log {self.path} is closed: its with block has ended")
 
     def _commit(self, batch: list, write: Callable[[str], Any]) -> None:
         data = b"".join([record for record, _, _ in batch])
@@ -178,6 +174,9 @@ class OpenLog:
             write("".join([line for _, line, _ in batch]))
         if written != wanted:
             raise CodecError(f"cannot write log {self.path}: wrote {written} of {wanted} bytes")
+
+
+open_log = OpenLog
 
 
 # the keys of an event record, exactly
@@ -267,7 +266,7 @@ _FAULTS = {"read": MalformedLog, "write": CodecError}
 
 
 @contextmanager
-def _failing(path: Path, verb: str) -> Iterator[None]:
+def _failing(path: str, verb: str) -> Iterator[None]:
     """Turn an ``OSError`` raised while the log at ``path`` is read or written, as ``verb``
     says, into the ``_FAULTS`` error that names the log."""
     try:
@@ -276,7 +275,15 @@ def _failing(path: Path, verb: str) -> Iterator[None]:
         raise _FAULTS[verb](f"cannot {verb} log {path}: {error}") from error
 
 
-def _locked_log(path: Path, exclusive: bool) -> BinaryIO:
+def _log_path(path: str | os.PathLike) -> str:
+    """``path`` as the ``str`` the log's and its manifest's file names are made from. A
+    ``bytes`` path raises ``TypeError`` before any file is opened."""
+    if isinstance(path := os.fspath(path), str):
+        return path
+    raise TypeError(f"a log path must be a str or PathLike of str, not {type(path).__name__}")
+
+
+def _locked_log(path: str, exclusive: bool) -> BinaryIO:
     """Open and lock the log at ``path``: its one handle, where ``open`` left it.
 
     A writer's handle appends, creates a missing log, holds an exclusive lock
@@ -288,7 +295,7 @@ def _locked_log(path: Path, exclusive: bool) -> BinaryIO:
     try:
         handle = open(path, "a+b" if exclusive else "rb", buffering=0)
     except OSError as error:
-        if not exclusive or path.exists():  # a failed open created nothing
+        if not exclusive or os.path.exists(path):  # a failed open created nothing
             raise MalformedLog(f"cannot read log {path}: {error}") from error
         raise
     try:
@@ -297,10 +304,6 @@ def _locked_log(path: Path, exclusive: bool) -> BinaryIO:
         handle.close()
         raise
     return handle
-
-
-def _manifest_path(log: Path) -> Path:
-    return log.with_name(log.name + ".crem")
 
 
 _MANIFEST_FIELDS = {
@@ -343,20 +346,17 @@ def _nonblocking(path, flags: int) -> int:
     return os.open(path, flags | os.O_NONBLOCK, 0o666)
 
 
-def _read_manifest(
-    log: Path, name: str, fingerprint: str, sidecar: Path | None = None
-) -> dict | None:
-    """The manifest beside ``log``, read from ``sidecar`` if the caller has its path, without
-    its ``check``, or None if it is absent, unreadable, of another version, fails its check
-    or its schema. A manifest that passes all three naming another ``machine`` or
-    ``fingerprint`` raises ``MalformedLog``.
+def _read_manifest(log: str, name: str, fingerprint: str) -> dict | None:
+    """The manifest beside ``log``, at ``log + ".crem"``, without its ``check``, or None if
+    it is absent, unreadable, of another version, fails its check or its schema. A manifest
+    that passes all three naming another ``machine`` or ``fingerprint`` raises
+    ``MalformedLog``.
 
     No field but ``version`` is read before the ``check`` holds: a torn overwrite can join
     new fields to old ones, or shift one by a byte, and still parse.
     """
     try:
-        path = sidecar or _manifest_path(log)
-        with open(path, "rb", buffering=0, opener=_nonblocking) as handle:
+        with open(f"{log}.crem", "rb", buffering=0, opener=_nonblocking) as handle:
             manifest = json.loads(handle.read())
     except (OSError, ValueError, RecursionError):
         return None
@@ -378,7 +378,7 @@ def _read_manifest(
     return manifest
 
 
-def _write_manifest(sidecar: Path, manifest: dict) -> None:
+def _write_manifest(sidecar: str, manifest: dict) -> None:
     """Write ``manifest`` and its ``check`` over the manifest file ``sidecar`` in place: no
     truncation to zero, no temporary file and no rename, which together took about a third
     of a short resuming session on ext4. A write cut short fails the check when read.
@@ -398,6 +398,51 @@ def _write_manifest(sidecar: Path, manifest: dict) -> None:
             os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
+
+
+def _leaf_vertices(tree: StateMachine) -> list[str] | None:
+    """The vertices of ``tree``'s leaves in ``leaves()`` order, or None if a leaf's payload
+    is not None: vertices alone do not capture the tree's state."""
+    vertices = []
+    for node, _ in _walk(tree):
+        if isinstance(node, Basic):
+            if node.machine.state.payload is not None:
+                return None
+            vertices.append(node.machine.state.vertex)
+    return vertices
+
+
+def _restore_vertices(tree: StateMachine, vertices: Sequence[str]) -> StateMachine | None:
+    """``tree`` with its leaves, in ``leaves()`` order, moved onto ``vertices``.
+
+    The inverse of :func:`_leaf_vertices`. A leaf that must move, because its vertex
+    differs or its payload is not None, is built anew through the ``Basic`` and
+    ``BaseMachine`` constructors, so the one check that a vertex is on its topology
+    decides; a leaf that stays keeps the vertex its constructor already checked. The
+    tree is rebuilt as a step rebuilds it, keeping every subtree none of whose leaves
+    moved. None for a count of vertices other than the count of leaves, or a vertex off
+    its leaf's topology.
+    """
+    used = 0  # vertices handed out so far
+    built: list[StateMachine] = []  # rebuilt subtrees, children before parents
+    for node, done in _walk(tree):
+        if isinstance(node, Basic):
+            if used == len(vertices):
+                return None
+            vertex = vertices[used]
+            used += 1
+            m = node.machine
+            if m.state.vertex != vertex or m.state.payload is not None:
+                try:
+                    node = Basic(BaseMachine(m.name, m.topology, MachineState(vertex), m.action))
+                except UnknownVertex:
+                    return None
+            built.append(node)
+        elif done:
+            second, first = built.pop(), built.pop()
+            unmoved = first is node.first and second is node.second
+            built.append(node if unmoved else node._with(first, second))
+    return built[0] if used == len(vertices) else None
 
 
 def _restore(

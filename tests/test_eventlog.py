@@ -175,6 +175,42 @@ def test_append_after_the_block_raises_before_it_decodes(tmp_path):
     assert decoded == [] and written(log) == before
 
 
+def test_reentering_after_the_block_raises_and_keeps_another_writers_manifest(tmp_path):
+    log, machine = tmp_path / "log.jsonl", "cart"
+    with eventlog.open_log(log, machine, REGISTRY[machine]) as events:
+        events.append(numbered(["PayCart"]), print)
+    api_append(machine, log, ["MarkCartAsPaid"])  # a second writer, after the lock is released
+    before = written(log)
+    with pytest.raises(ValueError, match=f"^log {re.escape(str(log))} is closed"):
+        with events:
+            pass
+    assert written(log) == before
+
+
+def test_an_inner_block_ends_the_log_for_the_outer_one(tmp_path):
+    log, machine = tmp_path / "log.jsonl", "cart"
+    with eventlog.open_log(log, machine, REGISTRY[machine]) as events:
+        with events:
+            pass
+        api_append(machine, log, ["PayCart"])  # the inner end released the lock
+        before = written(log)
+    assert written(log) == before
+
+
+@pytest.mark.parametrize(
+    "call", [eventlog.replay, eventlog.open_log], ids=["replay", "open_log"]
+)
+def test_a_bytes_path_is_refused_before_any_file_is_opened(call, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.jsonl").write_bytes(b"")  # an existing log is not opened either
+    opened = []
+    monkeypatch.setattr(eventlog, "open", lambda *args, **kwargs: opened.append(args), raising=False)
+    for path in (b"x.jsonl", b"y.jsonl"):
+        with pytest.raises(TypeError):
+            call(path, "cart", REGISTRY["cart"])
+    assert opened == [] and os.listdir(tmp_path) == ["x.jsonl"]
+
+
 def test_importing_crem_loads_neither_the_event_log_nor_the_cli():
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     script = (

@@ -61,8 +61,7 @@ from crem import (
     unrestricted_mealy,
 )
 from crem.cart import CartCommand, cart, cart_and_shipping, shipping, whole_cart_domain
-from crem.compose import _leaf_vertices, _restore_vertices
-from crem.eventlog import _fingerprint
+from crem.eventlog import _fingerprint, _leaf_vertices, _restore_vertices
 from crem_harness import (
     VOCABULARY, call, commands_for, crem_env, manifest_of, write_commands, written
 )
@@ -1653,15 +1652,22 @@ def test_a_writer_creates_no_missing_directory(tmp_path):
     assert not log.parent.exists()
 
 
-def test_a_writer_names_a_log_it_cannot_open(tmp_path):
-    log = tmp_path / "log.jsonl"
-    log.mkdir()
-    assert run("cart", log, ["PayCart"]) == (
+@pytest.mark.parametrize("where", ["directory", ".", "/"])
+def test_a_writer_names_a_log_it_cannot_open(where, tmp_path, monkeypatch):
+    # "." and "/" name no file, so no manifest name can be made by adding to one
+    monkeypatch.chdir(tmp_path)
+    log = str(tmp_path / "log.jsonl") if where == "directory" else where
+    if where == "directory":
+        os.mkdir(log)
+    source = write_commands(tmp_path / "commands.txt", ["PayCart"])
+    assert call("run", "cart", "--input", source, "--log", log) == (
         cli.EXIT_CODEC,
         "",
         f"error: malformed log: cannot read log {log}: [Errno 21] Is a directory: '{log}'\n",
     )
-    assert not manifest_of(log).exists()
+    assert not os.path.exists(log + ".crem")
+    made = ["commands.txt", "log.jsonl"] if where == "directory" else ["commands.txt"]
+    assert sorted(os.listdir(tmp_path)) == made
 
 
 def test_replay_reads_a_log_from_a_pipe(tmp_path):

@@ -545,15 +545,15 @@ def test_thousand_leaf_chain_renders(chain, default_recursion_limit):
 def test_thousand_leaf_chain_round_trips_its_vertices(chain, default_recursion_limit):
     # no ==, hash or repr here: on a tree this deep they recurse
     tree = chain(1000, on_ring)
-    start = compose._leaf_vertices(tree)
+    start = eventlog._leaf_vertices(tree)
     assert start == ["r0"] * 1000
-    assert compose._restore_vertices(tree, start) is tree
+    assert eventlog._restore_vertices(tree, start) is tree
     spread = [f"r{i % 3}" for i in range(1000)]
-    moved = compose._restore_vertices(tree, spread)
-    assert compose._leaf_vertices(moved) == spread
+    moved = eventlog._restore_vertices(tree, spread)
+    assert eventlog._leaf_vertices(moved) == spread
     assert [leaf.name for leaf in moved.leaves()] == [f"leaf{i}" for i in range(1000)]
-    assert compose._leaf_vertices(compose._restore_vertices(moved, start)) == start
-    assert compose._restore_vertices(tree, spread[:-1]) is None
+    assert eventlog._leaf_vertices(eventlog._restore_vertices(moved, start)) == start
+    assert eventlog._restore_vertices(tree, spread[:-1]) is None
     assert eventlog._fingerprint(tree) == eventlog._fingerprint(chain(1000, on_ring))
     assert eventlog._fingerprint(moved) != eventlog._fingerprint(tree)
 
@@ -572,8 +572,8 @@ def test_a_restore_shares_every_subtree_it_did_not_move(moved):
     tree = balanced(13)
     vertices = ["r0"] * 13
     vertices[moved] = "r1"
-    restored = compose._restore_vertices(tree, vertices)
-    assert compose._leaf_vertices(restored) == vertices
+    restored = eventlog._restore_vertices(tree, vertices)
+    assert eventlog._leaf_vertices(restored) == vertices
     # both trees have one shape, so their walks pair up node by node
     for (old, _), (new, _) in zip(compose._walk(tree), compose._walk(restored)):
         if f"leaf{moved}" in {leaf.name for leaf in old.leaves()}:
@@ -646,7 +646,7 @@ def test_a_moved_tree_holds_no_name_set_and_builds_by_one_walk(leaves_walked):
     log = []
     root = Sequential(ring("a", log), ring("b", log))
     _, moved = root.step(0)
-    restored = compose._restore_vertices(root, ["r1", "r2"])
+    restored = eventlog._restore_vertices(root, ["r1", "r2"])
     for tree in (moved, restored):
         assert tree is not root
         assert [node for node in nodes(tree) if compose._LEAF_NAMES in vars(node)] == []
@@ -905,7 +905,7 @@ def test_every_build_holds_the_names_a_walk_finds_or_names_the_walks_first_dupli
         elif move == "restore":
             vertices = data.draw(st.lists(st.sampled_from(RING.vertices()),
                                           min_size=len(names), max_size=len(names)))
-            pool.append(compose._restore_vertices(tree, vertices))
+            pool.append(eventlog._restore_vertices(tree, vertices))
         else:
             kind = data.draw(st.sampled_from(NODE_KINDS[1:]))
             second = data.draw(st.sampled_from(pool))
